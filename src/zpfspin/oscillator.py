@@ -22,11 +22,12 @@ independent oracle in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
+from .errors import SizeLimitError
 
 __all__ = [
     "StationaryState",
@@ -34,6 +35,9 @@ __all__ = [
     "build_oscillator_table",
     "circular_components",
 ]
+
+# Largest dense table build_oscillator_table will allocate, in bytes.
+TABLE_BYTES_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,12 @@ class MatrixElementTable:
     """Position matrix elements of the isotropic oscillator, shells <= n_cut.
 
     x, y, z are dense complex matrices over the state list (z is None in two
-    dimensions). xplus/xminus hold the circular combinations once
-    circular_components has been applied. All arrays are read-only; derive
-    modified tables with dataclasses.replace on fresh arrays.
+    dimensions). The circular combinations x+ = (x + i y)/sqrt2 and
+    x- = (i x + y)/sqrt2 (xplus, xminus) and the state frequencies
+    (omega_array) are derived from x, y and states when the table is
+    constructed, so every spectral sum over the table reuses them. All
+    arrays are read-only; derive modified tables with dataclasses.replace
+    on fresh x and y, which derives the circular pair again.
     """
 
     dims: int
@@ -63,16 +70,24 @@ class MatrixElementTable:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray | None
-    xplus: np.ndarray | None = None
-    xminus: np.ndarray | None = None
+    xplus: np.ndarray = field(init=False, repr=False)
+    xminus: np.ndarray = field(init=False, repr=False)
+    omega_array: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        root2 = math.sqrt(2.0)
+        derived = {
+            "xplus": (self.x + 1j * self.y) / root2,
+            "xminus": (1j * self.x + self.y) / root2,
+            "omega_array": np.array([s.omega for s in self.states]),
+        }
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def labels(self) -> tuple:
         return tuple(s.label for s in self.states)
-
-    @property
-    def omega_array(self) -> np.ndarray:
-        return np.array([s.omega for s in self.states])
 
     def lookup(self, label) -> int:
         try:
@@ -114,17 +129,31 @@ def build_oscillator_table(
     n_cut: int,
     constants: PhysicalConstants = NATURAL,
 ) -> MatrixElementTable:
+    """Tabulate every state with shell <= n_cut and its position elements.
+
+    Raises SizeLimitError, before allocating anything, when the dense
+    matrices would exceed TABLE_BYTES_LIMIT.
+    """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")
-    if not omega0 > 0:
-        raise ValueError("omega0 must be positive")
+    if not (omega0 > 0 and math.isfinite(omega0)):
+        raise ValueError("omega0 must be positive and finite")
     if int(n_cut) != n_cut or n_cut < 1:
         raise ValueError("n_cut must be a positive integer")
     n_cut = int(n_cut)
+    # S = C(n_cut + dims, dims) states and dims + 2 dense S x S complex128
+    # matrices: x, y (and z in three dimensions) plus the circular pair
+    size = math.comb(n_cut + dims, dims)
+    estimate = (dims + 2) * 16 * size * size
+    if estimate > TABLE_BYTES_LIMIT:
+        raise SizeLimitError(
+            f"refusing a {dims}-d table at n_cut = {n_cut}: its dense matrices "
+            f"need {estimate / 2**30:.1f} GiB, over the "
+            f"{TABLE_BYTES_LIMIT / 2**30:.0f} GiB limit"
+        )
 
     labels = _state_labels(dims, n_cut)
     index = {lab: i for i, lab in enumerate(labels)}
-    size = len(labels)
     hbar, mass = constants.hbar, constants.m
     states = tuple(
         StationaryState(
@@ -184,14 +213,10 @@ def build_oscillator_table(
 
 
 def circular_components(table: MatrixElementTable) -> MatrixElementTable:
-    """Attach x+ = (x + i y)/sqrt2 and x- = (i x + y)/sqrt2 entrywise.
+    """Return `table`, whose circular pair x+ = (x + i y)/sqrt2 and
+    x- = (i x + y)/sqrt2 was derived when it was constructed.
 
     Together the two carry the same weight as the Cartesian pair,
     |x+|^2 + |x-|^2 = |x|^2 + |y|^2 per element.
     """
-    root2 = math.sqrt(2.0)
-    xplus = (table.x + 1j * table.y) / root2
-    xminus = (1j * table.x + table.y) / root2
-    xplus.setflags(write=False)
-    xminus.setflags(write=False)
-    return replace(table, xplus=xplus, xminus=xminus)
+    return table

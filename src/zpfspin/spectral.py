@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
 from .errors import CoherenceError, IncompleteBasisError
-from .oscillator import MatrixElementTable, circular_components
+from .oscillator import MatrixElementTable
 from .phase_algebra import PhaseExpression
 
 __all__ = [
@@ -57,12 +57,6 @@ def _require_complete(table: MatrixElementTable, label):
         )
 
 
-def _circular_pair(table: MatrixElementTable):
-    if table.xplus is None or table.xminus is None:
-        table = circular_components(table)
-    return table.xplus, table.xminus
-
-
 def trk_sum_rule(table: MatrixElementTable, alpha) -> float:
     """Oscillator-strength sum m * sum_b w_ba (|x+_ab|^2 + |x-_ab|^2).
 
@@ -71,9 +65,8 @@ def trk_sum_rule(table: MatrixElementTable, alpha) -> float:
     """
     i = table.lookup(alpha)
     _require_complete(table, table.states[i].label)
-    xplus, xminus = _circular_pair(table)
     w = table.omega_array - table.states[i].omega
-    weights = np.abs(xplus[i, :]) ** 2 + np.abs(xminus[i, :]) ** 2
+    weights = np.abs(table.xplus[i, :]) ** 2 + np.abs(table.xminus[i, :]) ** 2
     return float(table.mass * np.sum(w * weights))
 
 
@@ -89,9 +82,8 @@ def lz_expectation(table: MatrixElementTable, alpha, method: str = "polarized") 
     _require_complete(table, table.states[i].label)
     w = table.omega_array - table.states[i].omega
     if method == "polarized":
-        xplus, xminus = _circular_pair(table)
         value = table.mass * np.sum(
-            w * (np.abs(xplus[:, i]) ** 2 - np.abs(xminus[:, i]) ** 2)
+            w * (np.abs(table.xplus[:, i]) ** 2 - np.abs(table.xminus[:, i]) ** 2)
         )
         return float(value)
     if method == "direct":
@@ -110,10 +102,9 @@ def polarized_momenta(table: MatrixElementTable, alpha) -> tuple[float, float]:
     """
     i = table.lookup(alpha)
     _require_complete(table, table.states[i].label)
-    xplus, xminus = _circular_pair(table)
     w = table.omega_array - table.states[i].omega
-    m_plus = table.mass * np.sum(w * np.abs(xplus[:, i]) ** 2)
-    m_minus = -table.mass * np.sum(w * np.abs(xminus[:, i]) ** 2)
+    m_plus = table.mass * np.sum(w * np.abs(table.xplus[:, i]) ** 2)
+    m_minus = -table.mass * np.sum(w * np.abs(table.xminus[:, i]) ** 2)
     return float(m_plus), float(m_minus)
 
 

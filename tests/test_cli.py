@@ -1,11 +1,14 @@
 """Command-line surface: report schema, exit codes, config handling, CSV."""
 
+import argparse
 import csv
 import json
+import math
+import time
 
 import pytest
 
-from zpfspin.cli import main
+from zpfspin.cli import RunConfig, _run_angular_momentum, _run_sum_rule, main
 
 ALL_COMMANDS = [
     "mode-observables",
@@ -174,6 +177,17 @@ def test_exchange_report_embeds_derivation(capsys):
     ]
 
 
+@pytest.mark.parametrize("ordering", ["phi2_greater", "phi1_greater", "tie"])
+def test_exchange_integer_spins_pass(capsys, ordering):
+    code, body = run(
+        capsys,
+        ["exchange-derive", "--spin-a", "1", "--spin-b", "1", "--ordering", ordering],
+    )
+    assert code == 0
+    swap = next(c for c in body["checks"] if c["name"] == "swap_factor_matches_exchange_phase")
+    assert swap["expected"] == swap["actual"] == "0"
+
+
 def test_exchange_mixed_spins_report_failure(capsys):
     code, body = run(capsys, ["exchange-derive", "--spin-a", "1/2", "--spin-b", "1"])
     assert code == 1
@@ -203,3 +217,59 @@ def test_slater_rejects_oversized_input(capsys):
     labels = ",".join(f"s{i}:1/2" for i in range(9))
     assert main(["slater", "--labels", labels]) == 2
     capsys.readouterr()
+
+
+NON_FINITE_FLAGS = [
+    ("sum-rule", "--box"),
+    ("angular-momentum", "--hbar"),
+    ("sum-rule", "--c"),
+    ("sum-rule", "--m"),
+    ("zeeman", "--mu0"),
+    ("sum-rule", "--omega0"),
+    ("angular-momentum", "--omega0"),
+    ("zeeman", "--field"),
+    ("zeeman", "--b-max"),
+    ("field-sample", "--time"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command,flag", NON_FINITE_FLAGS)
+def test_non_finite_flag_exits_two(capsys, command, flag, value):
+    assert main([command, "--units", "explicit", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("line", ["L = inf", "hbar = nan", "mu0 = -inf", "tol.sum_rule = nan"])
+def test_non_finite_config_value_exits_two(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["sum-rule", "--n-cut", "2", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "runner,args",
+    [
+        (_run_sum_rule, argparse.Namespace(dims="2,3", n_cut=3, omega0=1.0)),
+        (_run_angular_momentum, argparse.Namespace(dims=2, n_cut=3, omega0=1.0)),
+    ],
+)
+def test_nan_errors_fail_their_checks(runner, args):
+    # the parser refuses hbar = inf; past it, every per-state error is NaN
+    checks, _, _ = runner(RunConfig(units="explicit", hbar=math.inf), args)
+    numeric = [c for c in checks if c.tolerance > 0]
+    assert numeric
+    for check in numeric:
+        assert math.isnan(check.actual)
+        assert not check.passed
+
+
+def test_oversized_table_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["sum-rule", "--dims", "3", "--n-cut", "40"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "GiB" in capsys.readouterr().err

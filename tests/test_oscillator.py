@@ -8,12 +8,15 @@ the one-dimensional position integral.
 """
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss, hermval
 
 from zpfspin.constants import NATURAL, PhysicalConstants
+from zpfspin.errors import SizeLimitError
 from zpfspin.oscillator import (
     MatrixElementTable,
     build_oscillator_table,
@@ -148,11 +151,36 @@ def test_m_ell_selection_rules():
 
 
 def test_circular_split_preserves_weight():
-    table = circular_components(build_oscillator_table(2, OMEGA0, 5, CONSTS))
+    table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
+    assert circular_components(table) is table
     weight = np.abs(table.xplus) ** 2 + np.abs(table.xminus) ** 2
     assert np.max(np.abs(weight - (np.abs(table.x) ** 2 + np.abs(table.y) ** 2))) < 1e-13
     assert np.allclose(table.xplus, (table.x + 1j * table.y) / math.sqrt(2))
     assert np.allclose(table.xminus, (1j * table.x + table.y) / math.sqrt(2))
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_derived_arrays_are_read_only(dims):
+    table = build_oscillator_table(dims, OMEGA0, 3, CONSTS)
+    for name in ("xplus", "xminus", "omega_array"):
+        arr = getattr(table, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(AttributeError):
+        table.xplus = np.zeros_like(table.x)
+
+
+def test_replace_derives_circular_pair_again():
+    table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
+    x, y = 2 * table.x, 3 * table.y
+    scaled = replace(table, x=x, y=y)
+    assert np.array_equal(scaled.xplus, (x + 1j * y) / math.sqrt(2))
+    assert np.array_equal(scaled.xminus, (1j * x + y) / math.sqrt(2))
+    assert np.array_equal(scaled.omega_array, table.omega_array)
+    assert not scaled.xplus.flags.writeable
+    with pytest.raises(ValueError):
+        replace(table, xplus=table.xminus)
 
 
 @pytest.mark.parametrize("dims", [2, 3])
@@ -199,6 +227,17 @@ def test_lookup_and_validation():
         build_oscillator_table(2, 1.0, 0, NATURAL)
     with pytest.raises(ValueError):
         build_oscillator_table(2, -1.0, 2, NATURAL)
+    for omega0 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            build_oscillator_table(2, omega0, 2, NATURAL)
+
+
+def test_oversized_table_refused_before_allocation():
+    # C(43, 3) = 12341 states: five dense complex matrices of 2.4 GB each
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="GiB"):
+        build_oscillator_table(3, 1.0, 40, NATURAL)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_m_ell_and_shell_helpers():

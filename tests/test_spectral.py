@@ -6,12 +6,14 @@ matrix product L_z = x py - y px assembled right here in the test.
 """
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zpfspin.cli import main
 from zpfspin.constants import NATURAL, PhysicalConstants
 from zpfspin.errors import CoherenceError, IncompleteBasisError, MissingBindingError
 from zpfspin.oscillator import (
@@ -67,6 +69,17 @@ def test_sum_rule_scales_quadratically_in_elements():
     doubled = replace(table, x=2 * table.x, y=2 * table.y)
     base = trk_sum_rule(table, (1, 1))
     assert trk_sum_rule(doubled, (1, 1)) == pytest.approx(4 * base, rel=1e-12)
+
+
+def test_all_state_sum_rule_sweep_is_quadratic(capsys):
+    # 969 states: a few tenths of a second when each per-state sum reuses the
+    # table's circular pair, tens of seconds when every call rebuilds it
+    start = time.perf_counter()
+    code = main(["sum-rule", "--dims", "3", "--n-cut", "16"])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 0
+    assert elapsed < 5.0
 
 
 # --- orbital angular momentum, three routes -----------------------------------
