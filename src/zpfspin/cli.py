@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from .modes import (
     sample_zeta_ensemble,
     wave_vector,
 )
-from .oscillator import MatrixElementTable, build_oscillator_table
+from .oscillator import MatrixElementTable, build_oscillator_table, check_table_size
 from .spectral import (
     lz_expectation,
     magnetic_moment_identity,
@@ -481,9 +482,12 @@ def _run_sum_rule(cfg: RunConfig, args):
     consts = cfg.constants()
     if args.n_cut < 1:
         raise ConfigError("--n-cut must be at least 1")
+    all_dims = _parse_dims(args.dims)
+    for dims in all_dims:
+        check_table_size(dims, args.n_cut)
     checks = []
     per_dims = {}
-    for dims in _parse_dims(args.dims):
+    for dims in all_dims:
         table = build_oscillator_table(dims, args.omega0, args.n_cut, consts)
         errors = []
         for label in table.labels:
@@ -591,8 +595,6 @@ def _run_dichotomy(cfg: RunConfig, args):
     grid = [Fraction(k, 6) for k in range(-12, 13)]
     triples_feasible = 0
     triples = 0
-    from itertools import combinations
-
     for triple in combinations(grid, 3):
         triples += 1
         if dichotomy_solve(triple).feasible:
@@ -706,21 +708,55 @@ def _parse_labels(text: str) -> list:
     return labels
 
 
+def _once_per_object(func):
+    """func, memoized by object identity.
+
+    Exact labels and coefficients hash slowly (Fraction.__hash__), and the
+    terms of one expansion share a handful of such objects between them.
+    The memo is only valid while those objects are alive.
+    """
+    memo: dict = {}
+
+    def lookup(value):
+        key = id(value)
+        if key not in memo:
+            memo[key] = func(value)
+        return memo[key]
+
+    return lookup
+
+
+def _transpositions_flip_sign(labels, state) -> bool:
+    """Whether swapping any two of the distinct labels negates the state.
+
+    Swapping labels i and j turns each term of the built expansion into the
+    term of the swapped expansion with the same slot assignment, so the
+    check relabels the terms already built rather than building n(n-1)/2
+    more. Kets become byte strings of label indices, so a relabelling is one
+    bytes.translate, and coefficients become small integer class ids, so no
+    exact number is hashed per pair.
+    """
+    index_of = _once_per_object({label: i for i, label in enumerate(labels)}.__getitem__)
+    classes: dict = {}
+    class_of = _once_per_object(lambda c: classes.setdefault(c, len(classes)))
+    keys = [bytes(map(index_of, ket.slots)) for _, ket in state.terms]
+    ids = [class_of(c) for c, _ in state.terms]
+    flipped = negate(state)
+    want = {key: class_of(c) for key, (c, _) in zip(keys, flipped.terms)}
+    for i, j in combinations(range(len(labels)), 2):
+        table = bytes.maketrans(bytes((i, j)), bytes((j, i)))
+        if dict(zip(map(bytes.translate, keys, repeat(table)), ids)) != want:
+            return False
+    return True
+
+
 def _run_slater(cfg: RunConfig, args):
     labels = _parse_labels(args.labels)
     state = antisymmetrize(labels)
     n = len(labels)
     distinct = len(set(labels)) == n
     expected_terms = math.factorial(n) if distinct else 0
-    flips_ok = True
-    if distinct:
-        flipped = negate(state)
-        for i in range(n):
-            for j in range(i + 1, n):
-                swapped = list(labels)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                if antisymmetrize(swapped).terms != flipped.terms:
-                    flips_ok = False
+    flips_ok = _transpositions_flip_sign(labels, state) if distinct else True
     norm_sq = sum(
         (c.magnitude.coeff ** 2) * c.magnitude.radicand for c, _ in state.terms
     )

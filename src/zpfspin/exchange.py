@@ -103,6 +103,13 @@ class CompositeKet:
             raise ValueError("swapped() is the two-particle slot swap")
         return CompositeKet(self.slots[::-1])
 
+    @classmethod
+    def _trusted(cls, slots: tuple) -> "CompositeKet":
+        """A ket over slots already in canonical (str, Fraction) form."""
+        ket = object.__new__(cls)
+        object.__setattr__(ket, "slots", slots)
+        return ket
+
 
 def _collect(pairs):
     """Sum coefficients per ket, drop exact zeros, order deterministically."""
@@ -354,8 +361,19 @@ def apply_exchange_phase(psi: BipartiteState, solution: ExchangePhaseSolution) -
 
 
 def negate(state):
-    """The same state with every coefficient's sign flipped."""
-    return replace(state, terms=tuple((c.mul_phase(MINUS_ONE), k) for c, k in state.terms))
+    """The same state with every coefficient's sign flipped.
+
+    Terms that share one coefficient object share its negation too; an
+    antisymmetrized state has only two coefficient objects among n! terms.
+    """
+    flipped: dict = {}
+    terms = []
+    for c, k in state.terms:
+        neg = flipped.get(id(c))
+        if neg is None:
+            neg = flipped[id(c)] = c.mul_phase(MINUS_ONE)
+        terms.append((neg, k))
+    return replace(state, terms=tuple(terms))
 
 
 # --- antiphase feasibility ----------------------------------------------------
@@ -417,20 +435,29 @@ def _product_grid(values, n):
 
 
 def _parity(perm) -> int:
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return inversions % 2
+    """Parity of a permutation of range(n): n minus its cycle count, mod 2."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycles += 1
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+    return (len(perm) - cycles) % 2
 
 
 def antisymmetrize(labels) -> MultiparticleState:
     """Signed sum over all slot assignments, normalized by 1/sqrt(n!).
 
     Signs follow transposition parity. A repeated single-particle label
-    makes every term cancel exactly and the zero state comes back; that is
-    the algebraic face of the exclusion rule, not an error.
+    gives the zero state, since each term would cancel exactly against the
+    one with the two equal labels swapped; that is the algebraic face of
+    the exclusion rule, not an error, and it is found by a duplicate check
+    before any term is built. Distinct labels give n! distinct kets, ordered
+    by their slots.
     """
     labs = [(str(o), _check_spin(s)) for o, s in labels]
     n = len(labs)
@@ -438,13 +465,21 @@ def antisymmetrize(labels) -> MultiparticleState:
         raise ValueError("need at least one single-particle state")
     if n > 8:
         raise SizeLimitError(f"refusing n = {n}: the expansion has n! terms")
+    if len(set(labs)) < n:
+        return MultiparticleState(terms=(), n=n)
+    # permutations of the sorted labels come out in slot order; the sign of
+    # each is its own parity composed with that of the sorting permutation
+    order = sorted(range(n), key=labs.__getitem__)
+    base = _parity(order)
     norm = Coefficient.of(Surd.inv_sqrt(math.factorial(n)))
-    flipped = norm.mul_phase(MINUS_ONE)
-    pairs = []
-    for perm in permutations(range(n)):
-        coeff = norm if _parity(perm) == 0 else flipped
-        pairs.append((coeff, CompositeKet(tuple(labs[i] for i in perm))))
-    return MultiparticleState(terms=_collect(pairs), n=n)
+    signed = (norm, norm.mul_phase(MINUS_ONE))
+    terms = tuple(
+        (signed[base ^ _parity(perm)], CompositeKet._trusted(slots))
+        for perm, slots in zip(
+            permutations(range(n)), permutations([labs[i] for i in order])
+        )
+    )
+    return MultiparticleState(terms=terms, n=n)
 
 
 # --- serialization and the derivation trace ----------------------------------

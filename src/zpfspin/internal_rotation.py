@@ -70,7 +70,8 @@ def dichotomy_solve(candidates) -> DichotomyResult:
     one; three or more values can never satisfy that, which the pairwise
     check discovers on its own. The sign condition (each pair sums to zero)
     is reported separately; it is what narrows a feasible pair to the
-    canonical (-1/2, +1/2).
+    canonical (-1/2, +1/2). Neither flag turns True again once a pair has
+    cleared it, so the search stops when both are False.
     """
     values = [Fraction(v) for v in candidates]
     if not values:
@@ -82,6 +83,8 @@ def dichotomy_solve(candidates) -> DichotomyResult:
             feasible = False
         if a != -b:
             sign_opposed = False
+        if not (feasible or sign_opposed):
+            break
     canonical = (-_HALF, _HALF) if feasible else None
     return DichotomyResult(feasible=feasible, sign_opposed=sign_opposed, canonical=canonical)
 

@@ -33,6 +33,7 @@ __all__ = [
     "StationaryState",
     "MatrixElementTable",
     "build_oscillator_table",
+    "check_table_size",
     "circular_components",
 ]
 
@@ -123,6 +124,21 @@ def _state_labels(dims: int, n_cut: int) -> list[tuple]:
     return labels
 
 
+def check_table_size(dims: int, n_cut: int) -> None:
+    """Raise SizeLimitError when the dense matrices of a dims-d table at
+    n_cut would exceed TABLE_BYTES_LIMIT."""
+    # S = C(n_cut + dims, dims) states and dims + 2 dense S x S complex128
+    # matrices: x, y (and z in three dimensions) plus the circular pair
+    size = math.comb(n_cut + dims, dims)
+    estimate = (dims + 2) * 16 * size * size
+    if estimate > TABLE_BYTES_LIMIT:
+        raise SizeLimitError(
+            f"refusing a {dims}-d table at n_cut = {n_cut}: its dense matrices "
+            f"need {estimate / 2**30:.1f} GiB, over the "
+            f"{TABLE_BYTES_LIMIT / 2**30:.0f} GiB limit"
+        )
+
+
 def build_oscillator_table(
     dims: int,
     omega0: float,
@@ -141,16 +157,8 @@ def build_oscillator_table(
     if int(n_cut) != n_cut or n_cut < 1:
         raise ValueError("n_cut must be a positive integer")
     n_cut = int(n_cut)
-    # S = C(n_cut + dims, dims) states and dims + 2 dense S x S complex128
-    # matrices: x, y (and z in three dimensions) plus the circular pair
+    check_table_size(dims, n_cut)
     size = math.comb(n_cut + dims, dims)
-    estimate = (dims + 2) * 16 * size * size
-    if estimate > TABLE_BYTES_LIMIT:
-        raise SizeLimitError(
-            f"refusing a {dims}-d table at n_cut = {n_cut}: its dense matrices "
-            f"need {estimate / 2**30:.1f} GiB, over the "
-            f"{TABLE_BYTES_LIMIT / 2**30:.0f} GiB limit"
-        )
 
     labels = _state_labels(dims, n_cut)
     index = {lab: i for i, lab in enumerate(labels)}

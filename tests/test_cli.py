@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from zpfspin import cli
 from zpfspin.cli import RunConfig, _run_angular_momentum, _run_sum_rule, main
+from zpfspin.phase_algebra import MINUS_ONE
 
 ALL_COMMANDS = [
     "mode-observables",
@@ -219,6 +221,38 @@ def test_slater_rejects_oversized_input(capsys):
     capsys.readouterr()
 
 
+def test_slater_eight_labels_within_ceiling(capsys):
+    labels = ",".join(f"s{7 - i}:{'1/2' if i % 2 else '-3/2'}" for i in range(8))
+    start = time.perf_counter()
+    code, body = run(capsys, ["slater", "--labels", labels])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert body["details"] == {"n": 8, "distinct": True}
+    counted = next(c for c in body["checks"] if c["name"] == "term_count")
+    assert counted["actual"] == math.factorial(8)
+    assert elapsed < 15.0
+
+
+def test_slater_detects_a_wrong_sign(capsys, monkeypatch):
+    real = cli.antisymmetrize
+
+    def one_sign_flipped(labels):
+        state = real(labels)
+        if not state.terms:
+            return state
+        terms = list(state.terms)
+        coeff, ket = terms[len(terms) // 2]
+        terms[len(terms) // 2] = (coeff.mul_phase(MINUS_ONE), ket)
+        return type(state)(terms=tuple(terms), n=state.n)
+
+    monkeypatch.setattr(cli, "antisymmetrize", one_sign_flipped)
+    code, body = run(capsys, ["slater", "--labels", "b:1/2,a:-1/2,c:3/2,d:1/2"])
+    assert code == 1
+    flips = next(c for c in body["checks"] if c["name"] == "transpositions_flip_sign")
+    assert flips["actual"] is False
+    assert not flips["pass"]
+
+
 NON_FINITE_FLAGS = [
     ("sum-rule", "--box"),
     ("angular-momentum", "--hbar"),
@@ -273,3 +307,13 @@ def test_oversized_table_exits_two_at_once(capsys):
     assert main(["sum-rule", "--dims", "3", "--n-cut", "40"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "GiB" in capsys.readouterr().err
+
+
+def test_sum_rule_refuses_every_size_before_any_table(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_oscillator_table", lambda *a, **k: built.append(a))
+    assert main(["sum-rule", "--dims", "2,3", "--n-cut", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3-d table" in captured.err
+    assert built == []

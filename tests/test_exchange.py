@@ -6,6 +6,7 @@ principles rather than against the library's own bookkeeping.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -30,7 +31,7 @@ from zpfspin import (
     state_hash,
     state_to_dict,
 )
-from zpfspin.phase_algebra import MINUS_ONE, ONE, PhaseExpression, phi_symbol
+from zpfspin.phase_algebra import MINUS_ONE, ONE, Coefficient, PhaseExpression, Surd, phi_symbol
 
 H = Fraction(1, 2)
 
@@ -370,6 +371,53 @@ def test_norm_is_one(n):
         for coeff, _ in state.terms
     )
     assert total == 1
+
+
+def brute_force_expansion(labels):
+    """Every slot assignment, signed by its inversion count and summed per
+    ket, zeros dropped, in slot order: the expansion from its definition."""
+    n = len(labels)
+    totals = {}
+    for perm in permutations(range(n)):
+        slots = tuple(labels[i] for i in perm)
+        totals[slots] = totals.get(slots, 0) + inversion_sign(perm)
+    size = math.factorial(n)
+    return [
+        (Coefficient.of(Surd(Fraction(total, size), size)), slots)
+        for slots, total in sorted(totals.items())
+        if total
+    ]
+
+
+SPINS = [H, -H, Fraction(3, 2), Fraction(-3, 2)]
+ORBITALS = ["q", "b", "x", "a", "m", "c"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_antisymmetrize_matches_brute_force(n):
+    # unsorted orbitals and mixed spins, so the sorting sign is exercised
+    labels = [(ORBITALS[i], SPINS[(3 * i + 1) % 4]) for i in range(n)]
+    want = brute_force_expansion(labels)
+    got = [(coeff, ket.slots) for coeff, ket in antisymmetrize(labels).terms]
+    assert len(got) == math.factorial(n)
+    assert got == want
+
+
+def test_antisymmetrize_shared_orbital_matches_brute_force():
+    # one orbital under two spins: distinct labels that sort by spin
+    labels = [("b", H), ("a", Fraction(-3, 2)), ("b", -H), ("a", Fraction(3, 2))]
+    got = [(coeff, ket.slots) for coeff, ket in antisymmetrize(labels).terms]
+    assert got == brute_force_expansion(labels)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_antisymmetrize_repeated_label_matches_brute_force(n):
+    labels = [(ORBITALS[i], SPINS[i % 4]) for i in range(n)]
+    labels[n // 2] = labels[0]
+    assert brute_force_expansion(labels) == []
+    state = antisymmetrize(labels)
+    assert state.terms == ()
+    assert state.n == n
 
 
 def test_size_limit():

@@ -1,6 +1,7 @@
 """Winding constraint on internal phase rotation, and the generator itself."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -81,6 +82,29 @@ def test_adding_a_value_never_helps(values, extra):
     after = dichotomy_solve(values + [extra])
     if after.feasible:
         assert before.feasible
+
+
+# the grid the `dichotomy` command searches for feasible triples
+CLI_GRID = [Fraction(k, 6) for k in range(-12, 13)]
+
+
+def pairwise_oracle(values):
+    """(feasible, sign_opposed) from every pair, with no early exit."""
+    pairs = list(combinations(values, 2))
+    feasible = all(a != b and abs(a - b) == 1 for a, b in pairs)
+    sign_opposed = all(a == -b for a, b in pairs)
+    return feasible, sign_opposed
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_dichotomy_matches_exhaustive_oracle_on_cli_grid(size):
+    # every ordered pair and triple, repeats included, so each place the
+    # search can stop is reached
+    for values in product(CLI_GRID, repeat=size):
+        result = dichotomy_solve(values)
+        feasible, sign_opposed = pairwise_oracle(values)
+        assert (result.feasible, result.sign_opposed) == (feasible, sign_opposed), values
+        assert result.canonical == ((-HALF, HALF) if feasible else None)
 
 
 # --- the generator ------------------------------------------------------------
