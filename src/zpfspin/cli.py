@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -43,6 +44,9 @@ from .internal_rotation import SpinState, apply_spin_z, dichotomy_solve, rotatio
 from .modes import (
     ZpfRealization,
     analytic_mode_observables,
+    check_ensemble_size,
+    check_field_size,
+    check_quadrature_size,
     make_mode,
     mode_observables,
     realization_totals,
@@ -347,6 +351,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 
 def _run_mode_observables(cfg: RunConfig, args):
+    check_quadrature_size(cfg.grid)
     n = _parse_triple(args.n)
     gamma = _parse_gamma(args.gamma)
     consts = cfg.constants()
@@ -386,6 +391,7 @@ def _run_mode_observables(cfg: RunConfig, args):
 def _run_field_sample(cfg: RunConfig, args):
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
+    check_field_size(args.points)
     consts = cfg.constants()
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed, consts)
     s_vals = np.linspace(0.0, 1.0, args.points, endpoint=False)
@@ -444,6 +450,7 @@ def _run_totals(cfg: RunConfig, args):
 
 
 def _run_phases(cfg: RunConfig, args):
+    check_ensemble_size(cfg.n_max, cfg.ensemble)
     _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed)
     count, n_modes = zetas.shape
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
@@ -757,8 +764,11 @@ def _run_slater(cfg: RunConfig, args):
     distinct = len(set(labels)) == n
     expected_terms = math.factorial(n) if distinct else 0
     flips_ok = _transpositions_flip_sign(labels, state) if distinct else True
+    # the terms share a few coefficient objects (two for distinct labels)
+    shared = Counter(id(c) for c, _ in state.terms)
     norm_sq = sum(
-        (c.magnitude.coeff ** 2) * c.magnitude.radicand for c, _ in state.terms
+        shared[id(c)] * (c.magnitude.coeff ** 2) * c.magnitude.radicand
+        for c in {id(c): c for c, _ in state.terms}.values()
     )
     repeated = antisymmetrize([labels[0], labels[0]])
     checks = [

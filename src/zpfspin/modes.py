@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import ResolutionError
+from .errors import ResolutionError, check_bytes
 
 __all__ = [
     "Triad",
@@ -46,13 +46,20 @@ __all__ = [
     "mode_keys",
     "sample_realization",
     "sample_zeta_ensemble",
+    "check_ensemble_size",
     "field_at",
     "sample_fields",
+    "check_field_size",
     "resolution_floor",
     "mode_observables",
+    "check_quadrature_size",
     "analytic_mode_observables",
     "realization_totals",
 ]
+
+# Largest transient array, in doubles, that the ensemble draw and the field
+# sum hold at once (8 MiB); larger requests are worked through in blocks.
+_BLOCK_DOUBLES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,25 +117,44 @@ def build_triad(n) -> Triad:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError("wave-vector index must be a 3-vector")
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
+    if not np.any(n):
         raise ValueError("zero wave vector has no propagation direction")
-    e3 = n / norm
-    h = np.zeros(3)
-    h[int(np.argmin(np.abs(e3)))] = 1.0
-    e1 = h - np.dot(h, e3) * e3
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    return Triad(e1=e1, e2=e2, e3=e3)
+    e1, e2, e3 = _triads(n[np.newaxis])
+    return Triad(e1=e1[0], e2=e2[0], e3=e3[0])
+
+
+def _triads(n: np.ndarray):
+    """build_triad's e1, e2, e3 for each row of an (M, 3) float array of
+    nonzero lattice vectors, as three (M, 3) arrays."""
+    e3 = n / np.sqrt(_row_dots(n, n))
+    h = np.zeros_like(n)
+    h[np.arange(len(n)), np.argmin(np.abs(e3), axis=1)] = 1.0
+    e1 = h - _row_dots(h, e3) * e3
+    e1 /= np.sqrt(_row_dots(e1, e1))
+    return e1, np.cross(e3, e1), e3
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (M, 3) arrays, shape (M, 1)."""
+    # A stacked (1, 3) @ (3, 1) product sums each row the way np.dot and
+    # np.linalg.norm sum one vector, so the batched frames and frequencies
+    # keep the bits of the one-mode ones; einsum or a sum over an axis moves
+    # the last bit of about one row in ten.
+    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0]
 
 
 def polarization_vector(triad: Triad, gamma: int) -> np.ndarray:
     """Complex unit polarization vector; eps_{gamma}* . eps_{gamma'} = delta."""
-    if gamma == 1:
-        return (triad.e1 + 1j * triad.e2) / np.sqrt(2.0)
-    if gamma == -1:
-        return 1j * (triad.e1 - 1j * triad.e2) / np.sqrt(2.0)
-    raise ValueError(f"polarization index must be +1 or -1, got {gamma!r}")
+    if gamma not in (1, -1):
+        raise ValueError(f"polarization index must be +1 or -1, got {gamma!r}")
+    return _polarizations(triad.e1[np.newaxis], triad.e2[np.newaxis], np.array([gamma]))[0]
+
+
+def _polarizations(e1: np.ndarray, e2: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """eps_gamma for each row of (M, 3) frame vectors and (M,) gamma = +-1."""
+    plus = (e1 + 1j * e2) / np.sqrt(2.0)
+    minus = 1j * (e1 - 1j * e2) / np.sqrt(2.0)
+    return np.where((gamma == 1)[:, np.newaxis], plus, minus)
 
 
 def wave_vector(n, L: float) -> np.ndarray:
@@ -165,6 +191,19 @@ def mode_keys(n_max: int) -> list[tuple[tuple[int, int, int], int]]:
     return keys
 
 
+def _mode_arrays(n, gamma, L: float, constants: PhysicalConstants):
+    """Polarizations eps (M, 3), wave vectors k (M, 3), frequencies omega (M,)
+    and carrier prefactors sqrt(hbar / (V omega)) (M,) of the modes with
+    lattice vectors n (M, 3) and polarization indices gamma (M,)."""
+    n = np.asarray(n, dtype=float)
+    e1, e2, _ = _triads(n)
+    eps = _polarizations(e1, e2, np.asarray(gamma))
+    k = wave_vector(n, L)
+    omega = constants.c * np.sqrt(_row_dots(k, k))[:, 0]
+    prefactor = np.sqrt(constants.hbar / (L**3 * omega))
+    return eps, k, omega, prefactor
+
+
 def _draw_phases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     # zeta block first, then phi block; the ensemble sampler relies on this order
     zetas = rng.uniform(0.0, 2.0 * np.pi, count)
@@ -177,8 +216,12 @@ def sample_realization(
 ) -> ZpfRealization:
     """Draw one realization: i.i.d. uniform zeta and phi for every mode.
 
-    The same seed always produces the same realization. seed may be an int or
-    a numpy SeedSequence (the ensemble sampler passes spawned children).
+    The same seed always produces the same realization. seed is anything
+    np.random.default_rng accepts: an int or a SeedSequence (drawn through
+    PCG64), or a bit generator, which is drawn from where it stands. The
+    zetas of all modes come first in the stream, then the phis;
+    np.random.Philox(s).advance(i * M // 2), with M = len(mode_keys(n_max)),
+    gives realization i of sample_zeta_ensemble(n_max, count, s).
     """
     if not L > 0:
         raise ValueError("box size must be positive")
@@ -193,36 +236,47 @@ def sample_realization(
 
 
 def sample_zeta_ensemble(n_max: int, count: int, seed: int):
-    """zeta draws for `count` independent realizations, one child stream each.
+    """zeta draws for `count` independent realizations from one Philox stream.
 
-    Row i holds exactly the zeta block that sample_realization would draw for
-    SeedSequence(seed).spawn(count)[i]. Returns (mode_keys, matrix) with the
-    matrix of shape (count, n_modes).
+    Realization i owns the i-th block of 2M uniforms of the stream of
+    np.random.Philox(seed), M = len(mode_keys(n_max)) being the mode count:
+    its M zetas, then its M phis, the order sample_realization draws them in.
+    M is even and Philox yields four 64-bit words per counter, so a block is
+    M/2 counters, and row i holds exactly the zeta block of
+    sample_realization(L, n_max, np.random.Philox(seed).advance(i * M // 2)).
+    The phi halves are drawn in blocks of rows and dropped. Returns
+    (mode_keys, matrix) with the matrix of shape (count, M).
     """
     if count < 1:
         raise ValueError("ensemble size must be at least 1")
     keys = mode_keys(n_max)
-    children = np.random.SeedSequence(seed).spawn(count)
-    out = np.empty((count, len(keys)))
-    for i, child in enumerate(children):
-        out[i], _ = _draw_phases(np.random.default_rng(child), len(keys))
+    check_ensemble_size(n_max, count)
+    m = len(keys)
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = np.empty((count, m))
+    rows = max(1, _BLOCK_DOUBLES // (2 * m))
+    for start in range(0, count, rows):
+        block = rng.uniform(0.0, 2.0 * np.pi, (min(rows, count - start), 2 * m))
+        out[start : start + len(block)] = block[:, :m]
     return keys, out
+
+
+def check_ensemble_size(n_max: int, count: int) -> None:
+    """Raise SizeLimitError when the zeta matrix of an ensemble of `count`
+    realizations at n_max would pass errors.BYTES_LIMIT."""
+    modes = 2 * ((2 * n_max + 1) ** 3 - 1)
+    check_bytes(
+        f"an ensemble of {count} realizations of {modes} modes", 8 * count * modes
+    )
 
 
 def _mode_field_arrays(mode: Mode, L: float, points: np.ndarray, t: float, constants):
     """A, E, B of one mode at points of shape (..., 3)."""
-    triad = build_triad(mode.n)
-    eps = polarization_vector(triad, mode.gamma)
-    k = wave_vector(mode.n, L)
-    omega = constants.c * float(np.linalg.norm(k))
-    V = L**3
-    theta = points @ k - omega * t
-    carrier = (
-        np.sqrt(constants.hbar / (V * omega))
-        * (-1j)
-        * mode.amplitude
-        * np.exp(1j * theta)
+    eps, k, omega, prefactor = (
+        a[0] for a in _mode_arrays([mode.n], [mode.gamma], L, constants)
     )
+    theta = points @ k - omega * t
+    carrier = prefactor * (-1j) * mode.amplitude * np.exp(1j * theta)
     F = carrier[..., np.newaxis] * eps
     A = F.real
     imF = F.imag
@@ -239,21 +293,46 @@ def _check_in_box(points: np.ndarray, L: float):
 def sample_fields(
     real: ZpfRealization, points, t: float, constants: PhysicalConstants = NATURAL
 ):
-    """Total A, E, B at an array of points (..., 3) inside the box."""
+    """Total A, E, B at an array of points (..., 3) inside the box.
+
+    Mode by mode, X = Re(w_X e^{i theta}) = cos(theta) Re w_X - sin(theta)
+    Im w_X with theta = k.r - omega t, and with w_A = f eps,
+    w_E = i omega f eps and w_B = i f (k x eps), f being the carrier's
+    constant factor -i sqrt(hbar / (V omega)) a. The sum over the M modes is
+    then one real product [cos theta, sin theta] @ W, W of shape (2M, 9),
+    taken over blocks of points.
+    """
     points = np.asarray(points, dtype=float)
     if points.shape[-1] != 3:
         raise ValueError("points must have a trailing axis of length 3")
     _check_in_box(points, real.L)
-    shape = points.shape[:-1] + (3,)
-    A = np.zeros(shape)
-    E = np.zeros(shape)
-    B = np.zeros(shape)
-    for mode in real.modes:
-        a, e, b = _mode_field_arrays(mode, real.L, points, t, constants)
-        A += a
-        E += e
-        B += b
-    return A, E, B
+    flat = points.reshape(-1, 3)
+    fields = np.zeros((len(flat), 9))
+    if real.modes:
+        eps, k, omega, prefactor = _mode_arrays(
+            [m.n for m in real.modes], [m.gamma for m in real.modes], real.L, constants
+        )
+        amplitude = np.array([m.amplitude for m in real.modes])
+        w_a = (prefactor * (-1j) * amplitude)[:, np.newaxis] * eps
+        w_e = 1j * omega[:, np.newaxis] * w_a
+        # B from k x eps, not from B = gamma |k| A: field-sample checks that
+        w_b = (prefactor * amplitude)[:, np.newaxis] * np.cross(k, eps)
+        w = np.concatenate([w_a, w_e, w_b], axis=1)
+        weights = np.concatenate([w.real, -w.imag])
+        rows = max(1, _BLOCK_DOUBLES // len(weights))
+        for start in range(0, len(flat), rows):
+            theta = flat[start : start + rows] @ k.T - omega * t
+            fields[start : start + rows] = (
+                np.hstack([np.cos(theta), np.sin(theta)]) @ weights
+            )
+    fields = fields.reshape(points.shape[:-1] + (9,))
+    return fields[..., 0:3], fields[..., 3:6], fields[..., 6:9]
+
+
+def check_field_size(points: int) -> None:
+    """Raise SizeLimitError when A, E and B at `points` points would pass
+    errors.BYTES_LIMIT."""
+    check_bytes(f"fields at {points} points", 9 * 8 * points)
 
 
 def field_at(
@@ -286,6 +365,7 @@ def mode_observables(
     band-limited integrands here once grid >= resolution_floor(mode.n).
     """
     grid = int(grid)
+    check_quadrature_size(grid)
     floor = resolution_floor(mode.n)
     if grid < floor:
         raise ResolutionError(
@@ -302,6 +382,20 @@ def mode_observables(
     P = np.mean(np.cross(E, B).reshape(-1, 3), axis=0) * V
     J = np.mean(np.cross(E, A).reshape(-1, 3), axis=0) * V
     return ModeObservables(H=H, P=P, J=J)
+
+
+# Peak bytes mode_observables allocates per grid point: the grid, the
+# carrier, the three fields and the cross products (232, as tracemalloc
+# measures it at grid 16, 32 and 48).
+_QUADRATURE_BYTES_PER_POINT = 232
+
+
+def check_quadrature_size(grid: int) -> None:
+    """Raise SizeLimitError when mode_observables at grid^3 points would pass
+    errors.BYTES_LIMIT."""
+    check_bytes(
+        f"a quadrature grid of {grid}^3 points", _QUADRATURE_BYTES_PER_POINT * grid**3
+    )
 
 
 def analytic_mode_observables(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import SizeLimitError
+from .errors import check_bytes
 
 __all__ = [
     "StationaryState",
@@ -36,9 +36,6 @@ __all__ = [
     "check_table_size",
     "circular_components",
 ]
-
-# Largest dense table build_oscillator_table will allocate, in bytes.
-TABLE_BYTES_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -126,17 +123,14 @@ def _state_labels(dims: int, n_cut: int) -> list[tuple]:
 
 def check_table_size(dims: int, n_cut: int) -> None:
     """Raise SizeLimitError when the dense matrices of a dims-d table at
-    n_cut would exceed TABLE_BYTES_LIMIT."""
+    n_cut would exceed errors.BYTES_LIMIT."""
     # S = C(n_cut + dims, dims) states and dims + 2 dense S x S complex128
     # matrices: x, y (and z in three dimensions) plus the circular pair
     size = math.comb(n_cut + dims, dims)
-    estimate = (dims + 2) * 16 * size * size
-    if estimate > TABLE_BYTES_LIMIT:
-        raise SizeLimitError(
-            f"refusing a {dims}-d table at n_cut = {n_cut}: its dense matrices "
-            f"need {estimate / 2**30:.1f} GiB, over the "
-            f"{TABLE_BYTES_LIMIT / 2**30:.0f} GiB limit"
-        )
+    check_bytes(
+        f"a {dims}-d table at n_cut = {n_cut} (dense matrices)",
+        (dims + 2) * 16 * size * size,
+    )
 
 
 def build_oscillator_table(
@@ -148,7 +142,7 @@ def build_oscillator_table(
     """Tabulate every state with shell <= n_cut and its position elements.
 
     Raises SizeLimitError, before allocating anything, when the dense
-    matrices would exceed TABLE_BYTES_LIMIT.
+    matrices would exceed errors.BYTES_LIMIT.
     """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")

@@ -317,3 +317,26 @@ def test_sum_rule_refuses_every_size_before_any_table(capsys, monkeypatch):
     assert captured.out == ""
     assert "3-d table" in captured.err
     assert built == []
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("work started before the size check")
+
+
+@pytest.mark.parametrize(
+    "argv,patched,estimate",
+    [
+        # 3e6 realizations x 52 modes x 8 bytes
+        (["phases", "--ensemble", "3000000"], "sample_zeta_ensemble", "1.2 GiB"),
+        # 2e7 points x 9 field components x 8 bytes
+        (["field-sample", "--points", "20000000"], "sample_realization", "1.3 GiB"),
+        # 256^3 grid points x 232 bytes
+        (["mode-observables", "--n", "0,0,1", "--grid", "256"], "mode_observables", "3.6 GiB"),
+    ],
+)
+def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv, patched, estimate):
+    monkeypatch.setattr(cli, patched, _never_called)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert estimate in captured.err

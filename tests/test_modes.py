@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpfspin import modes
 from zpfspin.constants import NATURAL, PhysicalConstants
-from zpfspin.errors import ResolutionError
+from zpfspin.errors import ResolutionError, SizeLimitError
 from zpfspin.modes import (
     ZpfRealization,
     analytic_mode_observables,
@@ -137,6 +138,56 @@ def test_fields_sum_linearly():
         assert np.max(np.abs(got - (a + b))) < 1e-13
 
 
+def loop_fields(real, points, t, constants=NATURAL):
+    """The per-mode sum: one complex carrier per mode, added mode by mode."""
+    shape = points.shape[:-1] + (3,)
+    A, E, B = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    for mode in real.modes:
+        eps = polarization_vector(build_triad(mode.n), mode.gamma)
+        k = wave_vector(mode.n, real.L)
+        omega = constants.c * float(np.linalg.norm(k))
+        theta = points @ k - omega * t
+        carrier = (
+            np.sqrt(constants.hbar / (real.L**3 * omega))
+            * (-1j)
+            * mode.amplitude
+            * np.exp(1j * theta)
+        )
+        F = carrier[..., np.newaxis] * eps
+        A += F.real
+        E += -omega * F.imag
+        B += -np.cross(np.broadcast_to(k, F.imag.shape), F.imag)
+    return A, E, B
+
+
+def _realization(n_max):
+    if n_max == "empty":
+        return ZpfRealization(L, ())
+    if n_max == "one mode":
+        return ZpfRealization(L, (make_mode((1, -2, 3), -1, 0.7, 2.1, L),))
+    return sample_realization(L, n_max, 17)
+
+
+@pytest.mark.parametrize("n_max", ["empty", "one mode", 1, 2, 3])
+def test_fields_match_mode_loop(n_max):
+    real = _realization(n_max)
+    consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
+    pts = np.random.default_rng(2).uniform(0, L, (4, 5, 3))
+    got = sample_fields(real, pts, 0.37, consts)
+    for field, ref in zip(got, loop_fields(real, pts, 0.37, consts)):
+        assert field.shape == (4, 5, 3)
+        assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fields_match_mode_loop_across_point_blocks():
+    real = sample_realization(L, 2, 5)
+    per_block = modes._BLOCK_DOUBLES // (2 * len(real.modes))
+    pts = np.random.default_rng(3).uniform(0, L, (per_block + 7, 3))
+    got = sample_fields(real, pts, 1.5, NATURAL)
+    for field, ref in zip(got, loop_fields(real, pts, 1.5, NATURAL)):
+        assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_empty_realization_is_dark():
     sample = field_at(ZpfRealization(L, ()), np.zeros(3), 0.0, NATURAL)
     assert not np.any(sample.A)
@@ -235,12 +286,23 @@ def test_sample_realization_deterministic():
 
 
 def test_zeta_ensemble_rows_match_child_realizations():
-    keys, zetas = sample_zeta_ensemble(1, 4, 9)
-    children = np.random.SeedSequence(9).spawn(4)
-    for i in (0, 3):
-        real = sample_realization(L, 1, children[i])
+    # realization i owns the i-th block of 2M draws of one Philox stream,
+    # M/2 counters long, also past the sampler's first block of rows
+    count_modes = len(mode_keys(1))
+    per_block = modes._BLOCK_DOUBLES // (2 * count_modes)
+    keys, zetas = sample_zeta_ensemble(1, per_block + 2, 9)
+    for i in (0, 3, per_block, per_block + 1):
+        stream = np.random.Philox(9).advance(i * count_modes // 2)
+        real = sample_realization(L, 1, stream)
         assert [(m.n, m.gamma) for m in real.modes] == list(keys)
         assert np.array_equal(zetas[i], np.array([m.zeta for m in real.modes]))
+
+
+def test_oversized_ensemble_and_grid_refused_before_allocation():
+    with pytest.raises(SizeLimitError, match="GiB"):
+        sample_zeta_ensemble(1, 3_000_000, 9)
+    with pytest.raises(SizeLimitError, match="GiB"):
+        mode_observables(make_mode((0, 0, 1), 1, 0.0, 0.0, L), L, 256, NATURAL)
 
 
 def test_totals_cancel_exactly_for_closed_set():
