@@ -315,7 +315,8 @@ def sample_fields(
         amplitude = np.array([m.amplitude for m in real.modes])
         w_a = (prefactor * (-1j) * amplitude)[:, np.newaxis] * eps
         w_e = 1j * omega[:, np.newaxis] * w_a
-        # B from k x eps, not from B = gamma |k| A: field-sample checks that
+        # w_B = i f (k x eps) with i f = sqrt(hbar / (V omega)) a; B is built
+        # from k x eps, not from B = gamma |k| A, which field-sample checks
         w_b = (prefactor * amplitude)[:, np.newaxis] * np.cross(k, eps)
         w = np.concatenate([w_a, w_e, w_b], axis=1)
         weights = np.concatenate([w.real, -w.imag])
