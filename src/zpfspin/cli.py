@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -764,11 +763,8 @@ def _run_slater(cfg: RunConfig, args):
     distinct = len(set(labels)) == n
     expected_terms = math.factorial(n) if distinct else 0
     flips_ok = _transpositions_flip_sign(labels, state) if distinct else True
-    # the terms share a few coefficient objects (two for distinct labels)
-    shared = Counter(id(c) for c, _ in state.terms)
     norm_sq = sum(
-        shared[id(c)] * (c.magnitude.coeff ** 2) * c.magnitude.radicand
-        for c in {id(c): c for c, _ in state.terms}.values()
+        (c.magnitude.coeff ** 2) * c.magnitude.radicand for c, _ in state.terms
     )
     repeated = antisymmetrize([labels[0], labels[0]])
     checks = [
