@@ -1,5 +1,5 @@
 """Command-line front end: run each verification experiment, emit a
-machine-readable JSON report, exit 0/1/2.
+machine-readable JSON report, exit 0/1/2/3.
 
 Every subcommand maps to library operations and wraps their contracts as
 self-describing checks {name, expected, actual, tolerance, pass}, so a CI
@@ -7,7 +7,8 @@ job can gate on the report without re-deriving any physics. Reports are
 deterministic for a fixed (command, config, seed) apart from the wall-time
 field. Config precedence is defaults < config file < flags; the config file
 is flat key=value text with # comments, keys mirroring the run-config
-field names plus tol.<check> tolerance overrides.
+field names plus tol.<name> overrides of the tolerances the command
+declares in _TOLERANCES.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -26,13 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import (
-    CoherenceError,
-    ContradictionError,
-    IncompleteBasisError,
-    ResolutionError,
-    SizeLimitError,
-)
+from .errors import ContradictionError, IncompleteBasisError
 from .exchange import (
     antiphase_feasible,
     antisymmetrize,
@@ -101,6 +97,30 @@ _CONFIG_FIELDS = {
 }
 
 
+# command -> the check tolerances it declares, with their defaults. --tol and
+# tol.<name> may set only these; each name belongs to one command.
+_TOLERANCES = {
+    "mode-observables": {"observables": 1e-9, "phase_independence": 1e-12},
+    "field-sample": {"transversality": 1e-12, "field_circular": 1e-12, "field_linearity": 1e-12},
+    "totals": {},
+    "phases": {},
+    "sum-rule": {"sum_rule": 1e-12},
+    "angular-momentum": {"routes_agree": 1e-12, "operator_eigenvalue": 1e-12},
+    "spin-split": {},
+    "zeeman": {"zeeman_gap": 1e-12},
+    "dichotomy": {},
+    "sz": {"sz_agreement": 1e-8},
+    "exchange-derive": {},
+    "antiphase": {},
+    "slater": {},
+}
+
+
+def _declared(command: str) -> str:
+    names = _TOLERANCES[command]
+    return ", ".join(f"{name}={value:g}" for name, value in names.items()) or "none"
+
+
 @dataclass
 class RunConfig:
     L: float = 1.0
@@ -121,8 +141,11 @@ class RunConfig:
             return PhysicalConstants(1.0, 1.0, 1.0, self.mu0)
         return PhysicalConstants(self.hbar, self.c, self.m, self.mu0)
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        """The override of tolerance `name`, else its default in _TOLERANCES."""
+        if name in self.tolerances:
+            return float(self.tolerances[name])
+        return next(names[name] for names in _TOLERANCES.values() if name in names)
 
 
 def _jsonable(value):
@@ -194,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="override one check tolerance (repeatable)",
+        help="override one tolerance the command declares (repeatable)",
     )
 
     parser = argparse.ArgumentParser(
@@ -251,6 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slater", parents=[common], help="n-particle antisymmetrizer checks")
     p.add_argument("--labels", default="a:1/2,b:-1/2", help="orbital:spin list")
 
+    for command, p in sub.choices.items():
+        p.epilog = f"tolerances (--tol NAME=VALUE): {_declared(command)}"
     return parser
 
 
@@ -300,6 +325,12 @@ def _resolve_config(args) -> RunConfig:
             cfg.tolerances[name.strip()] = _finite_float(value)
         except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"bad tolerance value in {entry_!r}") from exc
+    for name in cfg.tolerances:
+        if name not in _TOLERANCES[args.command]:
+            raise ConfigError(
+                f"{args.command} declares no tolerance {name!r}; "
+                f"declared: {_declared(args.command)}"
+            )
     if cfg.units not in ("natural", "explicit"):
         raise ConfigError(f"units must be natural or explicit, got {cfg.units!r}")
     if cfg.L <= 0:
@@ -358,12 +389,12 @@ def _run_mode_observables(cfg: RunConfig, args):
     draws = [tuple(rng.uniform(0.0, 2.0 * np.pi, 2)) for _ in range(2)]
     observed = []
     for zeta, phi in draws:
-        mode = make_mode(n, gamma, zeta, phi, cfg.L, consts)
+        mode = make_mode(n, gamma, zeta, phi, cfg.L)
         observed.append(mode_observables(mode, cfg.L, cfg.grid, consts))
     ref = analytic_mode_observables(
-        make_mode(n, gamma, *draws[0], cfg.L, consts), cfg.L, consts
+        make_mode(n, gamma, *draws[0], cfg.L), cfg.L, consts
     )
-    rel = cfg.tol("observables", 1e-9)
+    rel = cfg.tol("observables")
     first = observed[0]
     p_err = float(np.max(np.abs(first.P - ref.P)))
     j_err = float(np.max(np.abs(first.J - ref.J)))
@@ -376,7 +407,7 @@ def _run_mode_observables(cfg: RunConfig, args):
         _close("energy", ref.H, first.H, rel * abs(ref.H)),
         _close("momentum_error", 0.0, p_err, rel * float(np.linalg.norm(ref.P))),
         _close("angular_momentum_error", 0.0, j_err, rel * float(np.linalg.norm(ref.J))),
-        _close("phase_independence", 0.0, swap_err, cfg.tol("phase_independence", 1e-12)),
+        _close("phase_independence", 0.0, swap_err, cfg.tol("phase_independence")),
     ]
     details = {
         "n": list(n),
@@ -392,7 +423,7 @@ def _run_field_sample(cfg: RunConfig, args):
         raise ConfigError("--points must be at least 1")
     check_field_size(args.points)
     consts = cfg.constants()
-    real = sample_realization(cfg.L, cfg.n_max, cfg.seed, consts)
+    real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
     s_vals = np.linspace(0.0, 1.0, args.points, endpoint=False)
     points = s_vals[:, None] * np.array([cfg.L, cfg.L, cfg.L])
     A, E, B = sample_fields(real, points, args.time, consts)
@@ -415,27 +446,28 @@ def _run_field_sample(cfg: RunConfig, args):
         float(np.max(np.abs(Bb - (B1 + B2)))),
     )
     checks = [
-        _close("transversality", 0.0, transversal, cfg.tol("transversality", 1e-12)),
-        _close("b_tracks_a", 0.0, circular, cfg.tol("field_circular", 1e-12)),
-        _close("linearity", 0.0, linear, cfg.tol("field_linearity", 1e-12)),
+        _close("transversality", 0.0, transversal, cfg.tol("transversality")),
+        _close("b_tracks_a", 0.0, circular, cfg.tol("field_circular")),
+        _close("linearity", 0.0, linear, cfg.tol("field_linearity")),
     ]
     header = ["s", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez", "Bx", "By", "Bz"]
-    rows = [
+    # built row by row only when --csv consumes them
+    rows = (
         [float(s), *points[i].tolist(), *A[i].tolist(), *E[i].tolist(), *B[i].tolist()]
         for i, s in enumerate(s_vals)
-    ]
+    )
     details = {"modes": len(real.modes), "points": args.points, "time": args.time}
     return checks, details, (header, rows)
 
 
 def _run_totals(cfg: RunConfig, args):
     consts = cfg.constants()
-    real = sample_realization(cfg.L, cfg.n_max, cfg.seed, consts)
+    real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
     totals = realization_totals(real, consts)
     expected_count = 2 * ((2 * cfg.n_max + 1) ** 3 - 1)
 
     base = real.modes[0]
-    partner = make_mode(base.n, -base.gamma, 0.5, 1.5, cfg.L, consts)
+    partner = make_mode(base.n, -base.gamma, 0.5, 1.5, cfg.L)
     pair_only = realization_totals(ZpfRealization(cfg.L, (base, partner)), consts)
     checks = [
         _exact("mode_count", expected_count, len(real.modes)),
@@ -508,7 +540,7 @@ def _run_sum_rule(cfg: RunConfig, args):
         except IncompleteBasisError:
             detected = True
         checks.append(
-            _close(f"sum_rule_rel_err[dims={dims}]", 0.0, _worst(errors), cfg.tol("sum_rule", 1e-12))
+            _close(f"sum_rule_rel_err[dims={dims}]", 0.0, _worst(errors), cfg.tol("sum_rule"))
         )
         checks.append(_exact(f"incomplete_cutoff_detected[dims={dims}]", True, detected))
         per_dims[str(dims)] = {"states_checked": len(errors), "target": consts.hbar}
@@ -533,10 +565,10 @@ def _run_angular_momentum(cfg: RunConfig, args):
         split_sum.append(abs((m_plus + m_minus) - pol))
         split_gap.append(abs((m_plus - m_minus) - consts.hbar))
     checks = [
-        _close("routes_agree", 0.0, _worst(routes), cfg.tol("routes_agree", 1e-12)),
-        _close("operator_eigenvalue", 0.0, _worst(eigen), cfg.tol("operator_eigenvalue", 1e-12)),
-        _close("channels_sum_to_lz", 0.0, _worst(split_sum), cfg.tol("routes_agree", 1e-12)),
-        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), cfg.tol("routes_agree", 1e-12)),
+        _close("routes_agree", 0.0, _worst(routes), cfg.tol("routes_agree")),
+        _close("operator_eigenvalue", 0.0, _worst(eigen), cfg.tol("operator_eigenvalue")),
+        _close("channels_sum_to_lz", 0.0, _worst(split_sum), cfg.tol("routes_agree")),
+        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), cfg.tol("routes_agree")),
     ]
     return checks, {"dims": args.dims, "n_cut": args.n_cut, "states_checked": len(routes)}, None
 
@@ -574,7 +606,7 @@ def _run_zeeman(cfg: RunConfig, args):
     checks = [
         _exact("moment_identity_exact", True, identity.holds),
         _exact("level_pattern_exact", True, pattern_exact),
-        _close("spin_gap_doubled", 0.0, gap_err, cfg.tol("zeeman_gap", 1e-12) * scale),
+        _close("spin_gap_doubled", 0.0, gap_err, cfg.tol("zeeman_gap") * scale),
     ]
     if args.b_points < 2:
         raise ConfigError("--b-points must be at least 2")
@@ -648,7 +680,7 @@ def _run_sz(cfg: RunConfig, args):
             "numeric_matches_symbolic",
             symbolic,
             numeric,
-            cfg.tol("sz_agreement", 1e-8),
+            cfg.tol("sz_agreement"),
         ),
         _exact("full_turn_is_minus_one", True, full_turn.is_minus_one),
         _exact("double_turn_is_identity", True, double_turn.is_one),
@@ -809,15 +841,14 @@ def main(argv=None) -> int:
         if args.csv and args.command not in _CSV_COMMANDS:
             raise ConfigError(f"{args.command} does not produce CSV output")
         checks, details, csv_data = _COMMANDS[args.command](cfg, args)
-    except (
-        ConfigError,
-        ResolutionError,
-        SizeLimitError,
-        CoherenceError,
-        ValueError,
-    ) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 is kept for a failed check: anything unforeseen is exit 3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
     body = {
         "schema": 1,

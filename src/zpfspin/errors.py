@@ -19,10 +19,6 @@ class MissingBindingError(LookupError):
     """A formal phase symbol was evaluated without a numeric binding."""
 
 
-class CoherenceError(ValueError):
-    """Two expansions do not share chain-rule-correlated phases."""
-
-
 class ContradictionError(ValueError):
     """A phase constraint system admits no solution."""
 

@@ -73,11 +73,16 @@ class Triad:
 
 @dataclass(frozen=True)
 class Mode:
+    """Lattice vector n, handedness gamma and the two phases of one mode.
+
+    The frequency omega = c |k| is derived where fields are evaluated, from
+    the box and the constants in use there.
+    """
+
     n: tuple[int, int, int]
     gamma: int
     zeta: float
     phi: float
-    omega: float
 
     @property
     def amplitude(self) -> complex:
@@ -161,9 +166,7 @@ def wave_vector(n, L: float) -> np.ndarray:
     return 2.0 * np.pi * np.asarray(n, dtype=float) / L
 
 
-def make_mode(
-    n, gamma: int, zeta: float, phi: float, L: float, constants: PhysicalConstants = NATURAL
-) -> Mode:
+def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Mode:
     n = tuple(int(c) for c in n)
     if len(n) != 3:
         raise ValueError("wave-vector index must be a 3-vector")
@@ -173,8 +176,7 @@ def make_mode(
         raise ValueError(f"polarization index must be +1 or -1, got {gamma!r}")
     if not L > 0:
         raise ValueError("box size must be positive")
-    omega = constants.c * float(np.linalg.norm(wave_vector(n, L)))
-    return Mode(n=n, gamma=gamma, zeta=float(zeta), phi=float(phi), omega=omega)
+    return Mode(n=n, gamma=gamma, zeta=float(zeta), phi=float(phi))
 
 
 def mode_keys(n_max: int) -> list[tuple[tuple[int, int, int], int]]:
@@ -211,9 +213,7 @@ def _draw_phases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.n
     return zetas, phis
 
 
-def sample_realization(
-    L: float, n_max: int, seed, constants: PhysicalConstants = NATURAL
-) -> ZpfRealization:
+def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     """Draw one realization: i.i.d. uniform zeta and phi for every mode.
 
     The same seed always produces the same realization. seed is anything
@@ -229,7 +229,7 @@ def sample_realization(
     rng = np.random.default_rng(seed)
     zetas, phis = _draw_phases(rng, len(keys))
     modes = tuple(
-        make_mode(n, gamma, zetas[i], phis[i], L, constants)
+        make_mode(n, gamma, zetas[i], phis[i], L)
         for i, (n, gamma) in enumerate(keys)
     )
     return ZpfRealization(L=float(L), modes=modes, seed=seed if isinstance(seed, int) else None)

@@ -40,8 +40,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StationaryState:
+    """One basis state and its frequency omega = E / hbar = omega0 (N + dims/2)."""
+
     label: tuple
-    energy: float
     omega: float
 
 
@@ -158,12 +159,7 @@ def build_oscillator_table(
     index = {lab: i for i, lab in enumerate(labels)}
     hbar, mass = constants.hbar, constants.m
     states = tuple(
-        StationaryState(
-            label=lab,
-            energy=hbar * omega0 * (sum(lab) + dims / 2.0),
-            omega=hbar * omega0 * (sum(lab) + dims / 2.0) / hbar,
-        )
-        for lab in labels
+        StationaryState(label=lab, omega=omega0 * (sum(lab) + dims / 2.0)) for lab in labels
     )
 
     l0 = math.sqrt(hbar / (2.0 * mass * omega0))

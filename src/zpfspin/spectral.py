@@ -1,5 +1,5 @@
 """Spectral sums over stationary states: oscillator strengths, angular
-momentum decompositions, Zeeman shifts, and symbolic dynamical expansions.
+momentum decompositions and Zeeman shifts.
 
 Every radiative sum here runs over the full set of states coupled to the
 reference state, so each entry point first checks that the table's shell
@@ -8,23 +8,22 @@ sum raises IncompleteBasisError instead of returning a wrong number.
 
 Sign conventions are pinned by operator oracles, not by notation. The direct
 L_z route below reproduces the diagonal of x p_y - y p_x built from the same
-table; the polarized route weights the two circular coupling strengths taken
-as beta-alpha elements, which is the ordering that agrees with the operator
-eigenvalue m_l hbar.
+table, with the momenta transcribed as p_ab = i m w_ab x_ab (the package's
+only such transcription; the tests build their own). The polarized route
+weights the two circular coupling strengths taken as beta-alpha elements,
+which is the ordering that agrees with the operator eigenvalue m_l hbar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import CoherenceError, IncompleteBasisError
+from .errors import IncompleteBasisError
 from .oscillator import MatrixElementTable
-from .phase_algebra import PhaseExpression
 
 __all__ = [
     "trk_sum_rule",
@@ -37,13 +36,6 @@ __all__ = [
     "zeeman_levels",
     "MomentIdentity",
     "magnetic_moment_identity",
-    "PhaseContext",
-    "phase_context",
-    "DynamicalExpansion",
-    "build_expansion",
-    "operator_matrix",
-    "evaluate_expansion",
-    "expansion_product",
 ]
 
 _HALF = Fraction(1, 2)
@@ -197,159 +189,4 @@ def magnetic_moment_identity() -> MomentIdentity:
         basis=tuple(basis),
         moment_in_mu0=tuple(direct),
         rescaled_total_in_mu0=tuple(rescaled),
-    )
-
-
-# --- symbolic dynamical expansions -------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseContext:
-    """Shared chain-rule phase bookkeeping for a family of expansions.
-
-    Every state carries one formal phase symbol; the relative amplitude
-    between states a and b is e^{i(zeta_a - zeta_b)} e^{i(gamma_a - gamma_b) phi}.
-    Two expansions compose only if they agree on this data.
-    """
-
-    zeta: Mapping
-    gamma: Mapping
-    phi: str = "phi"
-
-    def amplitude(self, a, b) -> PhaseExpression:
-        coeffs = {self.zeta[a]: Fraction(1)}
-        zb = self.zeta[b]
-        coeffs[zb] = coeffs.get(zb, Fraction(0)) - 1
-        dg = Fraction(self.gamma[a]) - Fraction(self.gamma[b])
-        if dg != 0:
-            coeffs[self.phi] = dg
-        return PhaseExpression(0, coeffs)
-
-
-def phase_context(table: MatrixElementTable, gamma: Mapping | None = None) -> PhaseContext:
-    labels = table.labels
-    if gamma is None:
-        gamma = {lab: Fraction(0) for lab in labels}
-    return PhaseContext(
-        zeta={lab: f"zeta[{lab}]" for lab in labels},
-        gamma=dict(gamma),
-    )
-
-
-def operator_matrix(table: MatrixElementTable, name: str) -> np.ndarray:
-    """Position or canonical momentum matrix over the table's basis.
-
-    Momenta come from the stationary-state transcription p_ab = i m w_ab x_ab.
-    """
-    if name in ("x", "y", "z"):
-        mat = getattr(table, name)
-        if mat is None:
-            raise ValueError(f"{name!r} is not defined for a {table.dims}-d table")
-        return mat
-    if name in ("px", "py", "pz"):
-        base = operator_matrix(table, name[1])
-        w = table.omega_array
-        return 1j * table.mass * (w[:, None] - w[None, :]) * base
-    raise ValueError(f"unknown operator {name!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class DynamicalExpansion:
-    """Stationary-state expansion of one dynamical variable around `alpha`.
-
-    The full coefficient matrix is retained (not just row alpha) because
-    products recombine through intermediate states; the row view is exposed
-    through diag/terms.
-    """
-
-    states: tuple
-    alpha: object
-    omegas: np.ndarray
-    coeffs: np.ndarray
-    context: PhaseContext
-
-    @property
-    def alpha_index(self) -> int:
-        return self.states.index(self.alpha)
-
-    @property
-    def diag(self) -> complex:
-        i = self.alpha_index
-        return complex(self.coeffs[i, i])
-
-    def terms(self):
-        """Off-diagonal content of row alpha:
-        (beta, coefficient, omega_ab, amplitude) with unit-modulus amplitude."""
-        i = self.alpha_index
-        out = []
-        for j, beta in enumerate(self.states):
-            if j == i or self.coeffs[i, j] == 0:
-                continue
-            out.append(
-                (
-                    beta,
-                    complex(self.coeffs[i, j]),
-                    float(self.omegas[i] - self.omegas[j]),
-                    self.context.amplitude(self.alpha, beta),
-                )
-            )
-        return out
-
-
-def build_expansion(
-    table: MatrixElementTable,
-    name: str,
-    alpha,
-    context: PhaseContext | None = None,
-) -> DynamicalExpansion:
-    i = table.lookup(alpha)
-    if context is None:
-        context = phase_context(table)
-    return DynamicalExpansion(
-        states=table.labels,
-        alpha=table.states[i].label,
-        omegas=table.omega_array,
-        coeffs=operator_matrix(table, name),
-        context=context,
-    )
-
-
-def evaluate_expansion(exp: DynamicalExpansion, phases: Mapping, t):
-    """Numeric time series G_alpha(t) with all phase symbols bound.
-
-    phases maps symbol -> angle in radians; a symbol left unbound raises
-    MissingBindingError. t may be a scalar or an array.
-    """
-    t = np.asarray(t, dtype=float)
-    i = exp.alpha_index
-    out = np.full(t.shape, complex(exp.coeffs[i, i]), dtype=complex)
-    for beta, coeff, w_ab, amplitude in exp.terms():
-        out = out + coeff * amplitude.as_complex(phases) * np.exp(1j * w_ab * t)
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
-def expansion_product(e1: DynamicalExpansion, e2: DynamicalExpansion) -> DynamicalExpansion:
-    """Compose two expansions; coefficients multiply as matrices.
-
-    Requires chain-rule-coherent inputs: same state set, same reference
-    state, same frequencies, and the same phase context, so that
-    a_ab' a_b'b = a_ab holds symbol by symbol and frequencies recombine as
-    w_ab' + w_b'b = w_ab with no extra bookkeeping.
-    """
-    if e1.states != e2.states:
-        raise CoherenceError("expansions are over different state sets")
-    if e1.alpha != e2.alpha:
-        raise CoherenceError("expansions reference different states")
-    if not np.array_equal(e1.omegas, e2.omegas):
-        raise CoherenceError("expansions disagree on state frequencies")
-    if e1.context != e2.context:
-        raise CoherenceError("expansions do not share chain-rule phases")
-    return DynamicalExpansion(
-        states=e1.states,
-        alpha=e1.alpha,
-        omegas=e1.omegas,
-        coeffs=e1.coeffs @ e2.coeffs,
-        context=e1.context,
     )

@@ -136,14 +136,13 @@ def test_zeeman_csv_ramp(capsys, tmp_path):
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 11\nensemble = 150\n# comment line\ntol.sum_rule = 1e-10\n")
-    _, body = run(capsys, ["phases", "--config", str(cfg), "--pairs", "2"])
+    argv = ["sum-rule", "--n-cut", "2", "--config", str(cfg), "--pairs", "2"]
+    _, body = run(capsys, argv)
     assert body["config"]["seed"] == 11
     assert body["config"]["ensemble"] == 150
     assert body["config"]["pairs"] == 2
     assert body["config"]["tolerances"] == {"sum_rule": 1e-10}
-    _, flagged = run(
-        capsys, ["phases", "--config", str(cfg), "--pairs", "2", "--seed", "4"]
-    )
+    _, flagged = run(capsys, [*argv, "--seed", "4"])
     assert flagged["config"]["seed"] == 4
 
 
@@ -157,6 +156,59 @@ def test_unknown_config_key_exits_two(capsys, tmp_path):
 def test_malformed_tol_exits_two(capsys):
     assert main(["totals", "--tol", "sum_rule"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,config,declared",
+    [
+        *(([command, "--tol", "typo=1"], None, None) for command in ALL_COMMANDS),
+        (["phases"], "tol.sum_rule = 1e-10", "declared: none"),
+        (["sum-rule", "--tol", "routes_agree=1"], None, "declared: sum_rule=1e-12"),
+        (
+            ["angular-momentum"],
+            "tol.sum_rule = 1",
+            "declared: routes_agree=1e-12, operator_eigenvalue=1e-12",
+        ),
+    ],
+)
+def test_undeclared_tolerance_exits_two(capsys, tmp_path, argv, config, declared):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]} declares no tolerance" in captured.err
+    assert "declared: " in captured.err
+    if declared is not None:
+        assert declared in captured.err
+
+
+@pytest.mark.parametrize(
+    "command,listed",
+    [
+        ("angular-momentum", "routes_agree=1e-12, operator_eigenvalue=1e-12"),
+        ("mode-observables", "observables=1e-09, phase_independence=1e-12"),
+        ("sz", "sz_agreement=1e-08"),
+        ("slater", "none"),
+    ],
+)
+def test_help_lists_declared_tolerances(capsys, command, listed):
+    assert main([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"tolerances (--tol NAME=VALUE): {listed}" in out
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "trk_sum_rule", broken)
+    assert main(["sum-rule", "--n-cut", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: boom\n")
 
 
 def test_tol_override_echoed_and_applied(capsys):

@@ -208,7 +208,7 @@ def test_points_must_lie_in_box():
 
 def test_analytic_observables_closed_form():
     consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
-    mode = make_mode((1, -2, 3), -1, 0.9, 1.7, L, consts)
+    mode = make_mode((1, -2, 3), -1, 0.9, 1.7, L)
     obs = analytic_mode_observables(mode, L, consts)
     k = wave_vector(mode.n, L)
     khat = k / np.linalg.norm(k)

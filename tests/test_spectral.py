@@ -1,11 +1,10 @@
-"""Spectral sums over oscillator matrix elements, exact splits, expansions.
+"""Spectral sums over oscillator matrix elements and exact splits.
 
 The angular-momentum checks run three routes that share no intermediate
 code: the polarized weight sums, the velocity-form cross terms, and a
 matrix product L_z = x py - y px assembled right here in the test.
 """
 
-import math
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -15,20 +14,15 @@ import pytest
 
 from zpfspin.cli import main
 from zpfspin.constants import NATURAL, PhysicalConstants
-from zpfspin.errors import CoherenceError, IncompleteBasisError, MissingBindingError
+from zpfspin.errors import IncompleteBasisError
 from zpfspin.oscillator import (
     MatrixElementTable,
     build_oscillator_table,
     circular_components,
 )
 from zpfspin.spectral import (
-    build_expansion,
-    evaluate_expansion,
-    expansion_product,
     lz_expectation,
     magnetic_moment_identity,
-    operator_matrix,
-    phase_context,
     polarized_momenta,
     spin_split,
     total_momentum,
@@ -209,99 +203,3 @@ def test_moment_identity_exact_over_basis():
         assert moment == -(m_l + 2 * m_s)
         assert rescaled == -2 * (Fraction(m_l, 2) + m_s)
         assert moment == rescaled
-
-
-# --- operator matrices and expansions -----------------------------------------
-
-
-def test_operator_matrix_momentum_form():
-    table = build_oscillator_table(3, OMEGA0, 3, CONSTS)
-    gaps = table.omega_array[:, None] - table.omega_array[None, :]
-    for pos, mom in (("x", "px"), ("y", "py"), ("z", "pz")):
-        want = 1j * CONSTS.m * gaps * getattr(table, pos)
-        assert np.max(np.abs(operator_matrix(table, mom) - want)) < 1e-13
-    assert np.array_equal(operator_matrix(table, "x"), table.x)
-    with pytest.raises(ValueError):
-        operator_matrix(table, "q")
-    flat = build_oscillator_table(2, OMEGA0, 3, CONSTS)
-    with pytest.raises(ValueError):
-        operator_matrix(flat, "z")
-
-
-def test_expansion_product_multiplies_coefficients():
-    table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
-    ex = build_expansion(table, "x", (1, 1))
-    ey = build_expansion(table, "y", (1, 1))
-    prod = expansion_product(ex, ey)
-    assert np.max(np.abs(prod.coeffs - table.x @ table.y)) < 1e-12
-    a = prod.alpha_index
-    assert prod.diag == pytest.approx((table.x @ table.y)[a, a])
-
-
-def test_expansion_product_associative():
-    table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
-    ex = build_expansion(table, "x", (0, 1))
-    ey = build_expansion(table, "y", (0, 1))
-    left = expansion_product(expansion_product(ex, ey), ex)
-    right = expansion_product(ex, expansion_product(ey, ex))
-    assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-12
-
-
-def test_expansion_product_guards_context():
-    small = build_oscillator_table(2, OMEGA0, 3, CONSTS)
-    other_freq = build_oscillator_table(2, 2 * OMEGA0, 3, CONSTS)
-    big = build_oscillator_table(2, OMEGA0, 4, CONSTS)
-    ex = build_expansion(small, "x", (0, 1))
-    with pytest.raises(CoherenceError):
-        expansion_product(ex, build_expansion(big, "x", (0, 1)))
-    with pytest.raises(CoherenceError):
-        expansion_product(ex, build_expansion(other_freq, "x", (0, 1)))
-    other_ctx = phase_context(small, gamma={l: 1 for l in small.labels})
-    with pytest.raises(CoherenceError):
-        expansion_product(ex, build_expansion(small, "x", (0, 1), context=other_ctx))
-    with pytest.raises(CoherenceError):
-        expansion_product(ex, build_expansion(small, "x", (1, 0)))
-
-
-def test_phase_scrambling_leaves_static_part():
-    # averaging each zeta over the fourth roots of unity must kill every
-    # cross term exactly, leaving the alpha-diagonal of the product
-    table = build_oscillator_table(2, 1.0, 3, NATURAL)
-    ctx = phase_context(table)
-    alpha = (0, 1)
-    prod = expansion_product(
-        build_expansion(table, "x", alpha), build_expansion(table, "x", alpha)
-    )
-    needed = sorted({b for b, _, _, _ in prod.terms()})
-    corners = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
-    total = 0.0
-    count = 0
-    base = {ctx.zeta[l]: 0.37 for l in table.labels}
-    for combo in np.ndindex(*([4] * len(needed))):
-        phases = dict(base)
-        for label, pick in zip(needed, combo):
-            phases[ctx.zeta[label]] = corners[pick]
-        total += evaluate_expansion(prod, phases, 0.9)
-        count += 1
-    assert abs(total / count - prod.diag) < 1e-13
-
-
-def test_evaluate_needs_all_bindings():
-    table = build_oscillator_table(2, 1.0, 3, NATURAL)
-    ex = build_expansion(table, "x", (0, 1))
-    with pytest.raises(MissingBindingError):
-        evaluate_expansion(ex, {}, 0.0)
-
-
-def test_context_amplitudes_are_phase_differences():
-    table = build_oscillator_table(2, 1.0, 2, NATURAL)
-    ctx = phase_context(table)
-    amp = ctx.amplitude((0, 1), (1, 0))
-    bound = amp.as_complex({ctx.zeta[(0, 1)]: 1.1, ctx.zeta[(1, 0)]: 0.4})
-    assert bound == pytest.approx(np.exp(1j * (1.1 - 0.4)))
-    spun = phase_context(table, gamma={(0, 1): 1, (1, 0): -1, (0, 0): 0, (0, 2): 0, (1, 1): 0, (2, 0): 0})
-    amp2 = spun.amplitude((0, 1), (1, 0))
-    bound2 = amp2.as_complex(
-        {spun.zeta[(0, 1)]: 1.1, spun.zeta[(1, 0)]: 0.4, "phi": 0.25}
-    )
-    assert bound2 == pytest.approx(np.exp(1j * (1.1 - 0.4 + 2 * 0.25)))
