@@ -8,19 +8,26 @@ deterministic for a fixed (command, config, seed) apart from the wall-time
 field. Config precedence is defaults < config file < flags; the config file
 is flat key=value text with # comments, keys mirroring the run-config
 field names plus tol.<name> overrides of the tolerances the command
-declares in _TOLERANCES.
+declares.
+
+Each subcommand is declared once, by the @_experiment decorator on its
+runner, and each run-config field once, by its _setting; the parser, the
+--help epilogs, the config-file parser and the tolerance and CSV checks are
+derived from those declarations. Every value is validated by its argparse
+type when it is parsed, whether it comes from a flag or the config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations, repeat
 from pathlib import Path
@@ -65,75 +72,83 @@ from .spectral import (
 __all__ = ["main", "entry"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-def _finite_float(text) -> float:
-    """float() that refuses inf and nan: either one would turn the checks
-    into NaN verdicts instead of a usage error."""
-    message = f"expected a finite number, got {text!r}"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(message)
-    return value
+# --- argument types -----------------------------------------------------------
+# Flags and config-file values are validated alike, when they are parsed.
 
 
-_CONFIG_FIELDS = {
-    "L": _finite_float,
-    "n_max": int,
-    "grid": int,
-    "ensemble": int,
-    "pairs": int,
-    "seed": int,
-    "units": str,
-    "hbar": _finite_float,
-    "c": _finite_float,
-    "m": _finite_float,
-    "mu0": _finite_float,
-}
+def _checked(what: str, parse, valid=lambda value: True):
+    """An argparse type: parse(text), refused with `expected <what>` when
+    parsing fails or the value is not valid."""
+
+    def typed(text):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return typed
 
 
-# command -> the check tolerances it declares, with their defaults. --tol and
-# tol.<name> may set only these; each name belongs to one command.
-_TOLERANCES = {
-    "mode-observables": {"observables": 1e-9, "phase_independence": 1e-12},
-    "field-sample": {"transversality": 1e-12, "field_circular": 1e-12, "field_linearity": 1e-12},
-    "totals": {},
-    "phases": {},
-    "sum-rule": {"sum_rule": 1e-12},
-    "angular-momentum": {"routes_agree": 1e-12, "operator_eigenvalue": 1e-12},
-    "spin-split": {},
-    "zeeman": {"zeeman_gap": 1e-12},
-    "dichotomy": {},
-    "sz": {"sz_agreement": 1e-8},
-    "exchange-derive": {},
-    "antiphase": {},
-    "slater": {},
-}
+def _at_least(k: int):
+    return _checked(f"an integer of at least {k}", int, lambda value: value >= k)
 
 
-def _declared(command: str) -> str:
-    names = _TOLERANCES[command]
-    return ", ".join(f"{name}={value:g}" for name, value in names.items()) or "none"
+def _comma_list(item):
+    return lambda text: [item(part) for part in text.split(",")]
+
+
+def _label(token: str) -> tuple:
+    name, _, spin = token.partition(":")
+    return name.strip(), Fraction(spin)
+
+
+def _name_value(text: str) -> tuple:
+    name, _, value = text.partition("=")
+    return name.strip(), float(value)
+
+
+# inf and nan would turn the checks into NaN verdicts instead of a usage error
+_finite_float = _checked("a finite number", float, math.isfinite)
+_positive = _checked("a positive finite number", float, lambda value: 0 < value < math.inf)
+_units = _checked("natural or explicit", str, lambda value: value in ("natural", "explicit"))
+_tolerance = _checked("NAME=VALUE, VALUE finite", _name_value, lambda pair: math.isfinite(pair[1]))
+_mode_index = _checked("three comma-separated integers", _comma_list(int), lambda n: len(n) == 3)
+_gamma = _checked("+1 or -1", int, lambda value: value in (1, -1))
+_dims = _checked("2, 3 or 2,3", _comma_list(int), lambda dims: set(dims) <= {2, 3})
+_fraction = _checked("an exact rational", Fraction)
+_fractions = _checked("comma-separated exact rationals", _comma_list(Fraction))
+_labels = _checked("comma-separated orbital:spin labels", _comma_list(_label))
+
+
+# --- run configuration and the experiment registry ----------------------------
+
+
+def _setting(default, flag: str, kind, help: str):
+    """A RunConfig field, set by `flag` or by its own name in a config file;
+    `kind` parses and validates both."""
+    return field(default=default, metadata={"flag": flag, "kind": kind, "help": help})
 
 
 @dataclass
 class RunConfig:
-    L: float = 1.0
-    n_max: int = 1
-    grid: int = 32
-    ensemble: int = 1000
-    pairs: int = 10
-    seed: int = 7
-    units: str = "natural"
-    hbar: float = 1.0
-    c: float = 1.0
-    m: float = 1.0
-    mu0: float = 1.0
+    L: float = _setting(1.0, "--box", _positive, "box edge length")
+    n_max: int = _setting(1, "--n-max", _at_least(1), "mode cutoff |n|_inf")
+    grid: int = _setting(32, "--grid", int, "per-axis quadrature resolution")
+    ensemble: int = _setting(1000, "--ensemble", _at_least(1), "realization count for ensemble runs")
+    pairs: int = _setting(10, "--pairs", _at_least(1), "mode pairs to test in `phases`")
+    seed: int = _setting(7, "--seed", int, "base RNG seed")
+    units: str = _setting("natural", "--units", _units, "natural (hbar = c = m = 1) or explicit")
+    hbar: float = _setting(1.0, "--hbar", _finite_float, "reduced Planck constant (explicit units)")
+    c: float = _setting(1.0, "--c", _finite_float, "speed of light (explicit units)")
+    m: float = _setting(1.0, "--m", _finite_float, "oscillator mass (explicit units)")
+    mu0: float = _setting(1.0, "--mu0", _finite_float, "magneton setting the Zeeman scale")
     tolerances: dict = field(default_factory=dict)
 
     def constants(self) -> PhysicalConstants:
@@ -142,10 +157,138 @@ class RunConfig:
         return PhysicalConstants(self.hbar, self.c, self.m, self.mu0)
 
     def tol(self, name: str) -> float:
-        """The override of tolerance `name`, else its default in _TOLERANCES."""
+        """The override of tolerance `name`, else the default its command declares."""
         if name in self.tolerances:
             return float(self.tolerances[name])
-        return next(names[name] for names in _TOLERANCES.values() if name in names)
+        return next(e.tolerances[name] for e in _EXPERIMENTS.values() if name in e.tolerances)
+
+
+_SETTINGS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand as its runner declares it."""
+
+    run: object
+    help: str
+    flags: tuple  # (option strings, add_argument keywords) pairs
+    tolerances: dict  # check tolerance -> default; each name belongs to one command
+    csv: bool
+
+    def declared(self) -> str:
+        items = self.tolerances.items()
+        return ", ".join(f"{name}={value:g}" for name, value in items) or "none"
+
+
+_EXPERIMENTS: dict = {}
+
+
+def _experiment(name: str, help: str, *flags, tolerances=None, csv=False):
+    """Register the decorated runner as subcommand `name`, with its own
+    flags (from _flag), tolerance defaults and CSV support. The runner is
+    returned unchanged and looks up library functions as module globals
+    when it runs."""
+
+    def register(run):
+        _EXPERIMENTS[name] = Experiment(run, help, flags, tolerances or {}, csv)
+        return run
+
+    return register
+
+
+def _flag(*names, **kwargs) -> tuple:
+    return names, kwargs
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser derived from RunConfig and _EXPERIMENTS,
+    built once per process."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file")
+    common.add_argument("--report", help="also write the JSON report to this path")
+    common.add_argument("--csv", help="write plottable series to this path (where supported)")
+    for name, meta in _SETTINGS.items():
+        common.add_argument(meta["flag"], dest=name, type=meta["kind"], help=meta["help"])
+    common.add_argument(
+        "--tol",
+        action="append",
+        default=[],
+        type=_tolerance,
+        metavar="NAME=VALUE",
+        help="override one tolerance the command declares (repeatable)",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="zpfspin",
+        description="verification experiments for mode algebra, spectral sums, and exchange symmetry",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, experiment in _EXPERIMENTS.items():
+        p = sub.add_parser(
+            name,
+            parents=[common],
+            help=experiment.help,
+            epilog=f"tolerances (--tol NAME=VALUE): {experiment.declared()}",
+        )
+        for names, kwargs in experiment.flags:
+            p.add_argument(*names, **kwargs)
+    return parser
+
+
+def _load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key] = value
+    return out
+
+
+def _config_value(key: str, value: str, kind):
+    try:
+        return kind(value)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
+
+
+def _resolve_config(args, experiment: Experiment) -> RunConfig:
+    cfg = RunConfig()
+    if args.config:
+        for key, value in _load_config_file(args.config).items():
+            if key.startswith("tol."):
+                cfg.tolerances[key[4:]] = _config_value(key, value, _finite_float)
+            elif key in _SETTINGS:
+                setattr(cfg, key, _config_value(key, value, _SETTINGS[key]["kind"]))
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+    for key in _SETTINGS:
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, value)
+    cfg.tolerances.update(args.tol)
+    for name in cfg.tolerances:
+        if name not in experiment.tolerances:
+            raise ConfigError(
+                f"{args.command} declares no tolerance {name!r}; "
+                f"declared: {experiment.declared()}"
+            )
+    return cfg
+
+
+def _config_dict(cfg: RunConfig) -> dict:
+    out = asdict(cfg)
+    out["tolerances"] = dict(sorted(cfg.tolerances.items()))
+    return out
 
 
 def _jsonable(value):
@@ -193,197 +336,20 @@ def _exact(name, expected, actual) -> Check:
     return Check(name, expected, actual, 0.0, expected == actual)
 
 
-# --- argument parsing and configuration ---------------------------------------
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--report", help="also write the JSON report to this path")
-    common.add_argument("--csv", help="write plottable series to this path (where supported)")
-    common.add_argument("--box", dest="L", type=_finite_float, help="box edge length")
-    common.add_argument("--n-max", dest="n_max", type=int, help="mode cutoff |n|_inf")
-    common.add_argument("--grid", type=int, help="per-axis quadrature resolution")
-    common.add_argument("--ensemble", type=int, help="realization count for ensemble runs")
-    common.add_argument("--pairs", type=int, help="mode pairs to test in `phases`")
-    common.add_argument("--seed", type=int, help="base RNG seed")
-    common.add_argument("--units", choices=("natural", "explicit"))
-    common.add_argument("--hbar", type=_finite_float)
-    common.add_argument("--c", type=_finite_float)
-    common.add_argument("--m", type=_finite_float)
-    common.add_argument("--mu0", type=_finite_float)
-    common.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override one tolerance the command declares (repeatable)",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="zpfspin",
-        description="verification experiments for mode algebra, spectral sums, and exchange symmetry",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mode-observables", parents=[common], help="single-mode H, P, J by quadrature")
-    p.add_argument("--n", default="0,0,1", help="integer triple, e.g. 0,0,1")
-    p.add_argument("--gamma", default="+1", help="polarization, +1 or -1")
-
-    p = sub.add_parser("field-sample", parents=[common], help="field values along the box diagonal")
-    p.add_argument("--points", type=int, default=64)
-    p.add_argument("--time", type=_finite_float, default=0.0)
-
-    sub.add_parser("totals", parents=[common], help="whole-realization momentum and spin totals")
-
-    sub.add_parser("phases", parents=[common], help="ensemble independence of mode phases")
-
-    p = sub.add_parser("sum-rule", parents=[common], help="oscillator-strength sum rule")
-    p.add_argument("--dims", default="2,3", help="dimensions to run, e.g. 2 or 2,3")
-    p.add_argument("--n-cut", dest="n_cut", type=int, default=5)
-    p.add_argument("--omega0", type=_finite_float, default=1.0)
-
-    p = sub.add_parser("angular-momentum", parents=[common], help="two routes to the orbital L_z")
-    p.add_argument("--dims", type=int, default=2, choices=(2, 3))
-    p.add_argument("--n-cut", dest="n_cut", type=int, default=5)
-    p.add_argument("--omega0", type=_finite_float, default=1.0)
-
-    p = sub.add_parser("spin-split", parents=[common], help="polarized channel split of L_z")
-    p.add_argument("--lz", default="0", help="orbital projection in hbar units, exact rational")
-
-    p = sub.add_parser("zeeman", parents=[common], help="level shifts and the doubled spin weight")
-    p.add_argument("--field", type=_finite_float, default=1.0)
-    p.add_argument("--b-max", dest="b_max", type=_finite_float, default=2.0)
-    p.add_argument("--b-points", dest="b_points", type=int, default=9)
-
-    p = sub.add_parser("dichotomy", parents=[common], help="two-value constraint on the winding")
-    p.add_argument("--values", default="1/2,-1/2", help="comma-separated exact rationals")
-
-    p = sub.add_parser("sz", parents=[common], help="internal rotation generator eigenvalues")
-    p.add_argument("--winding", default="1/2")
-    p.add_argument("--points", type=int, default=1024, help="numeric differentiation grid")
-
-    p = sub.add_parser("exchange-derive", parents=[common], help="mechanical exchange-phase derivation")
-    p.add_argument("--spin-a", dest="spin_a", default="1/2")
-    p.add_argument("--spin-b", dest="spin_b", default="1/2")
-    p.add_argument("--ordering", default="phi2_greater", choices=("phi2_greater", "phi1_greater", "tie"))
-
-    p = sub.add_parser("antiphase", parents=[common], help="pairwise antiphase feasibility")
-    p.add_argument("--n", type=int, default=3)
-
-    p = sub.add_parser("slater", parents=[common], help="n-particle antisymmetrizer checks")
-    p.add_argument("--labels", default="a:1/2,b:-1/2", help="orbital:spin list")
-
-    for command, p in sub.choices.items():
-        p.epilog = f"tolerances (--tol NAME=VALUE): {_declared(command)}"
-    return parser
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    return out
-
-
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            if key.startswith("tol."):
-                try:
-                    cfg.tolerances[key[4:]] = _finite_float(value)
-                except argparse.ArgumentTypeError as exc:
-                    raise ConfigError(f"bad tolerance {key}={value}") from exc
-                continue
-            kind = _CONFIG_FIELDS.get(key)
-            if kind is None:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                setattr(cfg, key, kind(value))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    for key in _CONFIG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    for entry_ in args.tol:
-        name, sep, value = entry_.partition("=")
-        if not sep:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {entry_!r}")
-        try:
-            cfg.tolerances[name.strip()] = _finite_float(value)
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"bad tolerance value in {entry_!r}") from exc
-    for name in cfg.tolerances:
-        if name not in _TOLERANCES[args.command]:
-            raise ConfigError(
-                f"{args.command} declares no tolerance {name!r}; "
-                f"declared: {_declared(args.command)}"
-            )
-    if cfg.units not in ("natural", "explicit"):
-        raise ConfigError(f"units must be natural or explicit, got {cfg.units!r}")
-    if cfg.L <= 0:
-        raise ConfigError("box length must be positive")
-    if cfg.n_max < 1:
-        raise ConfigError("n_max must be at least 1")
-    if cfg.ensemble < 1:
-        raise ConfigError("ensemble must be at least 1")
-    if cfg.pairs < 1:
-        raise ConfigError("pairs must be at least 1")
-    return cfg
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    out = {key: getattr(cfg, key) for key in _CONFIG_FIELDS}
-    out["tolerances"] = {k: cfg.tolerances[k] for k in sorted(cfg.tolerances)}
-    return out
-
-
-def _parse_triple(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--n expects three comma-separated integers, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad mode index {text!r}") from exc
-
-
-def _parse_gamma(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"--gamma expects +1 or -1, got {text!r}") from exc
-    if value not in (1, -1):
-        raise ConfigError(f"--gamma expects +1 or -1, got {text!r}")
-    return value
-
-
-def _parse_fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{what} expects an exact rational, got {text!r}") from exc
-
-
 # --- subcommand runners -------------------------------------------------------
+# Registration order is the order `zpfspin --help` lists the commands in.
 
 
+@_experiment(
+    "mode-observables",
+    "single-mode H, P, J by quadrature",
+    _flag("--n", type=_mode_index, default="0,0,1", help="integer triple, e.g. 0,0,1"),
+    _flag("--gamma", type=_gamma, default="+1", help="polarization, +1 or -1"),
+    tolerances={"observables": 1e-9, "phase_independence": 1e-12},
+)
 def _run_mode_observables(cfg: RunConfig, args):
     check_quadrature_size(cfg.grid)
-    n = _parse_triple(args.n)
-    gamma = _parse_gamma(args.gamma)
+    n, gamma = args.n, args.gamma
     consts = cfg.constants()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     draws = [tuple(rng.uniform(0.0, 2.0 * np.pi, 2)) for _ in range(2)]
@@ -418,9 +384,15 @@ def _run_mode_observables(cfg: RunConfig, args):
     return checks, details, None
 
 
+@_experiment(
+    "field-sample",
+    "field values along the box diagonal",
+    _flag("--points", type=_at_least(1), default=64),
+    _flag("--time", type=_finite_float, default=0.0),
+    tolerances={"transversality": 1e-12, "field_circular": 1e-12, "field_linearity": 1e-12},
+    csv=True,
+)
 def _run_field_sample(cfg: RunConfig, args):
-    if args.points < 1:
-        raise ConfigError("--points must be at least 1")
     check_field_size(args.points)
     consts = cfg.constants()
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
@@ -460,6 +432,7 @@ def _run_field_sample(cfg: RunConfig, args):
     return checks, details, (header, rows)
 
 
+@_experiment("totals", "whole-realization momentum and spin totals")
 def _run_totals(cfg: RunConfig, args):
     consts = cfg.constants()
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
@@ -480,6 +453,7 @@ def _run_totals(cfg: RunConfig, args):
     return checks, details, None
 
 
+@_experiment("phases", "ensemble independence of mode phases")
 def _run_phases(cfg: RunConfig, args):
     check_ensemble_size(cfg.n_max, cfg.ensemble)
     _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed)
@@ -499,33 +473,27 @@ def _run_phases(cfg: RunConfig, args):
     return checks, details, None
 
 
-def _parse_dims(text) -> list:
-    try:
-        dims = [int(p) for p in str(text).split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--dims expects integers, got {text!r}") from exc
-    for d in dims:
-        if d not in (2, 3):
-            raise ConfigError(f"dims must be 2 or 3, got {d}")
-    return dims
-
-
 def _worst(errors) -> float:
     """Largest of the per-state errors, NaN if any of them is NaN (the
     builtin max drops a NaN that is not its first argument)."""
     return float(np.max(errors, initial=0.0))
 
 
+@_experiment(
+    "sum-rule",
+    "oscillator-strength sum rule",
+    _flag("--dims", type=_dims, default="2,3", help="dimensions to run, e.g. 2 or 2,3"),
+    _flag("--n-cut", type=_at_least(1), default=5),
+    _flag("--omega0", type=_finite_float, default=1.0),
+    tolerances={"sum_rule": 1e-12},
+)
 def _run_sum_rule(cfg: RunConfig, args):
     consts = cfg.constants()
-    if args.n_cut < 1:
-        raise ConfigError("--n-cut must be at least 1")
-    all_dims = _parse_dims(args.dims)
-    for dims in all_dims:
+    for dims in args.dims:
         check_table_size(dims, args.n_cut)
     checks = []
     per_dims = {}
-    for dims in all_dims:
+    for dims in args.dims:
         table = build_oscillator_table(dims, args.omega0, args.n_cut, consts)
         errors = []
         for label in table.labels:
@@ -547,10 +515,16 @@ def _run_sum_rule(cfg: RunConfig, args):
     return checks, {"n_cut": args.n_cut, "dims": per_dims}, None
 
 
+@_experiment(
+    "angular-momentum",
+    "two routes to the orbital L_z",
+    _flag("--dims", type=int, default=2, choices=(2, 3)),
+    _flag("--n-cut", type=_at_least(1), default=5),
+    _flag("--omega0", type=_finite_float, default=1.0),
+    tolerances={"routes_agree": 1e-12, "operator_eigenvalue": 1e-12},
+)
 def _run_angular_momentum(cfg: RunConfig, args):
     consts = cfg.constants()
-    if args.n_cut < 1:
-        raise ConfigError("--n-cut must be at least 1")
     table = build_oscillator_table(args.dims, args.omega0, args.n_cut, consts)
     routes, eigen, split_sum, split_gap = [], [], [], []
     for label in table.labels:
@@ -573,8 +547,13 @@ def _run_angular_momentum(cfg: RunConfig, args):
     return checks, {"dims": args.dims, "n_cut": args.n_cut, "states_checked": len(routes)}, None
 
 
+@_experiment(
+    "spin-split",
+    "polarized channel split of L_z",
+    _flag("--lz", type=_fraction, default="0", help="orbital projection in hbar units, exact rational"),
+)
 def _run_spin_split(cfg: RunConfig, args):
-    lz = _parse_fraction(args.lz, "--lz")
+    lz = args.lz
     result = spin_split(lz)
     half = Fraction(1, 2)
     checks = [
@@ -588,6 +567,15 @@ def _run_spin_split(cfg: RunConfig, args):
     return checks, {"lz": str(lz)}, None
 
 
+@_experiment(
+    "zeeman",
+    "level shifts and the doubled spin weight",
+    _flag("--field", type=_finite_float, default=1.0),
+    _flag("--b-max", type=_finite_float, default=2.0),
+    _flag("--b-points", type=_at_least(2), default=9),
+    tolerances={"zeeman_gap": 1e-12},
+    csv=True,
+)
 def _run_zeeman(cfg: RunConfig, args):
     consts = cfg.constants()
     identity = magnetic_moment_identity()
@@ -608,8 +596,6 @@ def _run_zeeman(cfg: RunConfig, args):
         _exact("level_pattern_exact", True, pattern_exact),
         _close("spin_gap_doubled", 0.0, gap_err, cfg.tol("zeeman_gap") * scale),
     ]
-    if args.b_points < 2:
-        raise ConfigError("--b-points must be at least 2")
     header = ["B", "m_l", "m_s", "energy"]
     rows = []
     for b_val in np.linspace(0.0, args.b_max, args.b_points):
@@ -622,10 +608,13 @@ def _run_zeeman(cfg: RunConfig, args):
     return checks, details, (header, rows)
 
 
+@_experiment(
+    "dichotomy",
+    "two-value constraint on the winding",
+    _flag("--values", type=_fractions, default="1/2,-1/2", help="comma-separated exact rationals"),
+)
 def _run_dichotomy(cfg: RunConfig, args):
-    values = [_parse_fraction(v, "--values entry") for v in args.values.split(",")]
-    if not values:
-        raise ConfigError("--values needs at least one entry")
+    values = args.values
     result = dichotomy_solve(values)
 
     half = Fraction(1, 2)
@@ -663,13 +652,18 @@ def _run_dichotomy(cfg: RunConfig, args):
     return checks, details, None
 
 
+@_experiment(
+    "sz",
+    "internal rotation generator eigenvalues",
+    _flag("--winding", type=_fraction, default="1/2"),
+    # apply_spin_z refuses grids below its own floor
+    _flag("--points", type=int, default=1024, help="numeric differentiation grid"),
+    tolerances={"sz_agreement": 1e-8},
+)
 def _run_sz(cfg: RunConfig, args):
-    winding = _parse_fraction(args.winding, "--winding")
+    winding = args.winding
     consts = cfg.constants()
-    try:
-        state = SpinState(base_label="alpha", winding=winding)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    state = SpinState(base_label="alpha", winding=winding)
     symbolic = apply_spin_z(state, "symbolic", consts)
     numeric = apply_spin_z(state, "numeric", consts, grid=args.points)
     full_turn = rotation_factor(winding, 2)
@@ -693,9 +687,15 @@ def _run_sz(cfg: RunConfig, args):
     return checks, details, None
 
 
+@_experiment(
+    "exchange-derive",
+    "mechanical exchange-phase derivation",
+    _flag("--spin-a", type=_fraction, default="1/2"),
+    _flag("--spin-b", type=_fraction, default="1/2"),
+    _flag("--ordering", default="phi2_greater", choices=("phi2_greater", "phi1_greater", "tie")),
+)
 def _run_exchange_derive(cfg: RunConfig, args):
-    spin_a = _parse_fraction(args.spin_a, "--spin-a")
-    spin_b = _parse_fraction(args.spin_b, "--spin-b")
+    spin_a, spin_b = args.spin_a, args.spin_b
     try:
         report = derive_antisymmetry(
             spin_a=spin_a, spin_b=spin_b, ordering=args.ordering
@@ -720,9 +720,8 @@ def _run_exchange_derive(cfg: RunConfig, args):
     return checks, details, None
 
 
+@_experiment("antiphase", "pairwise antiphase feasibility", _flag("--n", type=_at_least(1), default=3))
 def _run_antiphase(cfg: RunConfig, args):
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
     result = antiphase_feasible(args.n)
     checks = [_exact("feasible_iff_pair_or_less", args.n <= 2, result.feasible)]
     if result.cross_check is not None:
@@ -734,16 +733,6 @@ def _run_antiphase(cfg: RunConfig, args):
         else [f"{v}*pi" for v in result.witness],
     }
     return checks, details, None
-
-
-def _parse_labels(text: str) -> list:
-    labels = []
-    for token in text.split(","):
-        name, sep, spin = token.partition(":")
-        if not sep:
-            raise ConfigError(f"--labels entries look like orbital:spin, got {token!r}")
-        labels.append((name.strip(), _parse_fraction(spin, "spin")))
-    return labels
 
 
 def _once_per_object(func):
@@ -788,8 +777,13 @@ def _transpositions_flip_sign(labels, state) -> bool:
     return True
 
 
+@_experiment(
+    "slater",
+    "n-particle antisymmetrizer checks",
+    _flag("--labels", type=_labels, default="a:1/2,b:-1/2", help="orbital:spin list"),
+)
 def _run_slater(cfg: RunConfig, args):
-    labels = _parse_labels(args.labels)
+    labels = args.labels
     state = antisymmetrize(labels)
     n = len(labels)
     distinct = len(set(labels)) == n
@@ -809,39 +803,47 @@ def _run_slater(cfg: RunConfig, args):
     return checks, details, None
 
 
-_COMMANDS = {
-    "mode-observables": _run_mode_observables,
-    "field-sample": _run_field_sample,
-    "totals": _run_totals,
-    "phases": _run_phases,
-    "sum-rule": _run_sum_rule,
-    "angular-momentum": _run_angular_momentum,
-    "spin-split": _run_spin_split,
-    "zeeman": _run_zeeman,
-    "dichotomy": _run_dichotomy,
-    "sz": _run_sz,
-    "exchange-derive": _run_exchange_derive,
-    "antiphase": _run_antiphase,
-    "slater": _run_slater,
-}
 
-_CSV_COMMANDS = ("field-sample", "zeeman")
+def _write_outputs(args, text: str, csv_data) -> None:
+    """Write the --report and --csv files; an unwritable path is a usage error."""
+    try:
+        if args.report:
+            Path(args.report).write_text(text + "\n")
+        if args.csv:
+            header, rows = csv_data
+            with open(args.csv, "w", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
+    experiment = _EXPERIMENTS[args.command]
     start = time.perf_counter()
     try:
-        cfg = _resolve_config(args)
-        if args.csv and args.command not in _CSV_COMMANDS:
+        cfg = _resolve_config(args, experiment)
+        if args.csv and not experiment.csv:
             raise ConfigError(f"{args.command} does not produce CSV output")
-        checks, details, csv_data = _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ValueError) as exc:
+        checks, details, csv_data = experiment.run(cfg, args)
+        body = {
+            "schema": 1,
+            "command": args.command,
+            "config": _jsonable(_config_dict(cfg)),
+            "checks": [c.to_dict() for c in checks],
+            "details": _jsonable(details or {}),
+            "wall_time_s": time.perf_counter() - start,
+        }
+        text = json.dumps(body, indent=2)
+        # the files come first, so a failed write leaves stdout empty
+        _write_outputs(args, text, csv_data)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -850,24 +852,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 3
 
-    body = {
-        "schema": 1,
-        "command": args.command,
-        "config": _jsonable(_config_dict(cfg)),
-        "checks": [c.to_dict() for c in checks],
-        "details": _jsonable(details or {}),
-        "wall_time_s": time.perf_counter() - start,
-    }
-    text = json.dumps(body, indent=2)
     print(text)
-    if args.report:
-        Path(args.report).write_text(text + "\n")
-    if args.csv and csv_data is not None:
-        header, rows = csv_data
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
     return 0 if all(c.passed for c in checks) else 1
 
 

@@ -330,10 +330,18 @@ def sample_fields(
     return fields[..., 0:3], fields[..., 3:6], fields[..., 6:9]
 
 
+# Peak bytes per point of a field-sample run, which holds the points, the
+# fields of the whole realization, of two single modes and of their sum, and
+# the differences its checks take (445, the largest peak over points that
+# tracemalloc measures at n_max 1 to 4 and 1e5 or 2e5 points; larger runs
+# need less per point, as the fixed-size blocks of sample_fields spread out).
+_FIELD_BYTES_PER_POINT = 445
+
+
 def check_field_size(points: int) -> None:
-    """Raise SizeLimitError when A, E and B at `points` points would pass
-    errors.BYTES_LIMIT."""
-    check_bytes(f"fields at {points} points", 9 * 8 * points)
+    """Raise SizeLimitError when sampling the fields at `points` points and
+    checking them, as field-sample does, would pass errors.BYTES_LIMIT."""
+    check_bytes(f"fields at {points} points", _FIELD_BYTES_PER_POINT * points)
 
 
 def field_at(

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import time
 
 import pytest
@@ -69,6 +70,151 @@ def test_report_file_matches_stdout(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["spin-split", "--lz", "1"], "--report"),
+        (["zeeman"], "--csv"),
+        (["field-sample", "--points", "4"], "--csv"),
+    ],
+)
+def test_unwritable_output_path_exits_two(capsys, tmp_path, argv, option):
+    path = tmp_path / "missing" / "out"
+    assert main([*argv, option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert str(path) in captured.err
+
+
+SPIN_SPLIT_REPORT = """\
+{
+  "schema": 1,
+  "command": "spin-split",
+  "config": {
+    "L": 1.0,
+    "n_max": 1,
+    "grid": 32,
+    "ensemble": 1000,
+    "pairs": 10,
+    "seed": 7,
+    "units": "natural",
+    "hbar": 1.0,
+    "c": 1.0,
+    "m": 1.0,
+    "mu0": 1.0,
+    "tolerances": {}
+  },
+  "checks": [
+    {
+      "name": "m_plus",
+      "expected": "1",
+      "actual": "1",
+      "tolerance": 0.0,
+      "pass": true
+    },
+    {
+      "name": "m_minus",
+      "expected": "0",
+      "actual": "0",
+      "tolerance": 0.0,
+      "pass": true
+    },
+    {
+      "name": "sum_reconstructs_lz",
+      "expected": "1",
+      "actual": "1",
+      "tolerance": 0.0,
+      "pass": true
+    },
+    {
+      "name": "gap_is_hbar",
+      "expected": "1",
+      "actual": "1",
+      "tolerance": 0.0,
+      "pass": true
+    },
+    {
+      "name": "total_up",
+      "expected": "1",
+      "actual": "1",
+      "tolerance": 0.0,
+      "pass": true
+    },
+    {
+      "name": "total_down",
+      "expected": "0",
+      "actual": "0",
+      "tolerance": 0.0,
+      "pass": true
+    }
+  ],
+  "details": {
+    "lz": "1"
+  }"""
+
+ANTIPHASE_REPORT = """\
+{
+  "schema": 1,
+  "command": "antiphase",
+  "config": {
+    "L": 1.0,
+    "n_max": 1,
+    "grid": 32,
+    "ensemble": 1000,
+    "pairs": 10,
+    "seed": 7,
+    "units": "natural",
+    "hbar": 1.0,
+    "c": 1.0,
+    "m": 1.0,
+    "mu0": 1.0,
+    "tolerances": {}
+  },
+  "checks": [
+    {
+      "name": "feasible_iff_pair_or_less",
+      "expected": true,
+      "actual": true,
+      "tolerance": 0.0,
+      "pass": true
+    },
+    {
+      "name": "grid_cross_check",
+      "expected": true,
+      "actual": true,
+      "tolerance": 0.0,
+      "pass": true
+    }
+  ],
+  "details": {
+    "n": 2,
+    "witness": [
+      "0*pi",
+      "1*pi"
+    ]
+  }"""
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [(["spin-split", "--lz", "1"], SPIN_SPLIT_REPORT), (["antiphase", "--n", "2"], ANTIPHASE_REPORT)],
+)
+def test_exact_report_text_is_pinned(capsys, argv, expected):
+    # key order, indentation and the config echo, all but the wall time
+    assert main(argv) == 0
+    text, sep, wall = capsys.readouterr().out.rpartition(',\n  "wall_time_s": ')
+    assert sep
+    assert float(wall.removesuffix("\n}\n")) >= 0.0
+    assert text == expected
+
+
+def test_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert listed.split(",") == ALL_COMMANDS
 
 
 def test_failing_check_exits_one(capsys):
@@ -336,11 +482,41 @@ def test_non_finite_config_value_exits_two(capsys, tmp_path, line):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag", ["--box", "--hbar", "--c", "--m", "--mu0", "--omega0"])
+def test_underflowing_flag_exits_two(capsys, flag):
+    # 1e-400 parses to 0.0, which the box type, the constants or the table refuses
+    assert main(["sum-rule", "--n-cut", "2", "--units", "explicit", f"{flag}=1e-400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "key,flag,value",
+    [
+        ("L", "--box", "0"),
+        ("n_max", "--n-max", "0"),
+        ("ensemble", "--ensemble", "0"),
+        ("pairs", "--pairs", "-1"),
+        ("units", "--units", "metric"),
+        ("seed", "--seed", "x"),
+    ],
+)
+def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for argv in (["totals", "--config", str(cfg)], ["totals", f"{flag}={value}"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(value) in captured.err
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
     "runner,args",
     [
-        (_run_sum_rule, argparse.Namespace(dims="2,3", n_cut=3, omega0=1.0)),
+        (_run_sum_rule, argparse.Namespace(dims=[2, 3], n_cut=3, omega0=1.0)),
         (_run_angular_momentum, argparse.Namespace(dims=2, n_cut=3, omega0=1.0)),
     ],
 )
@@ -380,10 +556,12 @@ def _never_called(*args, **kwargs):
     [
         # 3e6 realizations x 52 modes x 8 bytes
         (["phases", "--ensemble", "3000000"], "sample_zeta_ensemble", "1.2 GiB"),
-        # 2e7 points x 9 field components x 8 bytes
-        (["field-sample", "--points", "20000000"], "sample_realization", "1.3 GiB"),
+        # 2e7 points x 445 bytes: the fields of a field-sample run and its checks
+        (["field-sample", "--points", "20000000"], "sample_realization", "8.3 GiB"),
         # 256^3 grid points x 232 bytes
         (["mode-observables", "--n", "0,0,1", "--grid", "256"], "mode_observables", "3.6 GiB"),
+        # 3e6 points x 445 bytes, although one field set alone would fit
+        (["field-sample", "--points", "3000000"], "sample_realization", "1.2 GiB"),
     ],
 )
 def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv, patched, estimate):
