@@ -8,7 +8,8 @@ deterministic for a fixed (command, config, seed) apart from the wall-time
 field. Config precedence is defaults < config file < flags; the config file
 is flat key=value text with # comments, keys mirroring the run-config
 field names plus tol.<name> overrides of the tolerances the command
-declares.
+declares. The constants hbar, c, m and mu0 default to 1, natural units,
+and any of them may be set; the report's config echoes the values used.
 
 Each subcommand is declared once, by the @_experiment decorator on its
 runner, and each run-config field once, by its _setting; the parser, the
@@ -87,7 +88,7 @@ def _checked(what: str, parse, valid=lambda value: True):
     def typed(text):
         try:
             value = parse(text)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError):
             value = None
         if value is None or not valid(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
@@ -111,14 +112,16 @@ def _label(token: str) -> tuple:
 
 def _name_value(text: str) -> tuple:
     name, _, value = text.partition("=")
-    return name.strip(), float(value)
+    return name.strip(), _tolerance_value(value)
 
 
 # inf and nan would turn the checks into NaN verdicts instead of a usage error
 _finite_float = _checked("a finite number", float, math.isfinite)
 _positive = _checked("a positive finite number", float, lambda value: 0 < value < math.inf)
-_units = _checked("natural or explicit", str, lambda value: value in ("natural", "explicit"))
-_tolerance = _checked("NAME=VALUE, VALUE finite", _name_value, lambda pair: math.isfinite(pair[1]))
+# one type for --tol and tol.<name> keys: a negative tolerance would fail
+# every check it bounds, turning bad input into exit 1
+_tolerance_value = _checked("a finite number of at least 0", float, lambda value: 0 <= value < math.inf)
+_tolerance = _checked("NAME=VALUE with VALUE a finite number of at least 0", _name_value)
 _mode_index = _checked("three comma-separated integers", _comma_list(int), lambda n: len(n) == 3)
 _gamma = _checked("+1 or -1", int, lambda value: value in (1, -1))
 _dims = _checked("2, 3 or 2,3", _comma_list(int), lambda dims: set(dims) <= {2, 3})
@@ -143,17 +146,14 @@ class RunConfig:
     grid: int = _setting(32, "--grid", int, "per-axis quadrature resolution")
     ensemble: int = _setting(1000, "--ensemble", _at_least(1), "realization count for ensemble runs")
     pairs: int = _setting(10, "--pairs", _at_least(1), "mode pairs to test in `phases`")
-    seed: int = _setting(7, "--seed", int, "base RNG seed")
-    units: str = _setting("natural", "--units", _units, "natural (hbar = c = m = 1) or explicit")
-    hbar: float = _setting(1.0, "--hbar", _finite_float, "reduced Planck constant (explicit units)")
-    c: float = _setting(1.0, "--c", _finite_float, "speed of light (explicit units)")
-    m: float = _setting(1.0, "--m", _finite_float, "oscillator mass (explicit units)")
-    mu0: float = _setting(1.0, "--mu0", _finite_float, "magneton setting the Zeeman scale")
+    seed: int = _setting(7, "--seed", _at_least(0), "base RNG seed")
+    hbar: float = _setting(1.0, "--hbar", _positive, "reduced Planck constant")
+    c: float = _setting(1.0, "--c", _positive, "speed of light")
+    m: float = _setting(1.0, "--m", _positive, "oscillator mass")
+    mu0: float = _setting(1.0, "--mu0", _positive, "magneton setting the Zeeman scale")
     tolerances: dict = field(default_factory=dict)
 
     def constants(self) -> PhysicalConstants:
-        if self.units == "natural":
-            return PhysicalConstants(1.0, 1.0, 1.0, self.mu0)
         return PhysicalConstants(self.hbar, self.c, self.m, self.mu0)
 
     def tol(self, name: str) -> float:
@@ -266,7 +266,7 @@ def _resolve_config(args, experiment: Experiment) -> RunConfig:
     if args.config:
         for key, value in _load_config_file(args.config).items():
             if key.startswith("tol."):
-                cfg.tolerances[key[4:]] = _config_value(key, value, _finite_float)
+                cfg.tolerances[key[4:]] = _config_value(key, value, _tolerance_value)
             elif key in _SETTINGS:
                 setattr(cfg, key, _config_value(key, value, _SETTINGS[key]["kind"]))
             else:
@@ -484,7 +484,7 @@ def _worst(errors) -> float:
     "oscillator-strength sum rule",
     _flag("--dims", type=_dims, default="2,3", help="dimensions to run, e.g. 2 or 2,3"),
     _flag("--n-cut", type=_at_least(1), default=5),
-    _flag("--omega0", type=_finite_float, default=1.0),
+    _flag("--omega0", type=_positive, default=1.0),
     tolerances={"sum_rule": 1e-12},
 )
 def _run_sum_rule(cfg: RunConfig, args):
@@ -520,7 +520,7 @@ def _run_sum_rule(cfg: RunConfig, args):
     "two routes to the orbital L_z",
     _flag("--dims", type=int, default=2, choices=(2, 3)),
     _flag("--n-cut", type=_at_least(1), default=5),
-    _flag("--omega0", type=_finite_float, default=1.0),
+    _flag("--omega0", type=_positive, default=1.0),
     tolerances={"routes_agree": 1e-12, "operator_eigenvalue": 1e-12},
 )
 def _run_angular_momentum(cfg: RunConfig, args):

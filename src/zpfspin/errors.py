@@ -15,10 +15,6 @@ class IncompleteBasisError(ValueError):
     """A spectral sum would silently drop coupled states outside the cutoff."""
 
 
-class MissingBindingError(LookupError):
-    """A formal phase symbol was evaluated without a numeric binding."""
-
-
 class ContradictionError(ValueError):
     """A phase constraint system admits no solution."""
 

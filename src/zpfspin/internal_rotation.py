@@ -48,11 +48,6 @@ class SpinState:
             raise ValueError(f"winding must be +1/2 or -1/2, got {w}")
         object.__setattr__(self, "winding", w)
 
-    @property
-    def spin(self) -> Fraction:
-        # after the identification the winding IS the spin projection tag
-        return self.winding
-
 
 @dataclass(frozen=True)
 class DichotomyResult:

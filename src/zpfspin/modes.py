@@ -34,20 +34,15 @@ from .constants import NATURAL, PhysicalConstants
 from .errors import ResolutionError, check_bytes
 
 __all__ = [
-    "Triad",
     "Mode",
     "ZpfRealization",
-    "FieldSample",
     "ModeObservables",
-    "build_triad",
-    "polarization_vector",
     "wave_vector",
     "make_mode",
     "mode_keys",
     "sample_realization",
     "sample_zeta_ensemble",
     "check_ensemble_size",
-    "field_at",
     "sample_fields",
     "check_field_size",
     "resolution_floor",
@@ -60,15 +55,6 @@ __all__ = [
 # Largest transient array, in doubles, that the ensemble draw and the field
 # sum hold at once (8 MiB); larger requests are worked through in blocks.
 _BLOCK_DOUBLES = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class Triad:
-    """Right-handed orthonormal frame with e3 along the wave vector."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,14 +80,6 @@ class Mode:
 class ZpfRealization:
     L: float
     modes: tuple[Mode, ...]
-    seed: int | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    A: np.ndarray
-    E: np.ndarray
-    B: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,26 +89,16 @@ class ModeObservables:
     J: np.ndarray
 
 
-def build_triad(n) -> Triad:
-    """Deterministic polarization frame for lattice vector n.
+def _triads(n: np.ndarray):
+    """Right-handed orthonormal polarization frames e1, e2, e3 for each row
+    of an (M, 3) float array of nonzero lattice vectors, as three (M, 3)
+    arrays.
 
     e3 = khat; e1 is the coordinate axis h with the smallest |khat| component
     (ties broken in x, y, z order) projected orthogonal to khat and
     normalized; e2 = e3 x e1. Axis-aligned n therefore give axis-aligned
-    triads, e.g. n = (0, 0, 1) -> (x, y, z).
+    frames, e.g. n = (0, 0, 1) -> (x, y, z).
     """
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("wave-vector index must be a 3-vector")
-    if not np.any(n):
-        raise ValueError("zero wave vector has no propagation direction")
-    e1, e2, e3 = _triads(n[np.newaxis])
-    return Triad(e1=e1[0], e2=e2[0], e3=e3[0])
-
-
-def _triads(n: np.ndarray):
-    """build_triad's e1, e2, e3 for each row of an (M, 3) float array of
-    nonzero lattice vectors, as three (M, 3) arrays."""
     e3 = n / np.sqrt(_row_dots(n, n))
     h = np.zeros_like(n)
     h[np.arange(len(n)), np.argmin(np.abs(e3), axis=1)] = 1.0
@@ -148,15 +116,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0]
 
 
-def polarization_vector(triad: Triad, gamma: int) -> np.ndarray:
-    """Complex unit polarization vector; eps_{gamma}* . eps_{gamma'} = delta."""
-    if gamma not in (1, -1):
-        raise ValueError(f"polarization index must be +1 or -1, got {gamma!r}")
-    return _polarizations(triad.e1[np.newaxis], triad.e2[np.newaxis], np.array([gamma]))[0]
-
-
 def _polarizations(e1: np.ndarray, e2: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """eps_gamma for each row of (M, 3) frame vectors and (M,) gamma = +-1."""
+    """Complex unit polarization vectors eps_gamma, with
+    eps_gamma* . eps_gamma' = delta, for each row of (M, 3) frame vectors
+    and (M,) gamma = +-1."""
     plus = (e1 + 1j * e2) / np.sqrt(2.0)
     minus = 1j * (e1 - 1j * e2) / np.sqrt(2.0)
     return np.where((gamma == 1)[:, np.newaxis], plus, minus)
@@ -232,7 +195,7 @@ def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
         make_mode(n, gamma, zetas[i], phis[i], L)
         for i, (n, gamma) in enumerate(keys)
     )
-    return ZpfRealization(L=float(L), modes=modes, seed=seed if isinstance(seed, int) else None)
+    return ZpfRealization(L=float(L), modes=modes)
 
 
 def sample_zeta_ensemble(n_max: int, count: int, seed: int):
@@ -342,17 +305,6 @@ def check_field_size(points: int) -> None:
     """Raise SizeLimitError when sampling the fields at `points` points and
     checking them, as field-sample does, would pass errors.BYTES_LIMIT."""
     check_bytes(f"fields at {points} points", _FIELD_BYTES_PER_POINT * points)
-
-
-def field_at(
-    real: ZpfRealization, r, t: float, constants: PhysicalConstants = NATURAL
-) -> FieldSample:
-    """Fields at a single point; an empty realization gives exact zeros."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError("r must be a 3-vector")
-    A, E, B = sample_fields(real, r[np.newaxis, :], t, constants)
-    return FieldSample(A=A[0], E=E[0], B=B[0])
 
 
 def resolution_floor(n) -> int:

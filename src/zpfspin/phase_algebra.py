@@ -4,8 +4,7 @@ A PhaseExpression represents exp(i*(q*pi + sum_s c_s * s)) with q and every
 c_s an exact rational and each s a formal symbol (an angle variable such as a
 mode phase or an internal rotation angle). Products add exponents, so the type
 is an abelian group; equality is taken mod 2*pi on the numeric part and
-exactly on the symbol coefficients. No floats enter until a caller binds
-symbols to numeric angles.
+exactly on the symbol coefficients. No floats enter.
 
 Surd carries the exact normalization factors (1/sqrt(2), 1/sqrt(n!)) as
 rational * sqrt(square-free integer). Coefficient pairs a non-negative Surd
@@ -15,13 +14,10 @@ which makes canonical forms unique and state comparison structural.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping
-
-from .errors import MissingBindingError
 
 __all__ = [
     "PhaseExpression",
@@ -109,10 +105,6 @@ class PhaseExpression:
     def inverse(self) -> "PhaseExpression":
         return PhaseExpression(-self.pi_part, {s: -c for s, c in self.coeffs.items()})
 
-    def conjugate(self) -> "PhaseExpression":
-        # unit modulus: conjugation is inversion
-        return self.inverse()
-
     def scale(self, factor) -> "PhaseExpression":
         """Scale the exponent: (e^{iX}).scale(r) = e^{i*r*X}.
 
@@ -123,11 +115,6 @@ class PhaseExpression:
         return PhaseExpression(
             self.pi_part * factor, {s: c * factor for s, c in self.coeffs.items()}
         )
-
-    def __pow__(self, n: int) -> "PhaseExpression":
-        if not isinstance(n, int):
-            raise TypeError("integer power only; use scale() for rationals")
-        return self.scale(n)
 
     def substitute(self, mapping: Mapping) -> "PhaseExpression":
         """Replace symbols by angle forms: each value is a PhaseExpression
@@ -162,14 +149,6 @@ class PhaseExpression:
     @property
     def is_numeric(self) -> bool:
         return not self.coeffs
-
-    def as_complex(self, bindings: Mapping | None = None) -> complex:
-        angle = math.pi * float(self.pi_part)
-        for sym, c in self.coeffs.items():
-            if bindings is None or sym not in bindings:
-                raise MissingBindingError(f"no numeric binding for {format_symbol(sym)}")
-            angle += float(c) * float(bindings[sym])
-        return complex(math.cos(angle), math.sin(angle))
 
     def _key(self):
         return (self.pi_part % 2, frozenset(self.coeffs.items()))
@@ -277,9 +256,6 @@ class Surd:
     def __neg__(self) -> "Surd":
         return Surd(-self.coeff, self.radicand)
 
-    def __float__(self) -> float:
-        return float(self.coeff) * math.sqrt(self.radicand)
-
     def __repr__(self):
         if self.radicand == 1:
             return f"Surd({self.coeff})"
@@ -352,11 +328,6 @@ class Coefficient:
         if self.is_zero:
             return self
         return Coefficient.of(self.magnitude, func(self.phase))
-
-    def as_complex(self, bindings: Mapping | None = None) -> complex:
-        if self.is_zero:
-            return 0j
-        return float(self.magnitude) * self.phase.as_complex(bindings)
 
     def to_dict(self) -> dict:
         return {

@@ -41,12 +41,18 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-def _require_complete(table: MatrixElementTable, label):
+def _state_row(table: MatrixElementTable, alpha) -> tuple[int, np.ndarray]:
+    """Index i of state alpha and the frequency differences w_ba = w_b - w_a
+    over all states b, once the cutoff is known to hold every state coupled
+    to alpha."""
+    i = table.lookup(alpha)
+    label = table.states[i].label
     if not table.coupling_complete(label):
         raise IncompleteBasisError(
             f"shell cutoff {table.n_cut} drops states coupled to {label!r}; "
             f"rebuild the table with n_cut >= {table.shell(label) + 1}"
         )
+    return i, table.omega_array - table.omega_array[i]
 
 
 def trk_sum_rule(table: MatrixElementTable, alpha) -> float:
@@ -55,9 +61,7 @@ def trk_sum_rule(table: MatrixElementTable, alpha) -> float:
     Equals hbar for every state whose coupled shells sit inside the cutoff,
     independent of which circular component ordering is used.
     """
-    i = table.lookup(alpha)
-    _require_complete(table, table.states[i].label)
-    w = table.omega_array - table.states[i].omega
+    i, w = _state_row(table, alpha)
     weights = np.abs(table.xplus[i, :]) ** 2 + np.abs(table.xminus[i, :]) ** 2
     return float(table.mass * np.sum(w * weights))
 
@@ -70,9 +74,7 @@ def lz_expectation(table: MatrixElementTable, alpha, method: str = "polarized") 
     m sum_b w_ba (|x+_ba|^2 - |x-_ba|^2), the difference of the two circular
     coupling strengths. Both equal m_l hbar on this basis.
     """
-    i = table.lookup(alpha)
-    _require_complete(table, table.states[i].label)
-    w = table.omega_array - table.states[i].omega
+    i, w = _state_row(table, alpha)
     if method == "polarized":
         value = table.mass * np.sum(
             w * (np.abs(table.xplus[:, i]) ** 2 - np.abs(table.xminus[:, i]) ** 2)
@@ -92,9 +94,7 @@ def polarized_momenta(table: MatrixElementTable, alpha) -> tuple[float, float]:
     M_minus = -m sum_b w_ba |x-_ba|^2; their sum is lz_expectation and their
     difference is hbar by the oscillator-strength sum.
     """
-    i = table.lookup(alpha)
-    _require_complete(table, table.states[i].label)
-    w = table.omega_array - table.states[i].omega
+    i, w = _state_row(table, alpha)
     m_plus = table.mass * np.sum(w * np.abs(table.xplus[:, i]) ** 2)
     m_minus = -table.mass * np.sum(w * np.abs(table.xminus[:, i]) ** 2)
     return float(m_plus), float(m_minus)

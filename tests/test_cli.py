@@ -100,7 +100,6 @@ SPIN_SPLIT_REPORT = """\
     "ensemble": 1000,
     "pairs": 10,
     "seed": 7,
-    "units": "natural",
     "hbar": 1.0,
     "c": 1.0,
     "m": 1.0,
@@ -166,7 +165,6 @@ ANTIPHASE_REPORT = """\
     "ensemble": 1000,
     "pairs": 10,
     "seed": 7,
-    "units": "natural",
     "hbar": 1.0,
     "c": 1.0,
     "m": 1.0,
@@ -468,7 +466,7 @@ NON_FINITE_FLAGS = [
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("command,flag", NON_FINITE_FLAGS)
 def test_non_finite_flag_exits_two(capsys, command, flag, value):
-    assert main([command, "--units", "explicit", f"{flag}={value}"]) == 2
+    assert main([command, f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
@@ -482,10 +480,39 @@ def test_non_finite_config_value_exits_two(capsys, tmp_path, line):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [(["sum-rule", "--n-cut", "2", "--tol", "sum_rule=-1"], None), (["sz"], "tol.sz_agreement = -1e-3")],
+)
+def test_negative_tolerance_exits_two(capsys, tmp_path, argv, line):
+    # a negative bound would fail its checks: exit 1 for what is bad input
+    if line:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 0" in captured.err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, body = run(capsys, ["sum-rule", "--n-cut", "2", "--tol", "sum_rule=0"])
+    assert code in (0, 1)
+    assert body["config"]["tolerances"] == {"sum_rule": 0.0}
+
+
+def test_constants_take_effect_without_a_switch(capsys):
+    code, body = run(capsys, ["sum-rule", "--n-cut", "2", "--hbar", "2"])
+    assert code == 0
+    assert body["config"]["hbar"] == 2.0
+    assert {d["target"] for d in body["details"]["dims"].values()} == {2.0}
+
+
 @pytest.mark.parametrize("flag", ["--box", "--hbar", "--c", "--m", "--mu0", "--omega0"])
 def test_underflowing_flag_exits_two(capsys, flag):
-    # 1e-400 parses to 0.0, which the box type, the constants or the table refuses
-    assert main(["sum-rule", "--n-cut", "2", "--units", "explicit", f"{flag}=1e-400"]) == 2
+    # 1e-400 parses to 0.0, which each of these flags' types refuses
+    assert main(["sum-rule", "--n-cut", "2", f"{flag}=1e-400"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "positive" in captured.err
@@ -498,8 +525,8 @@ def test_underflowing_flag_exits_two(capsys, flag):
         ("n_max", "--n-max", "0"),
         ("ensemble", "--ensemble", "0"),
         ("pairs", "--pairs", "-1"),
-        ("units", "--units", "metric"),
         ("seed", "--seed", "x"),
+        ("seed", "--seed", "-1"),
     ],
 )
 def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, value):
@@ -522,7 +549,7 @@ def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, val
 )
 def test_nan_errors_fail_their_checks(runner, args):
     # the parser refuses hbar = inf; past it, every per-state error is NaN
-    checks, _, _ = runner(RunConfig(units="explicit", hbar=math.inf), args)
+    checks, _, _ = runner(RunConfig(hbar=math.inf), args)
     numeric = [c for c in checks if c.tolerance > 0]
     assert numeric
     for check in numeric:

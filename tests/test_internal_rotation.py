@@ -119,11 +119,6 @@ def test_winding_must_be_half():
         SpinState("bad", 0)
 
 
-def test_spin_property_reads_winding():
-    assert SpinState("up", HALF).spin == HALF
-    assert SpinState("down", -HALF).spin == -HALF
-
-
 def test_symbolic_eigenvalue_scales_with_hbar():
     consts = PhysicalConstants(hbar=0.7, c=1.0, m=1.0, mu0=1.0)
     assert apply_spin_z(SpinState("up", HALF), "symbolic", consts) == 0.7 * 0.5

@@ -1,7 +1,8 @@
 """Unit-phase expressions, surds, and symbolic coefficients.
 
 The oracle throughout is numeric evaluation: any algebraic identity on the
-symbolic side must reproduce under as_complex with random angle bindings.
+symbolic side must reproduce under val, which binds every symbol to a fixed
+angle. The library itself never evaluates a phase numerically.
 """
 
 import cmath
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zpfspin.errors import MissingBindingError
 from zpfspin.phase_algebra import (
     MINUS_ONE,
     ONE,
@@ -44,8 +44,17 @@ def phases(draw):
 BINDINGS = {sym: 0.31 + 0.47 * i for i, sym in enumerate(SYMS)}
 
 
-def val(expr):
-    return expr.as_complex(BINDINGS)
+def val(value):
+    """Numeric value of a Surd, Coefficient or PhaseExpression with every
+    symbol bound by BINDINGS."""
+    if isinstance(value, Surd):
+        return float(value.coeff) * math.sqrt(value.radicand)
+    if isinstance(value, Coefficient):
+        return val(value.magnitude) * val(value.phase)
+    angle = math.pi * float(value.pi_part)
+    for sym, c in value.coeffs.items():
+        angle += float(c) * BINDINGS[sym]
+    return complex(math.cos(angle), math.sin(angle))
 
 
 # --- group structure ----------------------------------------------------------
@@ -63,12 +72,6 @@ def test_identity_and_inverse(a):
     assert a.inverse().inverse() == a
 
 
-@given(phases())
-def test_conjugate_is_inverse(a):
-    assert a.conjugate() == a.inverse()
-    assert a.conjugate().conjugate() == a
-
-
 @given(phases(), phases())
 def test_numeric_homomorphism(a, b):
     assert cmath.isclose(val(a * b), val(a) * val(b), rel_tol=1e-12)
@@ -81,7 +84,7 @@ def test_integer_powers(a, n):
     step = a if n >= 0 else a.inverse()
     for _ in range(abs(n)):
         direct = direct * step
-    assert a**n == direct
+    assert a.scale(n) == direct
 
 
 def test_two_pi_collapses_to_identity():
@@ -144,16 +147,6 @@ def test_as_complex_matches_cmath():
     assert cmath.isclose(val(expr), cmath.exp(1j * angle), rel_tol=1e-12)
 
 
-def test_missing_binding_names_symbol():
-    expr = PhaseExpression.from_symbol(phi_symbol(2))
-    with pytest.raises(MissingBindingError, match="phi_2"):
-        expr.as_complex({})
-
-
-def test_numeric_phases_need_no_bindings():
-    assert PhaseExpression.from_pi(Fraction(1, 2)).as_complex() == pytest.approx(1j)
-
-
 def test_format_is_canonical():
     assert ONE.format() == "0"
     assert PhaseExpression.from_pi(Fraction(5, 2)).format() == "1/2*pi"
@@ -190,22 +183,22 @@ def test_symbol_formatting():
 def test_surd_normalizes_radicand():
     s = Surd(Fraction(1), 8)
     assert (s.coeff, s.radicand) == (Fraction(2), 2)
-    assert float(s) == pytest.approx(math.sqrt(8))
+    assert val(s) == pytest.approx(math.sqrt(8))
 
 
 def test_inv_sqrt():
     s = Surd.inv_sqrt(2)
-    assert float(s) == pytest.approx(1 / math.sqrt(2))
-    assert float(s * s) == pytest.approx(0.5)
+    assert val(s) == pytest.approx(1 / math.sqrt(2))
+    assert val(s * s) == pytest.approx(0.5)
     assert (s * s).radicand == 1
 
 
 def test_surd_arithmetic():
     a = Surd(Fraction(3), 2)
     b = Surd(Fraction(1, 2), 2)
-    assert float(a + b) == pytest.approx(3.5 * math.sqrt(2))
-    assert float(a / b) == pytest.approx(6.0)
-    assert float(-a) == pytest.approx(-3 * math.sqrt(2))
+    assert val(a + b) == pytest.approx(3.5 * math.sqrt(2))
+    assert val(a / b) == pytest.approx(6.0)
+    assert val(-a) == pytest.approx(-3 * math.sqrt(2))
     with pytest.raises(ValueError):
         a + Surd(Fraction(1), 3)
     with pytest.raises(ZeroDivisionError):
@@ -226,7 +219,7 @@ def test_coefficient_folds_sign_into_phase():
     neg = Coefficient.of(Surd(Fraction(-1), 2))
     pos = Coefficient.of(Surd(Fraction(1), 2), MINUS_ONE)
     assert neg == pos
-    assert neg.as_complex() == pytest.approx(-math.sqrt(2))
+    assert val(neg) == pytest.approx(-math.sqrt(2))
 
 
 def test_coefficient_products_and_ratios():
@@ -235,7 +228,7 @@ def test_coefficient_products_and_ratios():
     a = half.mul_phase(phase)
     b = half.mul_phase(phase.inverse())
     prod = a * b
-    assert prod.as_complex() == pytest.approx(0.5)
+    assert val(prod) == pytest.approx(0.5)
     ratio = a.ratio(b)
     assert ratio.magnitude.coeff == 1
     assert ratio.phase == phase * phase
@@ -248,7 +241,7 @@ def test_coefficient_addition_cancels_opposite_phases():
     out = half + half.mul_phase(MINUS_ONE)
     assert out.is_zero
     same = half + half
-    assert same.as_complex() == pytest.approx(math.sqrt(2))
+    assert val(same) == pytest.approx(math.sqrt(2))
 
 
 def test_coefficient_addition_rejects_incommensurate_phases():
