@@ -49,6 +49,7 @@ from .modes import (
     analytic_mode_observables,
     check_ensemble_size,
     check_field_size,
+    check_mode_scales,
     check_quadrature_size,
     make_mode,
     mode_observables,
@@ -395,6 +396,7 @@ def _run_mode_observables(cfg: RunConfig, args):
 def _run_field_sample(cfg: RunConfig, args):
     check_field_size(args.points)
     consts = cfg.constants()
+    check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
     s_vals = np.linspace(0.0, 1.0, args.points, endpoint=False)
     points = s_vals[:, None] * np.array([cfg.L, cfg.L, cfg.L])
@@ -435,6 +437,7 @@ def _run_field_sample(cfg: RunConfig, args):
 @_experiment("totals", "whole-realization momentum and spin totals")
 def _run_totals(cfg: RunConfig, args):
     consts = cfg.constants()
+    check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
     totals = realization_totals(real, consts)
     expected_count = 2 * ((2 * cfg.n_max + 1) ** 3 - 1)

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the size limit behind
-SizeLimitError.
+"""Exception types shared across the package, the size limit behind
+SizeLimitError, and the check of derived physical scales.
 
 Plain ValueError is raised for malformed inputs (zero wave vector, a point
 outside the box, a sigma that is not a half-integer, ...). The subclasses below
 mark failure modes that callers are expected to distinguish programmatically.
 """
+
+import numpy as np
 
 
 class ResolutionError(ValueError):
@@ -25,7 +27,8 @@ class SizeLimitError(ValueError):
 
 
 # Largest working set, in bytes, that one table, ensemble, field sample or
-# quadrature grid may allocate.
+# quadrature may allocate. A quadrature holds one point per lattice phase,
+# at most grid of them, so its estimate grows linearly in grid.
 BYTES_LIMIT = 1 << 30
 
 
@@ -37,3 +40,19 @@ def check_bytes(what: str, estimate: int) -> None:
             f"refusing {what}: it needs {estimate / 2**30:.1f} GiB, over the "
             f"{BYTES_LIMIT / 2**30:.0f} GiB limit"
         )
+
+
+def check_scales(what: str, **scales) -> None:
+    """Raise ValueError when a derived scale, a float or an array of them,
+    is not a finite normal float (zero and subnormals lose every or some
+    significant digit); `what` names the inputs it came from. Callers run
+    this before any work, so inputs whose products overflow or underflow
+    are refused instead of turning into NaN or failed verdicts."""
+    for name, value in scales.items():
+        value = np.abs(np.asarray(value, dtype=float))
+        bad = ~(np.isfinite(value) & (value >= np.finfo(float).tiny))
+        if np.any(bad):
+            raise ValueError(
+                f"refusing {what}: its {name} is {float(value[bad][0])!r}, "
+                "outside the range of normal floats"
+            )

@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import ResolutionError, check_bytes
+from .errors import ResolutionError, check_bytes, check_scales
 
 __all__ = [
     "Mode",
@@ -45,6 +45,7 @@ __all__ = [
     "check_ensemble_size",
     "sample_fields",
     "check_field_size",
+    "check_mode_scales",
     "resolution_floor",
     "mode_observables",
     "check_quadrature_size",
@@ -163,10 +164,33 @@ def _mode_arrays(n, gamma, L: float, constants: PhysicalConstants):
     n = np.asarray(n, dtype=float)
     e1, e2, _ = _triads(n)
     eps = _polarizations(e1, e2, np.asarray(gamma))
-    k = wave_vector(n, L)
-    omega = constants.c * np.sqrt(_row_dots(k, k))[:, 0]
-    prefactor = np.sqrt(constants.hbar / (L**3 * omega))
+    k, omega, prefactor = _mode_scales(n, L, constants)
     return eps, k, omega, prefactor
+
+
+def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
+    """Wave vectors k (M, 3), frequencies omega (M,) and carrier prefactors
+    (M,) of lattice vectors n (M, 3). Raises ValueError when the volume
+    V = L^3, a frequency or a prefactor is not a finite normal float."""
+    with np.errstate(all="ignore"):
+        k = wave_vector(n, L)
+        volume = np.float64(L) ** 3
+        omega = constants.c * np.sqrt(_row_dots(k, k))[:, 0]
+        prefactor = np.sqrt(constants.hbar / (volume * omega))
+    check_scales(
+        f"modes in a box of edge {L:g}", volume=volume, omega=omega, prefactor=prefactor
+    )
+    return k, omega, prefactor
+
+
+def check_mode_scales(L: float, n_max: int, constants: PhysicalConstants = NATURAL) -> None:
+    """Raise ValueError when the volume, a frequency or a carrier prefactor
+    of a mode with 0 < |n|_inf <= n_max is not a finite normal float.
+
+    Frequencies grow and prefactors shrink with |n|, so the shortest and the
+    longest lattice vectors stand for every mode in between.
+    """
+    _mode_scales(np.array([[0, 0, 1], [n_max] * 3], dtype=float), L, constants)
 
 
 def _draw_phases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,6 +336,29 @@ def resolution_floor(n) -> int:
     return 4 * max(max(abs(int(c)) for c in n), 1)
 
 
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = a x + b y, for integers a, b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _phase_step(n, grid: int) -> tuple[int, tuple[int, int, int]]:
+    """d = gcd(n1, n2, n3, grid) and an integer vector u in [0, grid)^3 with
+    n.u = d (mod grid), for any integer components of n."""
+    d, u = grid, [0, 0, 0]
+    for axis, component in enumerate(n):
+        # keeps d = n.u (mod grid) while d shrinks to the gcd
+        d, x, y = _extended_gcd(d, int(component) % grid)
+        u = [x * v for v in u]
+        u[axis] += y
+    return d, tuple(v % grid for v in u)
+
+
 def mode_observables(
     mode: Mode,
     L: float,
@@ -321,9 +368,17 @@ def mode_observables(
 ) -> ModeObservables:
     """H, P, J of one mode by trapezoidal quadrature on the periodic grid.
 
-    With periodic sampling at grid^3 points the trapezoidal rule reduces to
-    the grid mean times the volume, which is spectrally exact for the
-    band-limited integrands here once grid >= resolution_floor(mode.n).
+    With periodic sampling at grid^3 points j L / grid the trapezoidal rule
+    reduces to the grid mean times the volume. One mode's integrands depend
+    on the point only through theta = 2 pi (n.j) / grid - omega t, and
+    j -> n.j mod grid maps Z_grid^3 onto the multiples of
+    d = gcd(n1, n2, n3, grid) with grid^2 d points in every fibre. So the
+    grid mean equals, exactly, the mean over the grid / d points
+    j_m = m u mod grid, m = 0 .. grid/d - 1, one per fibre, where
+    n.u = d (mod grid). The periodic trapezoidal rule is spectrally exact for
+    these band-limited integrands once grid >= resolution_floor(mode.n)
+    (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+    SIAM Review 56, 2014).
     """
     grid = int(grid)
     check_quadrature_size(grid)
@@ -332,30 +387,37 @@ def mode_observables(
         raise ResolutionError(
             f"grid {grid} is below the resolution floor {floor} for n={mode.n}"
         )
-    axis = np.arange(grid) * (L / grid)
-    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-    points = np.stack([X, Y, Z], axis=-1)
+    _, omega, _ = _mode_scales(np.array([mode.n], dtype=float), L, constants)
+    V = np.float64(L) ** 3
+    with np.errstate(all="ignore"):
+        density = constants.hbar * omega / V
+    # the integrands are of the size of the energy density hbar omega / V
+    check_scales(f"a quadrature in a box of edge {L:g}", energy_density=density)
+    d, step = _phase_step(mode.n, grid)
+    lattice = np.arange(grid // d)[:, np.newaxis] * np.array(step) % grid
+    points = lattice * (L / grid)
     A, E, B = _mode_field_arrays(mode, L, points, t, constants)
-    V = L**3
     c2 = constants.c**2
     u = 0.5 * (np.sum(E * E, axis=-1) + c2 * np.sum(B * B, axis=-1))
     H = float(np.mean(u) * V)
-    P = np.mean(np.cross(E, B).reshape(-1, 3), axis=0) * V
-    J = np.mean(np.cross(E, A).reshape(-1, 3), axis=0) * V
+    P = np.mean(np.cross(E, B), axis=0) * V
+    J = np.mean(np.cross(E, A), axis=0) * V
     return ModeObservables(H=H, P=P, J=J)
 
 
-# Peak bytes mode_observables allocates per grid point: the grid, the
+# Peak bytes mode_observables allocates per lattice phase: the points, the
 # carrier, the three fields and the cross products (232, as tracemalloc
-# measures it at grid 16, 32 and 48).
-_QUADRATURE_BYTES_PER_POINT = 232
+# measures it at grid 65536 and 2^20 with d = 1; at grid 4096 a few
+# kilobytes that do not grow with grid lift it to 233).
+_QUADRATURE_BYTES_PER_PHASE = 232
 
 
 def check_quadrature_size(grid: int) -> None:
-    """Raise SizeLimitError when mode_observables at grid^3 points would pass
-    errors.BYTES_LIMIT."""
+    """Raise SizeLimitError when mode_observables at `grid` points per axis
+    would pass errors.BYTES_LIMIT. It holds grid / d <= grid lattice phases."""
     check_bytes(
-        f"a quadrature grid of {grid}^3 points", _QUADRATURE_BYTES_PER_POINT * grid**3
+        f"a quadrature over up to {grid} lattice phases",
+        _QUADRATURE_BYTES_PER_PHASE * grid,
     )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import check_bytes
+from .errors import check_bytes, check_scales
 
 __all__ = [
     "StationaryState",
@@ -134,6 +134,21 @@ def check_table_size(dims: int, n_cut: int) -> None:
     )
 
 
+def _length_scale(omega0: float, constants: PhysicalConstants) -> float:
+    """l0 = sqrt(hbar / (2 m omega0)). Raises ValueError when l0, the
+    strength l0^2 / 2 of the matrix-element prefactor l0 / sqrt2, or the
+    weight omega0 l0^2 / 2 that sets the size of every spectral-sum term is
+    not a finite normal float."""
+    with np.errstate(all="ignore"):
+        l0 = np.sqrt(np.float64(constants.hbar) / (2.0 * constants.m * omega0))
+        strength = (l0 / math.sqrt(2.0)) ** 2
+        weight = omega0 * strength
+    check_scales(
+        f"an oscillator of frequency {omega0:g}", l0=l0, strength=strength, weight=weight
+    )
+    return float(l0)
+
+
 def build_oscillator_table(
     dims: int,
     omega0: float,
@@ -143,7 +158,8 @@ def build_oscillator_table(
     """Tabulate every state with shell <= n_cut and its position elements.
 
     Raises SizeLimitError, before allocating anything, when the dense
-    matrices would exceed errors.BYTES_LIMIT.
+    matrices would exceed errors.BYTES_LIMIT, and ValueError when the
+    length scale overflows or underflows.
     """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")
@@ -153,6 +169,7 @@ def build_oscillator_table(
         raise ValueError("n_cut must be a positive integer")
     n_cut = int(n_cut)
     check_table_size(dims, n_cut)
+    l0 = _length_scale(omega0, constants)
     size = math.comb(n_cut + dims, dims)
 
     labels = _state_labels(dims, n_cut)
@@ -162,7 +179,6 @@ def build_oscillator_table(
         StationaryState(label=lab, omega=omega0 * (sum(lab) + dims / 2.0)) for lab in labels
     )
 
-    l0 = math.sqrt(hbar / (2.0 * mass * omega0))
     s = l0 / math.sqrt(2.0)
     x = np.zeros((size, size), dtype=complex)
     y = np.zeros((size, size), dtype=complex)

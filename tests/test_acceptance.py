@@ -1,9 +1,10 @@
-"""Acceptance gate: ten end-to-end criteria, one test and one line each.
+"""Acceptance gate: eleven end-to-end criteria, one test and one line each.
 
 Run with -v to get the per-criterion pass/fail lines; each test also prints
 its own summary after the asserts, so a -s run shows the measured numbers.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -33,6 +34,7 @@ from zpfspin import (
     trk_sum_rule,
     zeeman_energy,
 )
+from zpfspin.cli import main
 from zpfspin.constants import NATURAL
 from zpfspin.errors import IncompleteBasisError
 from zpfspin.phase_algebra import MINUS_ONE, ONE
@@ -195,3 +197,15 @@ def test_criterion_10_antisymmetrizer_scales():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"criterion 10 PASS: Slater construction through n=5, {elapsed:.2f}s")
+
+
+def test_criterion_11_quadrature_at_fine_grid(capsys):
+    # a grid whose grid^3 points would need 14.5 TiB takes one point per phase
+    start = time.perf_counter()
+    code = main(["mode-observables", "--grid", "4096", "--n", "7,-3,5"])
+    report = json.loads(capsys.readouterr().out)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert all(check["pass"] for check in report["checks"])
+    assert elapsed < 5.0
+    print(f"criterion 11 PASS: mode-observables at grid 4096, {elapsed:.2f}s")

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -9,8 +10,9 @@ import time
 
 import pytest
 
-from zpfspin import cli
+from zpfspin import cli, modes, oscillator
 from zpfspin.cli import RunConfig, _run_angular_momentum, _run_sum_rule, main
+from zpfspin.oscillator import build_oscillator_table
 from zpfspin.phase_algebra import MINUS_ONE
 
 ALL_COMMANDS = [
@@ -539,7 +541,6 @@ def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, val
         assert repr(value) in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
     "runner,args",
     [
@@ -547,9 +548,15 @@ def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, val
         (_run_angular_momentum, argparse.Namespace(dims=2, n_cut=3, omega0=1.0)),
     ],
 )
-def test_nan_errors_fail_their_checks(runner, args):
-    # the parser refuses hbar = inf; past it, every per-state error is NaN
-    checks, _, _ = runner(RunConfig(hbar=math.inf), args)
+def test_nan_errors_fail_their_checks(monkeypatch, runner, args):
+    # the parser and the scale checks refuse constants that overflow; past
+    # them, a table of NaN elements makes every per-state error NaN
+    def nan_table(*a, **k):
+        table = build_oscillator_table(*a, **k)
+        return dataclasses.replace(table, x=table.x * math.nan, y=table.y * math.nan)
+
+    monkeypatch.setattr(cli, "build_oscillator_table", nan_table)
+    checks, _, _ = runner(RunConfig(), args)
     numeric = [c for c in checks if c.tolerance > 0]
     assert numeric
     for check in numeric:
@@ -585,8 +592,8 @@ def _never_called(*args, **kwargs):
         (["phases", "--ensemble", "3000000"], "sample_zeta_ensemble", "1.2 GiB"),
         # 2e7 points x 445 bytes: the fields of a field-sample run and its checks
         (["field-sample", "--points", "20000000"], "sample_realization", "8.3 GiB"),
-        # 256^3 grid points x 232 bytes
-        (["mode-observables", "--n", "0,0,1", "--grid", "256"], "mode_observables", "3.6 GiB"),
+        # 8388608 lattice phases x 232 bytes
+        (["mode-observables", "--n", "0,0,1", "--grid", "8388608"], "mode_observables", "1.8 GiB"),
         # 3e6 points x 445 bytes, although one field set alone would fit
         (["field-sample", "--points", "3000000"], "sample_realization", "1.2 GiB"),
     ],
@@ -597,3 +604,28 @@ def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert estimate in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,owner,patched",
+    [
+        (["mode-observables", "--n", "0,0,1", "--box", "1e300"], modes, "_mode_field_arrays"),
+        (["mode-observables", "--n", "0,0,1", "--box", "1e-300"], modes, "_mode_field_arrays"),
+        (["field-sample", "--box", "1e300", "--points", "4"], cli, "sample_realization"),
+        (["field-sample", "--box", "1e-300", "--points", "4"], cli, "sample_realization"),
+        (["totals", "--box", "1e300"], cli, "sample_realization"),
+        (["sum-rule", "--n-cut", "2", "--hbar", "1e300", "--m", "1e-300"], oscillator, "_state_labels"),
+        (["angular-momentum", "--n-cut", "3", "--omega0", "1e-320"], oscillator, "_state_labels"),
+        # the quadrature squares the fields, so hbar omega / V must fit as well
+        (["mode-observables", "--box", "1e100"], modes, "_mode_field_arrays"),
+        (["mode-observables", "--box", "1e-100"], modes, "_mode_field_arrays"),
+        (["mode-observables", "--hbar", "1e300", "--c", "1e10"], modes, "_mode_field_arrays"),
+    ],
+)
+def test_out_of_range_scales_exit_two_before_any_work(capsys, monkeypatch, argv, owner, patched):
+    # each value is finite on its own; a derived scale overflows or underflows
+    monkeypatch.setattr(owner, patched, _never_called)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside the range of normal floats" in captured.err

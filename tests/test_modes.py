@@ -275,6 +275,108 @@ def test_observables_stable_under_grid_doubling():
     assert abs(coarse.H - fine.H) < 1e-10 * fine.H
 
 
+def grid_oracle(mode, L, grid, constants, t):
+    """H, P, J as the trapezoid mean over all grid^3 points of the box."""
+    axis = np.arange(grid) * (L / grid)
+    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
+    points = np.stack([X, Y, Z], axis=-1)
+    A, E, B = modes._mode_field_arrays(mode, L, points, t, constants)
+    V = L**3
+    u = 0.5 * (np.sum(E * E, axis=-1) + constants.c**2 * np.sum(B * B, axis=-1))
+    H = float(np.mean(u) * V)
+    P = np.mean(np.cross(E, B).reshape(-1, 3), axis=0) * V
+    J = np.mean(np.cross(E, A).reshape(-1, 3), axis=0) * V
+    return H, P, J
+
+
+@pytest.mark.parametrize(
+    "n,grid",
+    [
+        ((1, -2, 3), 12),
+        ((1, 1, 0), 8),
+        ((0, 0, 2), 8),
+        ((2, 2, 0), 8),
+        ((0, 0, 3), 12),
+        ((2, 2, 2), 12),
+        ((0, 0, 4), 16),
+        ((4, -4, 2), 16),
+        ((-3, 1, 2), 16),
+    ],
+)
+@pytest.mark.parametrize("gamma", [1, -1])
+def test_quadrature_matches_full_grid(n, grid, gamma):
+    # one point per fibre of j -> n.j mod grid carries the whole grid^3 mean
+    consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
+    mode = make_mode(n, gamma, 0.9, 1.7, L)
+    H, P, J = grid_oracle(mode, L, grid, consts, 0.37)
+    obs = mode_observables(mode, L, grid, consts, t=0.37)
+    assert abs(obs.H - H) <= 1e-12 * abs(H)
+    assert np.max(np.abs(obs.P - P)) <= 1e-12 * np.linalg.norm(P)
+    assert np.max(np.abs(obs.J - J)) <= 1e-12 * np.linalg.norm(J)
+
+
+@pytest.mark.parametrize("grid", [8, 12, 16])
+@pytest.mark.parametrize(
+    "n", [(0, 0, 1), (0, 0, 2), (2, 2, 0), (0, 0, 3), (2, 2, 2), (0, 0, 4), (4, -4, 2), (1, -2, 3)]
+)
+def test_every_fibre_holds_grid_squared_times_d_points(n, grid):
+    d = math.gcd(*n, grid)
+    j = np.stack(np.meshgrid(*[np.arange(grid)] * 3, indexing="ij"), axis=-1)
+    counts = np.bincount(((j @ np.array(n)) % grid).ravel(), minlength=grid)
+    assert np.count_nonzero(counts) == grid // d
+    assert set(counts[counts > 0]) == {grid * grid * d}
+    assert modes._phase_step(n, grid)[0] == d
+
+
+@given(
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40)),
+    st.integers(1, 200),
+)
+def test_phase_step_solves_the_congruence(n, grid):
+    d, u = modes._phase_step(n, grid)
+    assert d == math.gcd(*n, grid)
+    assert all(0 <= v < grid for v in u)
+    assert (n[0] * u[0] + n[1] * u[1] + n[2] * u[2] - d) % grid == 0
+
+
+def test_quadrature_holds_one_point_per_phase(monkeypatch):
+    seen = []
+    field_arrays = modes._mode_field_arrays
+
+    def spy(mode, box, points, t, constants):
+        seen.append(points.shape)
+        return field_arrays(mode, box, points, t, constants)
+
+    monkeypatch.setattr(modes, "_mode_field_arrays", spy)
+    mode_observables(make_mode((2, 4, -6), 1, 0.0, 0.0, L), L, 4096, NATURAL)
+    assert seen == [(2048, 3)]
+
+
+@pytest.mark.parametrize(
+    "box,consts",
+    [
+        (1e300, NATURAL),
+        (1e-300, NATURAL),
+        (1e100, NATURAL),
+        (1e-100, NATURAL),
+        (1.0, PhysicalConstants(hbar=1e300, c=1e10)),
+    ],
+)
+def test_out_of_range_scales_refused(box, consts):
+    mode = make_mode((0, 0, 1), 1, 0.0, 0.0, box)
+    with pytest.raises(ValueError, match="normal floats"):
+        mode_observables(mode, box, 8, consts)
+
+
+@pytest.mark.parametrize("box", [1e300, 1e-300])
+def test_out_of_range_box_refused_for_realizations(box):
+    with pytest.raises(ValueError, match="normal floats"):
+        modes.check_mode_scales(box, 1, NATURAL)
+    real = ZpfRealization(box, (make_mode((0, 0, 1), 1, 0.0, 0.0, box),))
+    with pytest.raises(ValueError, match="normal floats"):
+        sample_fields(real, np.zeros((1, 3)), 0.0, NATURAL)
+
+
 def test_resolution_floor_enforced():
     assert resolution_floor((0, 0, 1)) == 4
     assert resolution_floor((2, -3, 1)) == 12
@@ -327,8 +429,9 @@ def test_zeta_ensemble_rows_match_child_realizations():
 def test_oversized_ensemble_and_grid_refused_before_allocation():
     with pytest.raises(SizeLimitError, match="GiB"):
         sample_zeta_ensemble(1, 3_000_000, 9)
-    with pytest.raises(SizeLimitError, match="GiB"):
-        mode_observables(make_mode((0, 0, 1), 1, 0.0, 0.0, L), L, 256, NATURAL)
+    # 8388608 lattice phases x 232 bytes
+    with pytest.raises(SizeLimitError, match="1.8 GiB"):
+        mode_observables(make_mode((0, 0, 1), 1, 0.0, 0.0, L), L, 8_388_608, NATURAL)
 
 
 def test_totals_cancel_exactly_for_closed_set():

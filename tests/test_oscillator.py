@@ -237,6 +237,21 @@ def test_oversized_table_refused_before_allocation():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "omega0,hbar,m",
+    [
+        (1.0, 1e300, 1e-300),  # l0 overflows
+        (1e-320, 1.0, 1.0),  # l0 overflows through a subnormal frequency
+        (1.0, 1e-300, 1e20),  # the squared prefactor is subnormal
+        (1e20, 1e300, 1e-10),  # omega0 l0^2 overflows
+    ],
+)
+def test_out_of_range_length_scale_refused(omega0, hbar, m):
+    consts = PhysicalConstants(hbar=hbar, m=m)
+    with pytest.raises(ValueError, match="normal floats"):
+        build_oscillator_table(2, omega0, 2, consts)
+
+
 def test_m_ell_and_shell_helpers():
     assert MatrixElementTable.shell((2, 1, 3)) == 6
     assert MatrixElementTable.m_ell((2, 1, 3)) == 1
