@@ -49,8 +49,8 @@ def check_scales(what: str, **scales) -> None:
     this before any work, so inputs whose products overflow or underflow
     are refused instead of turning into NaN or failed verdicts."""
     for name, value in scales.items():
-        value = np.abs(np.asarray(value, dtype=float))
-        bad = ~(np.isfinite(value) & (value >= np.finfo(float).tiny))
+        value = np.asarray(value, dtype=float)
+        bad = ~(np.isfinite(value) & (np.abs(value) >= np.finfo(float).tiny))
         if np.any(bad):
             raise ValueError(
                 f"refusing {what}: its {name} is {float(value[bad][0])!r}, "
