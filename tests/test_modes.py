@@ -305,7 +305,9 @@ def grid_oracle(mode, L, grid, constants, t):
 )
 @pytest.mark.parametrize("gamma", [1, -1])
 def test_quadrature_matches_full_grid(n, grid, gamma):
-    # one point per fibre of j -> n.j mod grid carries the whole grid^3 mean
+    # one point per fibre of j -> n.j mod grid carries the whole grid^3 mean;
+    # one circular mode's integrands are constant in space, so this pins the
+    # weights, and the fibre and congruence tests below pin the points
     consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
     mode = make_mode(n, gamma, 0.9, 1.7, L)
     H, P, J = grid_oracle(mode, L, grid, consts, 0.37)
