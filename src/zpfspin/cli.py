@@ -6,16 +6,16 @@ self-describing checks {name, expected, actual, tolerance, pass}, so a CI
 job can gate on the report without re-deriving any physics. Reports are
 deterministic for a fixed (command, config, seed) apart from the wall-time
 field. Config precedence is defaults < config file < flags; the config file
-is flat key=value text with # comments, keys mirroring the run-config
-field names plus tol.<name> overrides of the tolerances the command
-declares. The constants hbar, c, m and mu0 default to 1, natural units,
-and any of them may be set; the report's config echoes the values used.
+is flat key=value text with # comments, its keys the dests of the options
+the command reads plus tol.<name> overrides of the tolerances it declares.
 
 Each subcommand is declared once, by the @_experiment decorator on its
-runner, and each run-config field once, by its _setting; the parser, the
---help epilogs, the config-file parser and the tolerance and CSV checks are
-derived from those declarations. Every value is validated by its argparse
-type when it is parsed, whether it comes from a flag or the config file.
+runner, which lists the Options the runner reads (shared ones such as BOX or
+HBAR are module constants; --seed is on every command). The parser, its
+--help, the config keys and the report's config (each option in declaration
+order, then the tolerance overrides) are derived from that list, so a flag
+or key the command does not read exits 2. Every value, the default text
+included, is parsed and validated by its option's one type.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from pathlib import Path
@@ -126,45 +126,39 @@ _tolerance = _checked("NAME=VALUE with VALUE a finite number of at least 0", _na
 _mode_index = _checked("three comma-separated integers", _comma_list(int), lambda n: len(n) == 3)
 _gamma = _checked("+1 or -1", int, lambda value: value in (1, -1))
 _dims = _checked("2, 3 or 2,3", _comma_list(int), lambda dims: set(dims) <= {2, 3})
+_dim = _checked("2 or 3", int, lambda value: value in (2, 3))
+_orderings = ("phi2_greater", "phi1_greater", "tie")
+_ordering = _checked("phi2_greater, phi1_greater or tie", str, _orderings.__contains__)
 _fraction = _checked("an exact rational", Fraction)
 _fractions = _checked("comma-separated exact rationals", _comma_list(Fraction))
 _labels = _checked("comma-separated orbital:spin labels", _comma_list(_label))
 
 
-# --- run configuration and the experiment registry ----------------------------
+# --- options and the experiment registry --------------------------------------
 
 
-def _setting(default, flag: str, kind, help: str):
-    """A RunConfig field, set by `flag` or by its own name in a config file;
-    `kind` parses and validates both."""
-    return field(default=default, metadata={"flag": flag, "kind": kind, "help": help})
+@dataclass(frozen=True)
+class Option:
+    """One setting a command reads: given as `flag` or as the config key
+    `dest`, and parsed and validated by `type`, the default text included."""
+
+    flag: str
+    dest: str
+    type: object
+    default: str
+    help: str
 
 
-@dataclass
-class RunConfig:
-    L: float = _setting(1.0, "--box", _positive, "box edge length")
-    n_max: int = _setting(1, "--n-max", _at_least(1), "mode cutoff |n|_inf")
-    grid: int = _setting(32, "--grid", int, "per-axis quadrature resolution")
-    ensemble: int = _setting(1000, "--ensemble", _at_least(1), "realization count for ensemble runs")
-    pairs: int = _setting(10, "--pairs", _at_least(1), "mode pairs to test in `phases`")
-    seed: int = _setting(7, "--seed", _at_least(0), "base RNG seed")
-    hbar: float = _setting(1.0, "--hbar", _positive, "reduced Planck constant")
-    c: float = _setting(1.0, "--c", _positive, "speed of light")
-    m: float = _setting(1.0, "--m", _positive, "oscillator mass")
-    mu0: float = _setting(1.0, "--mu0", _positive, "magneton setting the Zeeman scale")
-    tolerances: dict = field(default_factory=dict)
-
-    def constants(self) -> PhysicalConstants:
-        return PhysicalConstants(self.hbar, self.c, self.m, self.mu0)
-
-    def tol(self, name: str) -> float:
-        """The override of tolerance `name`, else the default its command declares."""
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        return next(e.tolerances[name] for e in _EXPERIMENTS.values() if name in e.tolerances)
-
-
-_SETTINGS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+BOX = Option("--box", "L", _positive, "1.0", "box edge length")
+N_MAX = Option("--n-max", "n_max", _at_least(1), "1", "mode cutoff |n|_inf")
+N_CUT = Option("--n-cut", "n_cut", _at_least(1), "5", "oscillator shell cutoff")
+OMEGA0 = Option("--omega0", "omega0", _positive, "1.0", "oscillator frequency")
+HBAR = Option("--hbar", "hbar", _positive, "1.0", "reduced Planck constant")
+C = Option("--c", "c", _positive, "1.0", "speed of light")
+M = Option("--m", "m", _positive, "1.0", "oscillator mass")
+MU0 = Option("--mu0", "mu0", _positive, "1.0", "magneton setting the Zeeman scale")
+# every command takes a seed, so one script can pass it to all of them
+SEED = Option("--seed", "seed", _at_least(0), "7", "base RNG seed")
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ class Experiment:
 
     run: object
     help: str
-    flags: tuple  # (option strings, add_argument keywords) pairs
+    options: tuple  # the Options its runner reads, then SEED
     tolerances: dict  # check tolerance -> default; each name belongs to one command
     csv: bool
 
@@ -185,33 +179,25 @@ class Experiment:
 _EXPERIMENTS: dict = {}
 
 
-def _experiment(name: str, help: str, *flags, tolerances=None, csv=False):
-    """Register the decorated runner as subcommand `name`, with its own
-    flags (from _flag), tolerance defaults and CSV support. The runner is
-    returned unchanged and looks up library functions as module globals
-    when it runs."""
+def _experiment(name: str, help: str, *options, tolerances=None, csv=False):
+    """Register the decorated runner as subcommand `name`, with the options
+    it reads, its tolerance defaults and CSV support. The runner is returned
+    unchanged and looks up library functions as module globals."""
 
     def register(run):
-        _EXPERIMENTS[name] = Experiment(run, help, flags, tolerances or {}, csv)
+        _EXPERIMENTS[name] = Experiment(run, help, (*options, SEED), tolerances or {}, csv)
         return run
 
     return register
 
 
-def _flag(*names, **kwargs) -> tuple:
-    return names, kwargs
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser derived from RunConfig and _EXPERIMENTS,
-    built once per process."""
+    """The command-line parser derived from _EXPERIMENTS, built once per
+    process. An option left off the command line parses to None."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--report", help="also write the JSON report to this path")
-    common.add_argument("--csv", help="write plottable series to this path (where supported)")
-    for name, meta in _SETTINGS.items():
-        common.add_argument(meta["flag"], dest=name, type=meta["kind"], help=meta["help"])
     common.add_argument(
         "--tol",
         action="append",
@@ -227,14 +213,19 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, experiment in _EXPERIMENTS.items():
+        # no abbreviations: `--m` must not reach a command's `--mu0`
         p = sub.add_parser(
             name,
             parents=[common],
+            allow_abbrev=False,
             help=experiment.help,
             epilog=f"tolerances (--tol NAME=VALUE): {experiment.declared()}",
         )
-        for names, kwargs in experiment.flags:
-            p.add_argument(*names, **kwargs)
+        for option in experiment.options:
+            text = f"{option.help} (default {option.default})"
+            p.add_argument(option.flag, dest=option.dest, type=option.type, help=text)
+        if experiment.csv:
+            p.add_argument("--csv", help="write plottable series to this path")
     return parser
 
 
@@ -262,34 +253,40 @@ def _config_value(key: str, value: str, kind):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def _resolve_config(args, experiment: Experiment) -> RunConfig:
-    cfg = RunConfig()
+def _resolve(args, experiment: Experiment):
+    """args with each option the command reads set to its flag value, else
+    its config-file value, else its default, and with `tolerances` holding
+    the tolerance overrides."""
+    options = {option.dest: option for option in experiment.options}
+    given, tolerances = {}, {}
     if args.config:
         for key, value in _load_config_file(args.config).items():
             if key.startswith("tol."):
-                cfg.tolerances[key[4:]] = _config_value(key, value, _tolerance_value)
-            elif key in _SETTINGS:
-                setattr(cfg, key, _config_value(key, value, _SETTINGS[key]["kind"]))
+                tolerances[key[4:]] = _config_value(key, value, _tolerance_value)
+            elif key in options:
+                given[key] = _config_value(key, value, options[key].type)
             else:
-                raise ConfigError(f"unknown config key {key!r}")
-    for key in _SETTINGS:
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.tolerances.update(args.tol)
-    for name in cfg.tolerances:
+                raise ConfigError(
+                    f"{args.command} reads no config key {key!r}; "
+                    f"its keys: {', '.join(options)}, tol.<name>"
+                )
+    for dest, option in options.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, given.get(dest, option.type(option.default)))
+    tolerances.update(args.tol)
+    for name in tolerances:
         if name not in experiment.tolerances:
             raise ConfigError(
                 f"{args.command} declares no tolerance {name!r}; "
                 f"declared: {experiment.declared()}"
             )
-    return cfg
+    args.tolerances = tolerances
+    return args
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    out = asdict(cfg)
-    out["tolerances"] = dict(sorted(cfg.tolerances.items()))
-    return out
+def _tol(cfg, name: str) -> float:
+    """The override of tolerance `name`, else the default its command declares."""
+    return cfg.tolerances.get(name, _EXPERIMENTS[cfg.command].tolerances[name])
 
 
 def _jsonable(value):
@@ -344,14 +341,16 @@ def _exact(name, expected, actual) -> Check:
 @_experiment(
     "mode-observables",
     "single-mode H, P, J by quadrature",
-    _flag("--n", type=_mode_index, default="0,0,1", help="integer triple, e.g. 0,0,1"),
-    _flag("--gamma", type=_gamma, default="+1", help="polarization, +1 or -1"),
+    Option("--n", "n", _mode_index, "0,0,1", "integer triple, e.g. 0,0,1"),
+    Option("--gamma", "gamma", _gamma, "+1", "polarization, +1 or -1"),
+    Option("--grid", "grid", int, "32", "per-axis quadrature resolution"),
+    BOX, HBAR, C,
     tolerances={"observables": 1e-9, "phase_independence": 1e-12},
 )
-def _run_mode_observables(cfg: RunConfig, args):
+def _run_mode_observables(cfg):
     check_quadrature_size(cfg.grid)
-    n, gamma = args.n, args.gamma
-    consts = cfg.constants()
+    n, gamma = cfg.n, cfg.gamma
+    consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     draws = [tuple(rng.uniform(0.0, 2.0 * np.pi, 2)) for _ in range(2)]
     observed = []
@@ -361,7 +360,7 @@ def _run_mode_observables(cfg: RunConfig, args):
     ref = analytic_mode_observables(
         make_mode(n, gamma, *draws[0], cfg.L), cfg.L, consts
     )
-    rel = cfg.tol("observables")
+    rel = _tol(cfg, "observables")
     first = observed[0]
     p_err = float(np.max(np.abs(first.P - ref.P)))
     j_err = float(np.max(np.abs(first.J - ref.J)))
@@ -374,7 +373,7 @@ def _run_mode_observables(cfg: RunConfig, args):
         _close("energy", ref.H, first.H, rel * abs(ref.H)),
         _close("momentum_error", 0.0, p_err, rel * float(np.linalg.norm(ref.P))),
         _close("angular_momentum_error", 0.0, j_err, rel * float(np.linalg.norm(ref.J))),
-        _close("phase_independence", 0.0, swap_err, cfg.tol("phase_independence")),
+        _close("phase_independence", 0.0, swap_err, _tol(cfg, "phase_independence")),
     ]
     details = {
         "n": list(n),
@@ -385,44 +384,49 @@ def _run_mode_observables(cfg: RunConfig, args):
     return checks, details, None
 
 
+def _relative(error, field) -> float:
+    """Largest |error| over the largest |field|: the fields scale as
+    sqrt(hbar omega / V), so a tolerance for every box bounds this ratio."""
+    return float(np.max(np.abs(error)) / np.max(np.abs(field)))
+
+
 @_experiment(
     "field-sample",
     "field values along the box diagonal",
-    _flag("--points", type=_at_least(1), default=64),
-    _flag("--time", type=_finite_float, default=0.0),
+    Option("--points", "points", _at_least(1), "64", "points along the diagonal"),
+    Option("--time", "time", _finite_float, "0.0", "evaluation time"),
+    BOX, N_MAX, HBAR, C,
     tolerances={"transversality": 1e-12, "field_circular": 1e-12, "field_linearity": 1e-12},
     csv=True,
 )
-def _run_field_sample(cfg: RunConfig, args):
-    check_field_size(args.points)
-    consts = cfg.constants()
+def _run_field_sample(cfg):
+    check_field_size(cfg.points)
+    consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
-    s_vals = np.linspace(0.0, 1.0, args.points, endpoint=False)
+    s_vals = np.linspace(0.0, 1.0, cfg.points, endpoint=False)
     points = s_vals[:, None] * np.array([cfg.L, cfg.L, cfg.L])
-    A, E, B = sample_fields(real, points, args.time, consts)
+    A, E, B = sample_fields(real, points, cfg.time, consts)
 
     m0, m1 = real.modes[0], real.modes[1]
     single = ZpfRealization(cfg.L, (m0,))
-    A1, E1, B1 = sample_fields(single, points, args.time, consts)
+    A1, E1, B1 = sample_fields(single, points, cfg.time, consts)
     k = wave_vector(m0.n, cfg.L)
     khat = k / np.linalg.norm(k)
-    transversal = max(
-        float(np.max(np.abs(A1 @ khat))), float(np.max(np.abs(E1 @ khat)))
-    )
-    circular = float(np.max(np.abs(B1 - m0.gamma * np.linalg.norm(k) * A1)))
+    transversal = max(_relative(A1 @ khat, A1), _relative(E1 @ khat, E1))
+    circular = _relative(B1 - m0.gamma * np.linalg.norm(k) * A1, B1)
     both = ZpfRealization(cfg.L, (m0, m1))
-    A2, E2, B2 = sample_fields(ZpfRealization(cfg.L, (m1,)), points, args.time, consts)
-    Ab, Eb, Bb = sample_fields(both, points, args.time, consts)
+    A2, E2, B2 = sample_fields(ZpfRealization(cfg.L, (m1,)), points, cfg.time, consts)
+    Ab, Eb, Bb = sample_fields(both, points, cfg.time, consts)
     linear = max(
-        float(np.max(np.abs(Ab - (A1 + A2)))),
-        float(np.max(np.abs(Eb - (E1 + E2)))),
-        float(np.max(np.abs(Bb - (B1 + B2)))),
+        _relative(Ab - (A1 + A2), Ab),
+        _relative(Eb - (E1 + E2), Eb),
+        _relative(Bb - (B1 + B2), Bb),
     )
     checks = [
-        _close("transversality", 0.0, transversal, cfg.tol("transversality")),
-        _close("b_tracks_a", 0.0, circular, cfg.tol("field_circular")),
-        _close("linearity", 0.0, linear, cfg.tol("field_linearity")),
+        _close("transversality", 0.0, transversal, _tol(cfg, "transversality")),
+        _close("b_tracks_a", 0.0, circular, _tol(cfg, "field_circular")),
+        _close("linearity", 0.0, linear, _tol(cfg, "field_linearity")),
     ]
     header = ["s", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez", "Bx", "By", "Bz"]
     # built row by row only when --csv consumes them
@@ -430,13 +434,13 @@ def _run_field_sample(cfg: RunConfig, args):
         [float(s), *points[i].tolist(), *A[i].tolist(), *E[i].tolist(), *B[i].tolist()]
         for i, s in enumerate(s_vals)
     )
-    details = {"modes": len(real.modes), "points": args.points, "time": args.time}
+    details = {"modes": len(real.modes), "points": cfg.points, "time": cfg.time}
     return checks, details, (header, rows)
 
 
-@_experiment("totals", "whole-realization momentum and spin totals")
-def _run_totals(cfg: RunConfig, args):
-    consts = cfg.constants()
+@_experiment("totals", "whole-realization momentum and spin totals", BOX, N_MAX, HBAR, C)
+def _run_totals(cfg):
+    consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
     totals = realization_totals(real, consts)
@@ -456,8 +460,14 @@ def _run_totals(cfg: RunConfig, args):
     return checks, details, None
 
 
-@_experiment("phases", "ensemble independence of mode phases")
-def _run_phases(cfg: RunConfig, args):
+@_experiment(
+    "phases",
+    "ensemble independence of mode phases",
+    N_MAX,
+    Option("--ensemble", "ensemble", _at_least(1), "1000", "realization count"),
+    Option("--pairs", "pairs", _at_least(1), "10", "mode pairs to test"),
+)
+def _run_phases(cfg):
     check_ensemble_size(cfg.n_max, cfg.ensemble)
     _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed)
     count, n_modes = zetas.shape
@@ -485,50 +495,48 @@ def _worst(errors) -> float:
 @_experiment(
     "sum-rule",
     "oscillator-strength sum rule",
-    _flag("--dims", type=_dims, default="2,3", help="dimensions to run, e.g. 2 or 2,3"),
-    _flag("--n-cut", type=_at_least(1), default=5),
-    _flag("--omega0", type=_positive, default=1.0),
+    Option("--dims", "dims", _dims, "2,3", "dimensions to run, e.g. 2 or 2,3"),
+    N_CUT, OMEGA0, HBAR, M,
     tolerances={"sum_rule": 1e-12},
 )
-def _run_sum_rule(cfg: RunConfig, args):
-    consts = cfg.constants()
-    for dims in args.dims:
-        check_table_size(dims, args.n_cut)
+def _run_sum_rule(cfg):
+    consts = PhysicalConstants(hbar=cfg.hbar, m=cfg.m)
+    for dims in cfg.dims:
+        check_table_size(dims, cfg.n_cut)
     checks = []
     per_dims = {}
-    for dims in args.dims:
-        table = build_oscillator_table(dims, args.omega0, args.n_cut, consts)
+    for dims in cfg.dims:
+        table = build_oscillator_table(dims, cfg.omega0, cfg.n_cut, consts)
         errors = []
         for label in table.labels:
             if not table.coupling_complete(label):
                 continue
             value = trk_sum_rule(table, label)
             errors.append(abs(value - consts.hbar) / consts.hbar)
-        top = next(l for l in table.labels if MatrixElementTable.shell(l) == args.n_cut)
+        top = next(l for l in table.labels if MatrixElementTable.shell(l) == cfg.n_cut)
         try:
             trk_sum_rule(table, top)
             detected = False
         except IncompleteBasisError:
             detected = True
         checks.append(
-            _close(f"sum_rule_rel_err[dims={dims}]", 0.0, _worst(errors), cfg.tol("sum_rule"))
+            _close(f"sum_rule_rel_err[dims={dims}]", 0.0, _worst(errors), _tol(cfg, "sum_rule"))
         )
         checks.append(_exact(f"incomplete_cutoff_detected[dims={dims}]", True, detected))
         per_dims[str(dims)] = {"states_checked": len(errors), "target": consts.hbar}
-    return checks, {"n_cut": args.n_cut, "dims": per_dims}, None
+    return checks, {"n_cut": cfg.n_cut, "dims": per_dims}, None
 
 
 @_experiment(
     "angular-momentum",
     "two routes to the orbital L_z",
-    _flag("--dims", type=int, default=2, choices=(2, 3)),
-    _flag("--n-cut", type=_at_least(1), default=5),
-    _flag("--omega0", type=_positive, default=1.0),
+    Option("--dims", "dims", _dim, "2", "dimension, 2 or 3"),
+    N_CUT, OMEGA0, HBAR, M,
     tolerances={"routes_agree": 1e-12, "operator_eigenvalue": 1e-12},
 )
-def _run_angular_momentum(cfg: RunConfig, args):
-    consts = cfg.constants()
-    table = build_oscillator_table(args.dims, args.omega0, args.n_cut, consts)
+def _run_angular_momentum(cfg):
+    consts = PhysicalConstants(hbar=cfg.hbar, m=cfg.m)
+    table = build_oscillator_table(cfg.dims, cfg.omega0, cfg.n_cut, consts)
     routes, eigen, split_sum, split_gap = [], [], [], []
     for label in table.labels:
         if not table.coupling_complete(label):
@@ -542,21 +550,21 @@ def _run_angular_momentum(cfg: RunConfig, args):
         split_sum.append(abs((m_plus + m_minus) - pol))
         split_gap.append(abs((m_plus - m_minus) - consts.hbar))
     checks = [
-        _close("routes_agree", 0.0, _worst(routes), cfg.tol("routes_agree")),
-        _close("operator_eigenvalue", 0.0, _worst(eigen), cfg.tol("operator_eigenvalue")),
-        _close("channels_sum_to_lz", 0.0, _worst(split_sum), cfg.tol("routes_agree")),
-        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), cfg.tol("routes_agree")),
+        _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree")),
+        _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue")),
+        _close("channels_sum_to_lz", 0.0, _worst(split_sum), _tol(cfg, "routes_agree")),
+        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree")),
     ]
-    return checks, {"dims": args.dims, "n_cut": args.n_cut, "states_checked": len(routes)}, None
+    return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(routes)}, None
 
 
 @_experiment(
     "spin-split",
     "polarized channel split of L_z",
-    _flag("--lz", type=_fraction, default="0", help="orbital projection in hbar units, exact rational"),
+    Option("--lz", "lz", _fraction, "0", "orbital projection in hbar units, exact rational"),
 )
-def _run_spin_split(cfg: RunConfig, args):
-    lz = args.lz
+def _run_spin_split(cfg):
+    lz = cfg.lz
     result = spin_split(lz)
     half = Fraction(1, 2)
     checks = [
@@ -573,14 +581,15 @@ def _run_spin_split(cfg: RunConfig, args):
 @_experiment(
     "zeeman",
     "level shifts and the doubled spin weight",
-    _flag("--field", type=_finite_float, default=1.0),
-    _flag("--b-max", type=_finite_float, default=2.0),
-    _flag("--b-points", type=_at_least(2), default=9),
+    Option("--field", "field", _finite_float, "1.0", "magnetic field of the checks"),
+    Option("--b-max", "b_max", _finite_float, "2.0", "last field of the CSV ramp"),
+    Option("--b-points", "b_points", _at_least(2), "9", "fields on the CSV ramp"),
+    MU0,
     tolerances={"zeeman_gap": 1e-12},
     csv=True,
 )
-def _run_zeeman(cfg: RunConfig, args):
-    consts = cfg.constants()
+def _run_zeeman(cfg):
+    consts = PhysicalConstants(mu0=cfg.mu0)
     identity = magnetic_moment_identity()
     half = Fraction(1, 2)
     pattern_exact = all(
@@ -589,7 +598,7 @@ def _run_zeeman(cfg: RunConfig, args):
         for m_s in (half, -half)
     )
     gap_err = 0.0
-    B = args.field
+    B = cfg.field
     for m_l in (-1, 0, 1):
         gap = zeeman_energy(B, m_l, half, consts) - zeeman_energy(B, m_l, -half, consts)
         gap_err = max(gap_err, abs(gap - 2.0 * consts.mu0 * B))
@@ -597,11 +606,11 @@ def _run_zeeman(cfg: RunConfig, args):
     checks = [
         _exact("moment_identity_exact", True, identity.holds),
         _exact("level_pattern_exact", True, pattern_exact),
-        _close("spin_gap_doubled", 0.0, gap_err, cfg.tol("zeeman_gap") * scale),
+        _close("spin_gap_doubled", 0.0, gap_err, _tol(cfg, "zeeman_gap") * scale),
     ]
     header = ["B", "m_l", "m_s", "energy"]
     rows = []
-    for b_val in np.linspace(0.0, args.b_max, args.b_points):
+    for b_val in np.linspace(0.0, cfg.b_max, cfg.b_points):
         for m_l, m_s, energy in zeeman_levels(float(b_val), consts):
             rows.append([float(b_val), m_l, float(m_s), energy])
     details = {
@@ -614,10 +623,10 @@ def _run_zeeman(cfg: RunConfig, args):
 @_experiment(
     "dichotomy",
     "two-value constraint on the winding",
-    _flag("--values", type=_fractions, default="1/2,-1/2", help="comma-separated exact rationals"),
+    Option("--values", "values", _fractions, "1/2,-1/2", "comma-separated exact rationals"),
 )
-def _run_dichotomy(cfg: RunConfig, args):
-    values = args.values
+def _run_dichotomy(cfg):
+    values = cfg.values
     result = dichotomy_solve(values)
 
     half = Fraction(1, 2)
@@ -658,17 +667,18 @@ def _run_dichotomy(cfg: RunConfig, args):
 @_experiment(
     "sz",
     "internal rotation generator eigenvalues",
-    _flag("--winding", type=_fraction, default="1/2"),
+    Option("--winding", "winding", _fraction, "1/2", "winding, exact rational"),
     # apply_spin_z refuses grids below its own floor
-    _flag("--points", type=int, default=1024, help="numeric differentiation grid"),
+    Option("--points", "points", int, "1024", "numeric differentiation grid"),
+    HBAR,
     tolerances={"sz_agreement": 1e-8},
 )
-def _run_sz(cfg: RunConfig, args):
-    winding = args.winding
-    consts = cfg.constants()
+def _run_sz(cfg):
+    winding = cfg.winding
+    consts = PhysicalConstants(hbar=cfg.hbar)
     state = SpinState(base_label="alpha", winding=winding)
     symbolic = apply_spin_z(state, "symbolic", consts)
-    numeric = apply_spin_z(state, "numeric", consts, grid=args.points)
+    numeric = apply_spin_z(state, "numeric", consts, grid=cfg.points)
     full_turn = rotation_factor(winding, 2)
     double_turn = rotation_factor(winding, 4)
     checks = [
@@ -677,14 +687,14 @@ def _run_sz(cfg: RunConfig, args):
             "numeric_matches_symbolic",
             symbolic,
             numeric,
-            cfg.tol("sz_agreement"),
+            _tol(cfg, "sz_agreement"),
         ),
         _exact("full_turn_is_minus_one", True, full_turn.is_minus_one),
         _exact("double_turn_is_identity", True, double_turn.is_one),
     ]
     details = {
         "winding": str(winding),
-        "grid": args.points,
+        "grid": cfg.points,
         "full_turn_phase": full_turn.format(),
     }
     return checks, details, None
@@ -693,15 +703,15 @@ def _run_sz(cfg: RunConfig, args):
 @_experiment(
     "exchange-derive",
     "mechanical exchange-phase derivation",
-    _flag("--spin-a", type=_fraction, default="1/2"),
-    _flag("--spin-b", type=_fraction, default="1/2"),
-    _flag("--ordering", default="phi2_greater", choices=("phi2_greater", "phi1_greater", "tie")),
+    Option("--spin-a", "spin_a", _fraction, "1/2", "spin of particle a, exact rational"),
+    Option("--spin-b", "spin_b", _fraction, "1/2", "spin of particle b, exact rational"),
+    Option("--ordering", "ordering", _ordering, "phi2_greater", "which internal angle is larger"),
 )
-def _run_exchange_derive(cfg: RunConfig, args):
-    spin_a, spin_b = args.spin_a, args.spin_b
+def _run_exchange_derive(cfg):
+    spin_a, spin_b = cfg.spin_a, cfg.spin_b
     try:
         report = derive_antisymmetry(
-            spin_a=spin_a, spin_b=spin_b, ordering=args.ordering
+            spin_a=spin_a, spin_b=spin_b, ordering=cfg.ordering
         )
     except ContradictionError as exc:
         checks = [_exact("derivation_consistent", True, False)]
@@ -709,7 +719,7 @@ def _run_exchange_derive(cfg: RunConfig, args):
 
     fermionic = (2 * spin_a) % 2 == 1 and (2 * spin_b) % 2 == 1
     expected_phase = "1*pi" if fermionic else "0"
-    probe = derive_antisymmetry(spin_a=1, spin_b=1, ordering=args.ordering)
+    probe = derive_antisymmetry(spin_a=1, spin_b=1, ordering=cfg.ordering)
     checks = [
         _exact("derivation_consistent", True, True),
         _exact("exchange_phase", expected_phase, report.solution.value.format()),
@@ -723,14 +733,18 @@ def _run_exchange_derive(cfg: RunConfig, args):
     return checks, details, None
 
 
-@_experiment("antiphase", "pairwise antiphase feasibility", _flag("--n", type=_at_least(1), default=3))
-def _run_antiphase(cfg: RunConfig, args):
-    result = antiphase_feasible(args.n)
-    checks = [_exact("feasible_iff_pair_or_less", args.n <= 2, result.feasible)]
+@_experiment(
+    "antiphase",
+    "pairwise antiphase feasibility",
+    Option("--n", "n", _at_least(1), "3", "particle count"),
+)
+def _run_antiphase(cfg):
+    result = antiphase_feasible(cfg.n)
+    checks = [_exact("feasible_iff_pair_or_less", cfg.n <= 2, result.feasible)]
     if result.cross_check is not None:
         checks.append(_exact("grid_cross_check", True, result.cross_check))
     details = {
-        "n": args.n,
+        "n": cfg.n,
         "witness": None
         if result.witness is None
         else [f"{v}*pi" for v in result.witness],
@@ -783,10 +797,10 @@ def _transpositions_flip_sign(labels, state) -> bool:
 @_experiment(
     "slater",
     "n-particle antisymmetrizer checks",
-    _flag("--labels", type=_labels, default="a:1/2,b:-1/2", help="orbital:spin list"),
+    Option("--labels", "labels", _labels, "a:1/2,b:-1/2", "orbital:spin list"),
 )
-def _run_slater(cfg: RunConfig, args):
-    labels = args.labels
+def _run_slater(cfg):
+    labels = cfg.labels
     state = antisymmetrize(labels)
     n = len(labels)
     distinct = len(set(labels)) == n
@@ -806,15 +820,16 @@ def _run_slater(cfg: RunConfig, args):
     return checks, details, None
 
 
-
 def _write_outputs(args, text: str, csv_data) -> None:
-    """Write the --report and --csv files; an unwritable path is a usage error."""
+    """Write the --report and --csv files; an unwritable path is a usage error.
+    Only the commands that produce a series have --csv."""
+    csv_path = getattr(args, "csv", None)
     try:
         if args.report:
             Path(args.report).write_text(text + "\n")
-        if args.csv:
+        if csv_path:
             header, rows = csv_data
-            with open(args.csv, "w", newline="") as handle:
+            with open(csv_path, "w", newline="") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
                 writer.writerows(rows)
@@ -831,14 +846,14 @@ def main(argv=None) -> int:
     experiment = _EXPERIMENTS[args.command]
     start = time.perf_counter()
     try:
-        cfg = _resolve_config(args, experiment)
-        if args.csv and not experiment.csv:
-            raise ConfigError(f"{args.command} does not produce CSV output")
-        checks, details, csv_data = experiment.run(cfg, args)
+        cfg = _resolve(args, experiment)
+        checks, details, csv_data = experiment.run(cfg)
+        config = {option.dest: getattr(cfg, option.dest) for option in experiment.options}
+        config["tolerances"] = dict(sorted(cfg.tolerances.items()))
         body = {
             "schema": 1,
             "command": args.command,
-            "config": _jsonable(_config_dict(cfg)),
+            "config": _jsonable(config),
             "checks": [c.to_dict() for c in checks],
             "details": _jsonable(details or {}),
             "wall_time_s": time.perf_counter() - start,

@@ -588,17 +588,13 @@ def derive_antisymmetry(
         TraceStep("exchange_states", h_psi, state_hash(flipped.state), flipped.factor.format())
     )
 
-    swapped = exchange_particles(psi, ordering)
+    # solving exchanges the particles once, and refuses an exchange with no factor
+    solution = solve_exchange_phase(psi, ordering)
+    swapped = solution.exchange
     trace.append(
-        TraceStep(
-            "exchange_particles",
-            h_psi,
-            state_hash(swapped.state),
-            None if swapped.factor is None else swapped.factor.format(),
-        )
+        TraceStep("exchange_particles", h_psi, state_hash(swapped.state), swapped.factor.format())
     )
 
-    solution = solve_exchange_phase(psi, ordering)
     resolved = apply_exchange_phase(psi, solution)
     trace.append(
         TraceStep(

@@ -3,33 +3,39 @@
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from zpfspin import cli, modes, oscillator
-from zpfspin.cli import RunConfig, _run_angular_momentum, _run_sum_rule, main
+from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
 from zpfspin.oscillator import build_oscillator_table
 from zpfspin.phase_algebra import MINUS_ONE
 
-ALL_COMMANDS = [
-    "mode-observables",
-    "field-sample",
-    "totals",
-    "phases",
-    "sum-rule",
-    "angular-momentum",
-    "spin-split",
-    "zeeman",
-    "dichotomy",
-    "sz",
-    "exchange-derive",
-    "antiphase",
-    "slater",
-]
+# the options each command reads, in the order its report's config echoes them
+COMMAND_OPTIONS = {
+    "mode-observables": ["n", "gamma", "grid", "L", "hbar", "c", "seed"],
+    "field-sample": ["points", "time", "L", "n_max", "hbar", "c", "seed"],
+    "totals": ["L", "n_max", "hbar", "c", "seed"],
+    "phases": ["n_max", "ensemble", "pairs", "seed"],
+    "sum-rule": ["dims", "n_cut", "omega0", "hbar", "m", "seed"],
+    "angular-momentum": ["dims", "n_cut", "omega0", "hbar", "m", "seed"],
+    "spin-split": ["lz", "seed"],
+    "zeeman": ["field", "b_max", "b_points", "mu0", "seed"],
+    "dichotomy": ["values", "seed"],
+    "sz": ["winding", "points", "hbar", "seed"],
+    "exchange-derive": ["spin_a", "spin_b", "ordering", "seed"],
+    "antiphase": ["n", "seed"],
+    "slater": ["labels", "seed"],
+}
+
+ALL_COMMANDS = list(COMMAND_OPTIONS)
 
 FAST_ARGS = {
     "phases": ["--ensemble", "200", "--pairs", "3"],
@@ -44,6 +50,12 @@ def run(capsys, args):
     return code, json.loads(out)
 
 
+def resolved(argv):
+    """The namespace the runner of argv[0] receives, without running it."""
+    args = cli._parser().parse_args(argv)
+    return cli._resolve(args, cli._EXPERIMENTS[args.command])
+
+
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_every_command_reports_and_passes(capsys, command):
     code, body = run(capsys, [command, *FAST_ARGS.get(command, [])])
@@ -51,6 +63,7 @@ def test_every_command_reports_and_passes(capsys, command):
     assert body["schema"] == 1
     assert body["command"] == command
     assert set(body) == {"schema", "command", "config", "checks", "details", "wall_time_s"}
+    assert list(body["config"]) == [*COMMAND_OPTIONS[command], "tolerances"]
     assert body["checks"]
     for check in body["checks"]:
         assert set(check) == {"name", "expected", "actual", "tolerance", "pass"}
@@ -96,16 +109,8 @@ SPIN_SPLIT_REPORT = """\
   "schema": 1,
   "command": "spin-split",
   "config": {
-    "L": 1.0,
-    "n_max": 1,
-    "grid": 32,
-    "ensemble": 1000,
-    "pairs": 10,
+    "lz": "1",
     "seed": 7,
-    "hbar": 1.0,
-    "c": 1.0,
-    "m": 1.0,
-    "mu0": 1.0,
     "tolerances": {}
   },
   "checks": [
@@ -161,16 +166,8 @@ ANTIPHASE_REPORT = """\
   "schema": 1,
   "command": "antiphase",
   "config": {
-    "L": 1.0,
-    "n_max": 1,
-    "grid": 32,
-    "ensemble": 1000,
-    "pairs": 10,
+    "n": 2,
     "seed": 7,
-    "hbar": 1.0,
-    "c": 1.0,
-    "m": 1.0,
-    "mu0": 1.0,
     "tolerances": {}
   },
   "checks": [
@@ -281,15 +278,20 @@ def test_zeeman_csv_ramp(capsys, tmp_path):
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 11\nensemble = 150\n# comment line\ntol.sum_rule = 1e-10\n")
-    argv = ["sum-rule", "--n-cut", "2", "--config", str(cfg), "--pairs", "2"]
+    cfg.write_text("seed = 11\nensemble = 150\n# comment line\npairs = 5\n")
+    argv = ["phases", "--config", str(cfg), "--pairs", "2"]
     _, body = run(capsys, argv)
-    assert body["config"]["seed"] == 11
-    assert body["config"]["ensemble"] == 150
-    assert body["config"]["pairs"] == 2
-    assert body["config"]["tolerances"] == {"sum_rule": 1e-10}
+    assert body["config"] == {"n_max": 1, "ensemble": 150, "pairs": 2, "seed": 11, "tolerances": {}}
+    assert body["details"]["ensemble"] == 150
+    assert len(body["details"]["pairs"]) == 2
     _, flagged = run(capsys, [*argv, "--seed", "4"])
     assert flagged["config"]["seed"] == 4
+
+    cfg.write_text("n_cut = 3\ntol.sum_rule = 1e-10\n")
+    _, body = run(capsys, ["sum-rule", "--config", str(cfg), "--n-cut", "2"])
+    assert body["config"]["n_cut"] == body["details"]["n_cut"] == 2
+    assert body["config"]["tolerances"] == {"sum_rule": 1e-10}
+    assert {c["tolerance"] for c in body["checks"] if c["tolerance"]} == {1e-10}
 
 
 def test_unknown_config_key_exits_two(capsys, tmp_path):
@@ -297,6 +299,129 @@ def test_unknown_config_key_exits_two(capsys, tmp_path):
     cfg.write_text("boxes = 3\n")
     assert main(["totals", "--config", str(cfg)]) == 2
     assert "boxes" in capsys.readouterr().err
+
+
+def _subparser(command):
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _settable(command) -> dict:
+    """dest -> flag of each option of `command` that sets a run value."""
+    skip = {"help", "config", "report", "csv", "tol"}
+    actions = _subparser(command)._actions
+    return {a.dest: a.option_strings[0] for a in actions if a.dest not in skip}
+
+
+def test_parser_offers_exactly_the_options_each_command_reads():
+    for command, dests in COMMAND_OPTIONS.items():
+        assert list(_settable(command)) == dests
+    assert sum(len(_settable(command)) for command in ALL_COMMANDS) == 56
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_options_a_command_does_not_read_exit_two(capsys, tmp_path, command):
+    flags = {flag for c in ALL_COMMANDS for flag in _settable(c).values()} | {"--csv"}
+    dests = {dest for c in ALL_COMMANDS for dest in _settable(c)}
+    own = _subparser(command)._option_string_actions
+    for flag in sorted(flags - set(own)):
+        assert main([command, flag, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 1" in captured.err
+    cfg = tmp_path / "run.cfg"
+    for key in sorted(dests - set(COMMAND_OPTIONS[command])):
+        cfg.write_text(f"{key} = 1\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{command} reads no config key {key!r}" in captured.err
+
+
+# two valid values of each option, the first not its default
+OTHER_VALUES = {
+    "L": ("2.0", "3.0"),
+    "n_max": ("2", "3"),
+    "grid": ("16", "64"),
+    "ensemble": ("20", "30"),
+    "pairs": ("2", "3"),
+    "seed": ("1", "2"),
+    "hbar": ("2.0", "3.0"),
+    "c": ("2.0", "3.0"),
+    "m": ("2.0", "3.0"),
+    "mu0": ("2.0", "3.0"),
+    "n": ("1,0,0", "0,2,0"),
+    ("antiphase", "n"): ("4", "5"),
+    "gamma": ("-1", "1"),
+    "points": ("5", "6"),
+    "time": ("0.5", "1.5"),
+    "dims": ("3", "2"),
+    "n_cut": ("3", "4"),
+    "omega0": ("2.0", "3.0"),
+    "lz": ("1", "1/2"),
+    "field": ("2.0", "3.0"),
+    "b_max": ("1.0", "3.0"),
+    "b_points": ("3", "4"),
+    "values": ("1/2", "3/2,1/2"),
+    "winding": ("-1/2", "3/2"),
+    "spin_a": ("3/2", "1"),
+    "spin_b": ("3/2", "1"),
+    "ordering": ("tie", "phi1_greater"),
+    "labels": ("a:1/2", "b:1/2,c:3/2"),
+}
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_every_option_is_set_by_its_key_and_overridden_by_its_flag(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    default = resolved([command])
+    for dest, flag in _settable(command).items():
+        in_file, on_line = OTHER_VALUES.get((command, dest), OTHER_VALUES[dest])
+        cfg.write_text(f"{dest} = {in_file}\n")
+        from_file = getattr(resolved([command, "--config", str(cfg)]), dest)
+        flagged = getattr(resolved([command, "--config", str(cfg), f"{flag}={on_line}"]), dest)
+        assert from_file == getattr(resolved([command, f"{flag}={in_file}"]), dest)
+        assert from_file != getattr(default, dest)
+        assert flagged == getattr(resolved([command, f"{flag}={on_line}"]), dest)
+        assert flagged != from_file
+
+
+@pytest.mark.parametrize("box", ["1e-3", "1", "1e3"])
+def test_field_sample_tolerances_hold_at_every_box(capsys, monkeypatch, box):
+    # the fields scale as sqrt(hbar omega / V); each error is taken relative
+    argv = ["field-sample", "--box", box, "--points", "16"]
+    code, body = run(capsys, argv)
+    assert code == 0
+    sample_fields = cli.sample_fields
+
+    def b_off_by_1e9(*args, **kwargs):
+        A, E, B = sample_fields(*args, **kwargs)
+        return A, E, B * (1 + 1e-9)
+
+    monkeypatch.setattr(cli, "sample_fields", b_off_by_1e9)
+    code, body = run(capsys, argv)
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == ["b_tracks_a"]
+
+
+def test_benchmark_argv_parse(monkeypatch):
+    # parse only: a renamed or removed flag fails here, not in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    parser = cli._parser()
+    cases = [
+        case
+        for workload in workloads.WORKLOADS
+        for seed in range(1, 11)
+        for case in workloads.build_mix(workload, seed)
+    ]
+    assert cases
+    for case in cases:
+        assert parser.parse_args(case.argv).command == case.command
 
 
 def test_malformed_tol_exits_two(capsys):
@@ -452,9 +577,9 @@ def test_slater_detects_a_wrong_sign(capsys, monkeypatch):
 
 
 NON_FINITE_FLAGS = [
-    ("sum-rule", "--box"),
+    ("totals", "--box"),
     ("angular-momentum", "--hbar"),
-    ("sum-rule", "--c"),
+    ("mode-observables", "--c"),
     ("sum-rule", "--m"),
     ("zeeman", "--mu0"),
     ("sum-rule", "--omega0"),
@@ -476,10 +601,14 @@ def test_non_finite_flag_exits_two(capsys, command, flag, value):
 
 @pytest.mark.parametrize("line", ["L = inf", "hbar = nan", "mu0 = -inf", "tol.sum_rule = nan"])
 def test_non_finite_config_value_exits_two(capsys, tmp_path, line):
+    # each key goes to a command that reads it
+    argv = {"L = inf": ["totals"], "mu0 = -inf": ["zeeman"]}.get(line, ["sum-rule", "--n-cut", "2"])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    assert main(["sum-rule", "--n-cut", "2", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().out == ""
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -513,8 +642,10 @@ def test_constants_take_effect_without_a_switch(capsys):
 
 @pytest.mark.parametrize("flag", ["--box", "--hbar", "--c", "--m", "--mu0", "--omega0"])
 def test_underflowing_flag_exits_two(capsys, flag):
-    # 1e-400 parses to 0.0, which each of these flags' types refuses
-    assert main(["sum-rule", "--n-cut", "2", f"{flag}=1e-400"]) == 2
+    # 1e-400 parses to 0.0, which each of these flags' types refuses; each
+    # flag goes to a command that reads it
+    command = {"--box": "totals", "--c": "totals", "--mu0": "zeeman"}.get(flag, "sum-rule")
+    assert main([command, f"{flag}=1e-400"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "positive" in captured.err
@@ -532,9 +663,10 @@ def test_underflowing_flag_exits_two(capsys, flag):
     ],
 )
 def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, value):
+    command = "phases" if key in ("ensemble", "pairs") else "totals"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    for argv in (["totals", "--config", str(cfg)], ["totals", f"{flag}={value}"]):
+    for argv in ([command, "--config", str(cfg)], [command, f"{flag}={value}"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -544,8 +676,8 @@ def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, val
 @pytest.mark.parametrize(
     "runner,args",
     [
-        (_run_sum_rule, argparse.Namespace(dims=[2, 3], n_cut=3, omega0=1.0)),
-        (_run_angular_momentum, argparse.Namespace(dims=2, n_cut=3, omega0=1.0)),
+        (_run_sum_rule, ["sum-rule", "--dims", "2,3", "--n-cut", "3"]),
+        (_run_angular_momentum, ["angular-momentum", "--dims", "2", "--n-cut", "3"]),
     ],
 )
 def test_nan_errors_fail_their_checks(monkeypatch, runner, args):
@@ -556,7 +688,7 @@ def test_nan_errors_fail_their_checks(monkeypatch, runner, args):
         return dataclasses.replace(table, x=table.x * math.nan, y=table.y * math.nan)
 
     monkeypatch.setattr(cli, "build_oscillator_table", nan_table)
-    checks, _, _ = runner(RunConfig(), args)
+    checks, _, _ = runner(resolved(args))
     numeric = [c for c in checks if c.tolerance > 0]
     assert numeric
     for check in numeric:
@@ -609,17 +741,17 @@ def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv
 @pytest.mark.parametrize(
     "argv,owner,patched",
     [
-        (["mode-observables", "--n", "0,0,1", "--box", "1e300"], modes, "_mode_field_arrays"),
-        (["mode-observables", "--n", "0,0,1", "--box", "1e-300"], modes, "_mode_field_arrays"),
+        (["mode-observables", "--n", "0,0,1", "--box", "1e300"], modes, "sample_fields"),
+        (["mode-observables", "--n", "0,0,1", "--box", "1e-300"], modes, "sample_fields"),
         (["field-sample", "--box", "1e300", "--points", "4"], cli, "sample_realization"),
         (["field-sample", "--box", "1e-300", "--points", "4"], cli, "sample_realization"),
         (["totals", "--box", "1e300"], cli, "sample_realization"),
         (["sum-rule", "--n-cut", "2", "--hbar", "1e300", "--m", "1e-300"], oscillator, "_state_labels"),
         (["angular-momentum", "--n-cut", "3", "--omega0", "1e-320"], oscillator, "_state_labels"),
         # the quadrature squares the fields, so hbar omega / V must fit as well
-        (["mode-observables", "--box", "1e100"], modes, "_mode_field_arrays"),
-        (["mode-observables", "--box", "1e-100"], modes, "_mode_field_arrays"),
-        (["mode-observables", "--hbar", "1e300", "--c", "1e10"], modes, "_mode_field_arrays"),
+        (["mode-observables", "--box", "1e100"], modes, "sample_fields"),
+        (["mode-observables", "--box", "1e-100"], modes, "sample_fields"),
+        (["mode-observables", "--hbar", "1e300", "--c", "1e10"], modes, "sample_fields"),
     ],
 )
 def test_out_of_range_scales_exit_two_before_any_work(capsys, monkeypatch, argv, owner, patched):

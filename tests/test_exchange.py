@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zpfspin import exchange
 from zpfspin import (
     CompositeKet,
     ContradictionError,
@@ -239,6 +240,21 @@ def test_derivation_trace_is_linked():
     # the bare minus sign between the two resolved states becomes visible
     assert rep.trace[4].input_hash == state_hash(exchange_states(rep.initial).state)
     assert rep.trace[4].output_hash == state_hash(rep.resolved_swapped)
+
+
+@pytest.mark.parametrize("ordering", ["phi2_greater", "phi1_greater", "tie"])
+def test_derivation_exchanges_the_particles_once(monkeypatch, ordering):
+    # one particle exchange evaluates both angle-ordering branches
+    calls = []
+    branch = exchange._exchange_branch
+
+    def counted(psi, name):
+        calls.append(name)
+        return branch(psi, name)
+
+    monkeypatch.setattr(exchange, "_exchange_branch", counted)
+    derive_antisymmetry(ordering=ordering)
+    assert sorted(calls) == ["phi1_greater", "phi2_greater"]
 
 
 def test_derivation_report_serializes():

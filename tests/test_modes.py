@@ -280,7 +280,7 @@ def grid_oracle(mode, L, grid, constants, t):
     axis = np.arange(grid) * (L / grid)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.stack([X, Y, Z], axis=-1)
-    A, E, B = modes._mode_field_arrays(mode, L, points, t, constants)
+    A, E, B = sample_fields(ZpfRealization(L, (mode,)), points, t, constants)
     V = L**3
     u = 0.5 * (np.sum(E * E, axis=-1) + constants.c**2 * np.sum(B * B, axis=-1))
     H = float(np.mean(u) * V)
@@ -342,16 +342,32 @@ def test_phase_step_solves_the_congruence(n, grid):
 
 
 def test_quadrature_holds_one_point_per_phase(monkeypatch):
+    # the grid^3 oracle cannot tell which points were summed; this pins them:
+    # n.j mod grid runs over 0, d, ..., grid - d, each phase once
     seen = []
-    field_arrays = modes._mode_field_arrays
 
-    def spy(mode, box, points, t, constants):
-        seen.append(points.shape)
-        return field_arrays(mode, box, points, t, constants)
+    def spy(real, points, t, constants):
+        seen.append(points)
+        return sample_fields(real, points, t, constants)
 
-    monkeypatch.setattr(modes, "_mode_field_arrays", spy)
-    mode_observables(make_mode((2, 4, -6), 1, 0.0, 0.0, L), L, 4096, NATURAL)
-    assert seen == [(2048, 3)]
+    monkeypatch.setattr(modes, "sample_fields", spy)
+    cases = [
+        ((2, 4, -6), 4096),
+        ((1, -2, 3), 12),
+        ((-3, 1, 2), 16),
+        ((0, 0, 1), 8),
+        ((0, 0, 2), 8),
+        ((2, 2, 2), 12),
+        ((0, 0, 3), 12),
+        ((4, -4, 2), 16),
+    ]
+    for n, grid in cases:
+        seen.clear()
+        mode_observables(make_mode(n, 1, 0.0, 0.0, L), L, grid, NATURAL)
+        [points] = seen
+        j = np.rint(points * (grid / L)).astype(int)
+        d = math.gcd(*n, grid)
+        assert np.array_equal(np.sort(j @ np.array(n) % grid), np.arange(0, grid, d))
 
 
 @pytest.mark.parametrize(
