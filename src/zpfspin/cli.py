@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import ContradictionError, IncompleteBasisError
+from .errors import ContradictionError, IncompleteBasisError, check_bytes
 from .exchange import (
     antiphase_feasible,
     antisymmetrize,
@@ -59,7 +59,7 @@ from .modes import (
     sample_zeta_ensemble,
     wave_vector,
 )
-from .oscillator import MatrixElementTable, build_oscillator_table, check_table_size
+from .oscillator import build_oscillator_table, check_table_size
 from .spectral import (
     lz_expectation,
     magnetic_moment_identity,
@@ -468,6 +468,9 @@ def _run_totals(cfg):
     Option("--pairs", "pairs", _at_least(1), "10", "mode pairs to test"),
 )
 def _run_phases(cfg):
+    # one pair holds about 1.4 KB at peak (tracemalloc), its report entry
+    # (114 bytes of JSON) included
+    check_bytes(f"{cfg.pairs} mode pairs", 1400 * cfg.pairs)
     check_ensemble_size(cfg.n_max, cfg.ensemble)
     _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed)
     count, n_modes = zetas.shape
@@ -507,15 +510,11 @@ def _run_sum_rule(cfg):
     per_dims = {}
     for dims in cfg.dims:
         table = build_oscillator_table(dims, cfg.omega0, cfg.n_cut, consts)
-        errors = []
-        for label in table.labels:
-            if not table.coupling_complete(label):
-                continue
-            value = trk_sum_rule(table, label)
-            errors.append(abs(value - consts.hbar) / consts.hbar)
-        top = next(l for l in table.labels if MatrixElementTable.shell(l) == cfg.n_cut)
+        shells = table.states.sum(axis=1)
+        values = trk_sum_rule(table, np.flatnonzero(shells < cfg.n_cut))
+        errors = np.abs(values - consts.hbar) / consts.hbar
         try:
-            trk_sum_rule(table, top)
+            trk_sum_rule(table, np.flatnonzero(shells == cfg.n_cut)[:1])
             detected = False
         except IncompleteBasisError:
             detected = True
@@ -537,25 +536,22 @@ def _run_sum_rule(cfg):
 def _run_angular_momentum(cfg):
     consts = PhysicalConstants(hbar=cfg.hbar, m=cfg.m)
     table = build_oscillator_table(cfg.dims, cfg.omega0, cfg.n_cut, consts)
-    routes, eigen, split_sum, split_gap = [], [], [], []
-    for label in table.labels:
-        if not table.coupling_complete(label):
-            continue
-        pol = lz_expectation(table, label, method="polarized")
-        direct = lz_expectation(table, label, method="direct")
-        target = table.m_ell(label) * consts.hbar
-        routes.append(abs(pol - direct))
-        eigen.append(abs(pol - target))
-        m_plus, m_minus = polarized_momenta(table, label)
-        split_sum.append(abs((m_plus + m_minus) - pol))
-        split_gap.append(abs((m_plus - m_minus) - consts.hbar))
+    rows = np.flatnonzero(table.states.sum(axis=1) < cfg.n_cut)
+    pol = lz_expectation(table, rows, method="polarized")
+    direct = lz_expectation(table, rows, method="direct")
+    m_plus, m_minus = polarized_momenta(table, rows)
+    target = (table.states[rows, 0] - table.states[rows, 1]) * consts.hbar
+    routes = np.abs(pol - direct)
+    eigen = np.abs(pol - target)
+    split_sum = np.abs((m_plus + m_minus) - pol)
+    split_gap = np.abs((m_plus - m_minus) - consts.hbar)
     checks = [
         _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree")),
         _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue")),
         _close("channels_sum_to_lz", 0.0, _worst(split_sum), _tol(cfg, "routes_agree")),
         _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree")),
     ]
-    return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(routes)}, None
+    return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(rows)}, None
 
 
 @_experiment(
@@ -609,15 +605,18 @@ def _run_zeeman(cfg):
         _close("spin_gap_doubled", 0.0, gap_err, _tol(cfg, "zeeman_gap") * scale),
     ]
     header = ["B", "m_l", "m_s", "energy"]
-    rows = []
-    for b_val in np.linspace(0.0, cfg.b_max, cfg.b_points):
-        for m_l, m_s, energy in zeeman_levels(float(b_val), consts):
-            rows.append([float(b_val), m_l, float(m_s), energy])
+
+    def rows():
+        # the ramp is built row by row only when --csv consumes it
+        for b_val in np.linspace(0.0, cfg.b_max, cfg.b_points):
+            for m_l, m_s, energy in zeeman_levels(float(b_val), consts):
+                yield [float(b_val), m_l, float(m_s), energy]
+
     details = {
         "field": B,
         "levels": [[m_l, str(m_s), e] for m_l, m_s, e in zeeman_levels(B, consts)],
     }
-    return checks, details, (header, rows)
+    return checks, details, (header, rows())
 
 
 @_experiment(
@@ -668,8 +667,7 @@ def _run_dichotomy(cfg):
     "sz",
     "internal rotation generator eigenvalues",
     Option("--winding", "winding", _fraction, "1/2", "winding, exact rational"),
-    # apply_spin_z refuses grids below its own floor
-    Option("--points", "points", int, "1024", "numeric differentiation grid"),
+    Option("--points", "points", _at_least(16), "1024", "numeric differentiation grid"),
     HBAR,
     tolerances={"sz_agreement": 1e-8},
 )

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import ResolutionError
+from .errors import ResolutionError, check_bytes
 from .phase_algebra import PhaseExpression
 
 __all__ = [
@@ -97,7 +97,8 @@ def apply_spin_z(
     and applies the 5-point central first-derivative stencil (the 3-point
     one stalls near 1e-6 at practical grids and cannot certify 1e-8). The
     stencil wraps periodically, which is legitimate only because the grid
-    spans the full 4 pi period.
+    spans the full 4 pi period. Raises SizeLimitError, before allocating,
+    for a grid past errors.BYTES_LIMIT.
     """
     if mode == "symbolic":
         return constants.hbar * float(state.winding)
@@ -105,6 +106,9 @@ def apply_spin_z(
         raise ValueError(f"unknown mode {mode!r}; use 'symbolic' or 'numeric'")
     if grid < 16:
         raise ResolutionError(f"numeric mode needs at least 16 grid points, got {grid}")
+    # the samples, their four shifted copies and the stencil's partial sums
+    # hold about 72 bytes per point (tracemalloc)
+    check_bytes(f"a spin grid of {grid} points", 72 * grid)
     w = float(state.winding)
     theta = np.linspace(0.0, 4.0 * np.pi, grid, endpoint=False)
     h = 4.0 * np.pi / grid

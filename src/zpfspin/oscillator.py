@@ -8,15 +8,15 @@ shell number N = n_plus + n_minus (+ n_z).
 
 With l0 = sqrt(hbar/(2 m omega0)) and circular ladder operators
 b_+ = (b_x - i b_y)/sqrt(2), b_- = (b_x + i b_y)/sqrt(2), the position
-operators are
+in-plane position operators are
 
     x = (l0/sqrt2) (b_+ + b_- + b_+^dag + b_-^dag)
     y = (i l0/sqrt2) (b_+ - b_- - b_+^dag + b_-^dag)
-    z = l0 (b_z + b_z^dag)                   (three dimensions only)
 
-which couple adjacent shells only. The equivalent construction in the
-Cartesian number basis followed by a unitary change of basis is used as an
-independent oracle in the test suite.
+which couple adjacent shells only and leave n_z alone. Every spectral sum
+about z reads these two alone, so z is not tabulated. The equivalent
+construction in the Cartesian number basis followed by a unitary change of
+basis is used as an independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .constants import NATURAL, PhysicalConstants
 from .errors import check_bytes, check_scales
 
 __all__ = [
-    "StationaryState",
     "MatrixElementTable",
     "build_oscillator_table",
     "check_table_size",
@@ -38,21 +37,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StationaryState:
-    """One basis state and its frequency omega = E / hbar = omega0 (N + dims/2)."""
-
-    label: tuple
-    omega: float
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixElementTable:
     """Position matrix elements of the isotropic oscillator, shells <= n_cut.
 
-    x, y, z are dense complex matrices over the state list (z is None in two
-    dimensions). The circular combinations x+ = (x + i y)/sqrt2 and
-    x- = (i x + y)/sqrt2 (xplus, xminus) and the state frequencies
+    states is an (S, dims) integer array of labels, ordered by shell and
+    then by label; row i of every matrix and of omega_array belongs to
+    states[i]. x and y are dense complex matrices over those states. The
+    circular combinations x+ = (x + i y)/sqrt2 and x- = (i x + y)/sqrt2
+    (xplus, xminus) and the state frequencies omega = omega0 (N + dims/2)
     (omega_array) are derived from x, y and states when the table is
     constructed, so every spectral sum over the table reuses them. All
     arrays are read-only; derive modified tables with dataclasses.replace
@@ -64,11 +57,9 @@ class MatrixElementTable:
     n_cut: int
     hbar: float
     mass: float
-    states: tuple[StationaryState, ...]
-    index: dict
+    states: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray | None
     xplus: np.ndarray = field(init=False, repr=False)
     xminus: np.ndarray = field(init=False, repr=False)
     omega_array: np.ndarray = field(init=False, repr=False)
@@ -78,59 +69,30 @@ class MatrixElementTable:
         derived = {
             "xplus": (self.x + 1j * self.y) / root2,
             "xminus": (1j * self.x + self.y) / root2,
-            "omega_array": np.array([s.omega for s in self.states]),
+            "omega_array": self.omega0 * (self.states.sum(axis=1) + self.dims / 2.0),
         }
         for name, value in derived.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(s.label for s in self.states)
 
-    def lookup(self, label) -> int:
-        try:
-            return self.index[tuple(label)]
-        except KeyError:
-            raise ValueError(f"state {label!r} is not in the table") from None
-
-    @staticmethod
-    def shell(label) -> int:
-        return sum(label)
-
-    @staticmethod
-    def m_ell(label) -> int:
-        return label[0] - label[1]
-
-    def coupling_complete(self, label) -> bool:
-        """True when every state coupled to `label` lies inside the cutoff."""
-        return self.shell(label) + 1 <= self.n_cut
-
-
-def _state_labels(dims: int, n_cut: int) -> list[tuple]:
-    labels = []
-    if dims == 2:
-        for p in range(n_cut + 1):
-            for m in range(n_cut + 1 - p):
-                labels.append((p, m))
-    else:
-        for p in range(n_cut + 1):
-            for m in range(n_cut + 1 - p):
-                for z in range(n_cut + 1 - p - m):
-                    labels.append((p, m, z))
-    labels.sort(key=lambda lab: (sum(lab), lab))
-    return labels
+def _state_labels(dims: int, n_cut: int) -> np.ndarray:
+    """Every label with shell <= n_cut, ordered by shell and then by label."""
+    labels = np.indices((n_cut + 1,) * dims).reshape(dims, -1).T
+    labels = labels[labels.sum(axis=1) <= n_cut]
+    # np.indices enumerates the labels in order, so a stable sort keeps it
+    return labels[np.argsort(labels.sum(axis=1), kind="stable")]
 
 
 def check_table_size(dims: int, n_cut: int) -> None:
     """Raise SizeLimitError when the dense matrices of a dims-d table at
     n_cut would exceed errors.BYTES_LIMIT."""
-    # S = C(n_cut + dims, dims) states and dims + 2 dense S x S complex128
-    # matrices: x, y (and z in three dimensions) plus the circular pair
+    # S = C(n_cut + dims, dims) states and four dense S x S complex128
+    # matrices: x, y and the circular pair
     size = math.comb(n_cut + dims, dims)
     check_bytes(
         f"a {dims}-d table at n_cut = {n_cut} (dense matrices)",
-        (dims + 2) * 16 * size * size,
+        4 * 16 * size * size,
     )
 
 
@@ -170,59 +132,39 @@ def build_oscillator_table(
     n_cut = int(n_cut)
     check_table_size(dims, n_cut)
     l0 = _length_scale(omega0, constants)
-    size = math.comb(n_cut + dims, dims)
+    states = _state_labels(dims, n_cut)
+    size = len(states)
+    index = np.zeros((n_cut + 1,) * dims, dtype=np.intp)
+    index[tuple(states.T)] = np.arange(size)
+    shell = states.sum(axis=1)
 
-    labels = _state_labels(dims, n_cut)
-    index = {lab: i for i, lab in enumerate(labels)}
-    hbar, mass = constants.hbar, constants.m
-    states = tuple(
-        StationaryState(label=lab, omega=omega0 * (sum(lab) + dims / 2.0)) for lab in labels
-    )
-
+    # each element couples one state to one neighbour, so it is set once;
+    # y is set through its imaginary part, keeping every real part +0.0
     s = l0 / math.sqrt(2.0)
     x = np.zeros((size, size), dtype=complex)
     y = np.zeros((size, size), dtype=complex)
-    z = np.zeros((size, size), dtype=complex) if dims == 3 else None
+    for axis, sign in ((0, 1.0), (1, -1.0)):  # the n_plus and n_minus quanta
+        quanta = states[:, axis]
+        for step, source in ((-1, quanta > 0), (1, shell < n_cut)):
+            neighbour = states[source].copy()
+            neighbour[:, axis] += step
+            rows = index[tuple(neighbour.T)]
+            cols = np.flatnonzero(source)
+            value = s * np.sqrt(quanta[source] + max(step, 0))
+            x[rows, cols] = value
+            y.imag[rows, cols] = -step * sign * value
 
-    for i, lab in enumerate(labels):
-        p, m = lab[0], lab[1]
-        raisable = sum(lab) + 1 <= n_cut
-        if p > 0:
-            j = index[(p - 1, m, *lab[2:])]
-            x[j, i] += s * math.sqrt(p)
-            y[j, i] += 1j * s * math.sqrt(p)
-        if m > 0:
-            j = index[(p, m - 1, *lab[2:])]
-            x[j, i] += s * math.sqrt(m)
-            y[j, i] += -1j * s * math.sqrt(m)
-        if raisable:
-            j = index[(p + 1, m, *lab[2:])]
-            x[j, i] += s * math.sqrt(p + 1)
-            y[j, i] += -1j * s * math.sqrt(p + 1)
-            j = index[(p, m + 1, *lab[2:])]
-            x[j, i] += s * math.sqrt(m + 1)
-            y[j, i] += 1j * s * math.sqrt(m + 1)
-        if dims == 3:
-            nz = lab[2]
-            if nz > 0:
-                z[index[(p, m, nz - 1)], i] += l0 * math.sqrt(nz)
-            if raisable:
-                z[index[(p, m, nz + 1)], i] += l0 * math.sqrt(nz + 1)
-
-    for mat in (x, y, z):
-        if mat is not None:
-            mat.setflags(write=False)
+    for arr in (states, x, y):
+        arr.setflags(write=False)
     return MatrixElementTable(
         dims=dims,
         omega0=float(omega0),
         n_cut=n_cut,
-        hbar=hbar,
-        mass=mass,
+        hbar=constants.hbar,
+        mass=constants.m,
         states=states,
-        index=index,
         x=x,
         y=y,
-        z=z,
     )
 
 

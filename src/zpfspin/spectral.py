@@ -1,10 +1,12 @@
 """Spectral sums over stationary states: oscillator strengths, angular
 momentum decompositions and Zeeman shifts.
 
-Every radiative sum here runs over the full set of states coupled to the
-reference state, so each entry point first checks that the table's shell
-cutoff actually contains that set; a cutoff that would silently truncate a
-sum raises IncompleteBasisError instead of returning a wrong number.
+The radiative sums take an oscillator table and an array of row indices
+into table.states, and return one value per row. Each sum runs over the
+full set of states coupled to its reference state, so each entry point
+first checks that the table's shell cutoff actually contains that set for
+every row; a cutoff that would silently truncate a sum raises
+IncompleteBasisError instead of returning a wrong number.
 
 Sign conventions are pinned by operator oracles, not by notation. The direct
 L_z route below reproduces the diagonal of x p_y - y p_x built from the same
@@ -40,64 +42,102 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 
+# Rows per block are chosen so that each transient array of a block holds
+# at most this many elements (or one row): the peak memory stays the
+# table's own matrices, and a block's complex temporaries (64 KB) stay in
+# cache.
+_BLOCK_ELEMENTS = 1 << 12
 
-def _state_row(table: MatrixElementTable, alpha) -> tuple[int, np.ndarray]:
-    """Index i of state alpha and the frequency differences w_ba = w_b - w_a
-    over all states b, once the cutoff is known to hold every state coupled
-    to alpha."""
-    i = table.lookup(alpha)
-    label = table.states[i].label
-    if not table.coupling_complete(label):
+
+def _row_sums(table: MatrixElementTable, rows, terms) -> np.ndarray:
+    """sum_b w_ba terms(block)[k, b] for each state a = rows[k], with
+    w_ba = w_b - w_a, once the cutoff is known to hold every state coupled
+    to each of them.
+
+    terms(block) returns a C-contiguous (len(block), S) array, so each
+    state's terms are summed as one row, in the order a one-row call sums
+    them.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    truncated = rows[table.states[rows].sum(axis=1) >= table.n_cut]
+    if len(truncated):
+        label = tuple(int(v) for v in table.states[truncated[0]])
         raise IncompleteBasisError(
             f"shell cutoff {table.n_cut} drops states coupled to {label!r}; "
-            f"rebuild the table with n_cut >= {table.shell(label) + 1}"
+            f"rebuild the table with n_cut >= {sum(label) + 1}"
         )
-    return i, table.omega_array - table.omega_array[i]
+    step = max(1, _BLOCK_ELEMENTS // len(table.states))
+    sums = [np.zeros(0)]
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        w = table.omega_array - table.omega_array[block, None]
+        sums.append(np.sum(w * terms(block), axis=1))
+    return np.concatenate(sums)
 
 
-def trk_sum_rule(table: MatrixElementTable, alpha) -> float:
-    """Oscillator-strength sum m * sum_b w_ba (|x+_ab|^2 + |x-_ab|^2).
+def _columns(matrix: np.ndarray, block) -> np.ndarray:
+    """Columns `block` of `matrix` as C-contiguous rows, copied only when
+    the indexing did not already lay them out so."""
+    return np.ascontiguousarray(matrix[:, block].T)
+
+
+def trk_sum_rule(table: MatrixElementTable, rows) -> np.ndarray:
+    """Oscillator-strength sum m * sum_b w_ba (|x+_ab|^2 + |x-_ab|^2) for
+    each state a = table.states[row] of `rows`.
 
     Equals hbar for every state whose coupled shells sit inside the cutoff,
     independent of which circular component ordering is used.
     """
-    i, w = _state_row(table, alpha)
-    weights = np.abs(table.xplus[i, :]) ** 2 + np.abs(table.xminus[i, :]) ** 2
-    return float(table.mass * np.sum(w * weights))
+
+    def terms(block):
+        return np.abs(table.xplus[block]) ** 2 + np.abs(table.xminus[block]) ** 2
+
+    return table.mass * _row_sums(table, rows, terms)
 
 
-def lz_expectation(table: MatrixElementTable, alpha, method: str = "polarized") -> float:
-    """Orbital angular momentum about z from the spectral table.
+def lz_expectation(table: MatrixElementTable, rows, method: str = "polarized") -> np.ndarray:
+    """Orbital angular momentum about z from the spectral table, for each
+    state a = table.states[row] of `rows`.
 
     method="direct" evaluates i m sum_b w_ba (x_ab y_ba - y_ab x_ba), the
     spectral transcription of x p_y - y p_x. method="polarized" evaluates
     m sum_b w_ba (|x+_ba|^2 - |x-_ba|^2), the difference of the two circular
     coupling strengths. Both equal m_l hbar on this basis.
     """
-    i, w = _state_row(table, alpha)
     if method == "polarized":
-        value = table.mass * np.sum(
-            w * (np.abs(table.xplus[:, i]) ** 2 - np.abs(table.xminus[:, i]) ** 2)
-        )
-        return float(value)
+
+        def terms(block):
+            return (
+                np.abs(_columns(table.xplus, block)) ** 2
+                - np.abs(_columns(table.xminus, block)) ** 2
+            )
+
+        return table.mass * _row_sums(table, rows, terms)
     if method == "direct":
         x, y = table.x, table.y
-        total = 1j * table.mass * np.sum(w * (x[i, :] * y[:, i] - y[i, :] * x[:, i]))
-        return float(total.real)
+
+        def terms(block):
+            return x[block] * _columns(y, block) - y[block] * _columns(x, block)
+
+        return (1j * table.mass * _row_sums(table, rows, terms)).real
     raise ValueError(f"unknown method {method!r}; use 'polarized' or 'direct'")
 
 
-def polarized_momenta(table: MatrixElementTable, alpha) -> tuple[float, float]:
-    """Angular momentum carried through each polarization channel.
+def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Angular momentum carried through each polarization channel, for each
+    state a = table.states[row] of `rows`.
 
     Returns (M_plus, M_minus) with M_plus = m sum_b w_ba |x+_ba|^2 and
     M_minus = -m sum_b w_ba |x-_ba|^2; their sum is lz_expectation and their
     difference is hbar by the oscillator-strength sum.
     """
-    i, w = _state_row(table, alpha)
-    m_plus = table.mass * np.sum(w * np.abs(table.xplus[:, i]) ** 2)
-    m_minus = -table.mass * np.sum(w * np.abs(table.xminus[:, i]) ** 2)
-    return float(m_plus), float(m_minus)
+    m_plus = table.mass * _row_sums(
+        table, rows, lambda block: np.abs(_columns(table.xplus, block)) ** 2
+    )
+    m_minus = -table.mass * _row_sums(
+        table, rows, lambda block: np.abs(_columns(table.xminus, block)) ** 2
+    )
+    return m_plus, m_minus
 
 
 def _exactify(value):

@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,17 @@ def test_field_sample_csv_columns(capsys, tmp_path):
     assert len(floats) == 13
 
 
+def test_zeeman_ramp_built_only_for_csv(capsys, monkeypatch, tmp_path):
+    calls = []
+    levels = cli.zeeman_levels
+    monkeypatch.setattr(cli, "zeeman_levels", lambda *a: calls.append(a) or levels(*a))
+    assert main(["zeeman", "--b-points", "1000"]) == 0
+    assert len(calls) == 1  # the report's own levels
+    assert main(["zeeman", "--b-points", "3", "--csv", str(tmp_path / "levels.csv")]) == 0
+    assert len(calls) == 1 + 1 + 3
+    capsys.readouterr()
+
+
 def test_zeeman_csv_ramp(capsys, tmp_path):
     path = tmp_path / "levels.csv"
     code = main(["zeeman", "--b-max", "1.0", "--b-points", "3", "--csv", str(path)])
@@ -354,6 +366,7 @@ OTHER_VALUES = {
     ("antiphase", "n"): ("4", "5"),
     "gamma": ("-1", "1"),
     "points": ("5", "6"),
+    ("sz", "points"): ("32", "64"),
     "time": ("0.5", "1.5"),
     "dims": ("3", "2"),
     "n_cut": ("3", "4"),
@@ -404,14 +417,20 @@ def test_field_sample_tolerances_hold_at_every_box(capsys, monkeypatch, box):
     assert [c["name"] for c in body["checks"] if not c["pass"]] == ["b_tracks_a"]
 
 
+def _perfbench_module(monkeypatch, name):
+    """perfbench/<name>.py, loaded on its own, without perfbench/run.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_argv_parse(monkeypatch):
     # parse only: a renamed or removed flag fails here, not in a benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses looks the defining module up by name
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench_module(monkeypatch, "workloads")
     parser = cli._parser()
     cases = [
         case
@@ -422,6 +441,29 @@ def test_benchmark_argv_parse(monkeypatch):
     assert cases
     for case in cases:
         assert parser.parse_args(case.argv).command == case.command
+
+
+def test_benchmark_tracer_sees_one_span_per_table_and_quantity(capsys, monkeypatch):
+    # a renamed traced function or table field fails here, not in a traced run
+    spans = _perfbench_module(monkeypatch, "spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["sum-rule", "--dims", "2,3", "--n-cut", "3"]) == 0
+        assert main(["angular-momentum", "--n-cut", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    # uninstall put the originals back
+    assert not hasattr(cli.trk_sum_rule, "__wrapped__")
+    traced, counts = tracer.take()
+    totals = spans.aggregate(traced)
+    assert counts["oscillator.table_states"] == 10 + 20 + 10
+    assert totals["oscillator.build_oscillator_table.calls"] == 3
+    # per sum-rule table: the complete rows, then one top-shell row
+    assert totals["spectral.trk_sum_rule.calls"] == 2 * 2
+    assert totals["spectral.lz_expectation.calls"] == 2  # polarized, direct
+    assert totals["spectral.polarized_momenta.calls"] == 1
 
 
 def test_malformed_tol_exits_two(capsys):
@@ -713,6 +755,23 @@ def test_sum_rule_refuses_every_size_before_any_table(capsys, monkeypatch):
     assert built == []
 
 
+def test_oversized_sz_grid_exits_two_before_allocating(capsys):
+    # 2e7 points x 72 bytes
+    tracemalloc.start()
+    try:
+        assert main(["sz", "--points", "20000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1.3 GiB" in captured.err
+    assert peak < 1 << 20
+    # below the stencil's floor the flag itself is refused
+    assert main(["sz", "--points", "15"]) == 2
+    assert "an integer of at least 16" in capsys.readouterr().err
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("work started before the size check")
 
@@ -728,6 +787,8 @@ def _never_called(*args, **kwargs):
         (["mode-observables", "--n", "0,0,1", "--grid", "8388608"], "mode_observables", "1.8 GiB"),
         # 3e6 points x 445 bytes, although one field set alone would fit
         (["field-sample", "--points", "3000000"], "sample_realization", "1.2 GiB"),
+        # 1e7 pairs x 1.4 KB, checked before the ensemble is drawn
+        (["phases", "--pairs", "10000000"], "sample_zeta_ensemble", "13.0 GiB"),
     ],
 )
 def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv, patched, estimate):

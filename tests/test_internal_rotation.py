@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zpfspin.constants import NATURAL, PhysicalConstants
-from zpfspin.errors import ResolutionError
+from zpfspin.errors import ResolutionError, SizeLimitError
 from zpfspin.internal_rotation import (
     SpinState,
     apply_spin_z,
@@ -149,6 +149,12 @@ def test_numeric_needs_enough_points():
         apply_spin_z(SpinState("s", HALF), "numeric", grid=15)
     value = apply_spin_z(SpinState("s", HALF), "numeric", grid=16)
     assert isinstance(value, float)
+
+
+def test_numeric_grid_past_the_byte_limit_refused():
+    # 72 bytes per point: the largest grid under 1 GiB is 14913080 points
+    with pytest.raises(SizeLimitError, match="GiB"):
+        apply_spin_z(SpinState("s", HALF), "numeric", grid=14_913_081)
 
 
 # --- finite rotations ---------------------------------------------------------

@@ -10,21 +10,24 @@ the one-dimensional position integral.
 import math
 import time
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss, hermval
 
 from zpfspin.constants import NATURAL, PhysicalConstants
-from zpfspin.errors import SizeLimitError
-from zpfspin.oscillator import (
-    MatrixElementTable,
-    build_oscillator_table,
-    circular_components,
-)
+from zpfspin.errors import IncompleteBasisError, SizeLimitError
+from zpfspin.oscillator import build_oscillator_table, check_table_size, circular_components
+from zpfspin.spectral import trk_sum_rule
 
 CONSTS = PhysicalConstants(hbar=0.7, c=1.0, m=2.3, mu0=1.0)
 OMEGA0 = 1.4
+
+
+def row(table, label):
+    (index,) = np.flatnonzero((table.states == label).all(axis=1))
+    return index
 
 
 def _cartesian_operators(axes, n_cut):
@@ -73,18 +76,14 @@ def _oracle_table(dims, omega0, n_cut, consts):
             norm *= math.factorial(label[2])
         return v / math.sqrt(norm)
 
-    ops = {"x": X, "y": Y}
-    if dims == 3:
-        az = low[2]
-        ops["z"] = x0 * (az + az.T)
-    return vector, ops
+    return vector, {"x": X, "y": Y}
 
 
 @pytest.mark.parametrize("dims,n_cut", [(2, 4), (3, 3)])
 def test_position_matrices_match_cartesian_oracle(dims, n_cut):
     table = build_oscillator_table(dims, OMEGA0, n_cut, CONSTS)
     vector, ops = _oracle_table(dims, OMEGA0, n_cut, CONSTS)
-    vecs = [vector(label) for label in table.labels]
+    vecs = [vector(label) for label in table.states]
     for name, op in ops.items():
         got = getattr(table, name)
         want = np.array(
@@ -94,7 +93,8 @@ def test_position_matrices_match_cartesian_oracle(dims, n_cut):
 
 
 def test_one_dimensional_scale_by_quadrature():
-    # <n+1|x|n> for the z ladder, integrated numerically
+    # <n+1|x|n> of one Cartesian ladder, integrated numerically; the
+    # circular element <(n+1, 0, 0)|x|(n, 0, 0)> carries 1/sqrt2 of it
     nodes, weights = hermgauss(60)
 
     def psi(k, u):
@@ -105,13 +105,13 @@ def test_one_dimensional_scale_by_quadrature():
 
     table = build_oscillator_table(3, OMEGA0, 3, CONSTS)
     scale = math.sqrt(CONSTS.hbar / (CONSTS.m * OMEGA0))
-    for n_z in range(3):
-        integral = np.sum(weights * psi(n_z + 1, nodes) * nodes * psi(n_z, nodes))
+    for n in range(3):
+        integral = np.sum(weights * psi(n + 1, nodes) * nodes * psi(n, nodes))
         want = scale * integral
-        got = table.z[table.lookup((0, 0, n_z + 1)), table.lookup((0, 0, n_z))]
-        assert got == pytest.approx(want, rel=1e-12)
+        got = table.x[row(table, (n + 1, 0, 0)), row(table, (n, 0, 0))]
+        assert got == pytest.approx(want / math.sqrt(2), rel=1e-12)
         assert want == pytest.approx(
-            math.sqrt((n_z + 1) * CONSTS.hbar / (2 * CONSTS.m * OMEGA0)), rel=1e-12
+            math.sqrt((n + 1) * CONSTS.hbar / (2 * CONSTS.m * OMEGA0)), rel=1e-12
         )
 
 
@@ -121,15 +121,14 @@ def test_one_dimensional_scale_by_quadrature():
 @pytest.mark.parametrize("dims", [2, 3])
 def test_matrices_hermitian(dims):
     table = build_oscillator_table(dims, OMEGA0, 4, CONSTS)
-    names = ("x", "y") if dims == 2 else ("x", "y", "z")
-    for name in names:
+    for name in ("x", "y"):
         mat = getattr(table, name)
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-13
 
 
 def test_adjacent_shell_selection_rule():
     table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
-    shells = [MatrixElementTable.shell(l) for l in table.labels]
+    shells = table.states.sum(axis=1).tolist()
     for mat in (table.x, table.y):
         for i, si in enumerate(shells):
             for j, sj in enumerate(shells):
@@ -139,11 +138,9 @@ def test_adjacent_shell_selection_rule():
 
 def test_m_ell_selection_rules():
     table = circular_components(build_oscillator_table(3, OMEGA0, 3, CONSTS))
-    m = [MatrixElementTable.m_ell(l) for l in table.labels]
+    m = (table.states[:, 0] - table.states[:, 1]).tolist()
     for i, j in np.argwhere(np.abs(table.x) > 1e-13):
         assert abs(m[i] - m[j]) == 1
-    for i, j in np.argwhere(np.abs(table.z) > 1e-13):
-        assert m[i] == m[j]
     for i, j in np.argwhere(np.abs(table.xplus) > 1e-13):
         assert m[i] - m[j] == 1
     for i, j in np.argwhere(np.abs(table.xminus) > 1e-13):
@@ -162,7 +159,7 @@ def test_circular_split_preserves_weight():
 @pytest.mark.parametrize("dims", [2, 3])
 def test_derived_arrays_are_read_only(dims):
     table = build_oscillator_table(dims, OMEGA0, 3, CONSTS)
-    for name in ("xplus", "xminus", "omega_array"):
+    for name in ("states", "xplus", "xminus", "omega_array"):
         arr = getattr(table, name)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -186,38 +183,44 @@ def test_replace_derives_circular_pair_again():
 @pytest.mark.parametrize("dims", [2, 3])
 def test_energies_and_frequencies(dims):
     table = build_oscillator_table(dims, OMEGA0, 3, CONSTS)
-    for state in table.states:
-        shell = MatrixElementTable.shell(state.label)
-        assert state.omega == OMEGA0 * (shell + dims / 2)
-    assert np.array_equal(
-        table.omega_array, np.array([s.omega for s in table.states])
-    )
+    assert table.states.shape == (len(table.omega_array), dims)
+    for label, omega in zip(table.states.tolist(), table.omega_array):
+        assert omega == OMEGA0 * (sum(label) + dims / 2)
 
 
 def test_labels_enumerate_shells_in_order():
     table = build_oscillator_table(2, 1.0, 3, NATURAL)
-    shells = [MatrixElementTable.shell(l) for l in table.labels]
+    shells = table.states.sum(axis=1).tolist()
     assert shells == sorted(shells)
-    assert len(table.labels) == 10  # 1 + 2 + 3 + 4
+    assert len(table.states) == 10  # 1 + 2 + 3 + 4
     table3 = build_oscillator_table(3, 1.0, 2, NATURAL)
-    assert len(table3.labels) == 10  # 1 + 3 + 6
+    assert len(table3.states) == 10  # 1 + 3 + 6
+    # by shell, then by label
+    want = sorted(
+        (lab for lab in product(range(3), repeat=3) if sum(lab) <= 2),
+        key=lambda lab: (sum(lab), lab),
+    )
+    assert [tuple(lab) for lab in table3.states.tolist()] == want
 
 
 def test_coupling_complete_boundary():
+    # a spectral sum over a state is complete when the shell above it is in
     table = build_oscillator_table(2, 1.0, 3, NATURAL)
-    for label in table.labels:
-        expected = MatrixElementTable.shell(label) + 1 <= table.n_cut
-        assert table.coupling_complete(label) == expected
-    assert table.coupling_complete((0, 0))
-    assert not table.coupling_complete((3, 0))
+    for i, label in enumerate(table.states.tolist()):
+        if sum(label) + 1 <= table.n_cut:
+            trk_sum_rule(table, [i])
+        else:
+            with pytest.raises(IncompleteBasisError):
+                trk_sum_rule(table, [i])
+    trk_sum_rule(table, [row(table, (0, 0))])
+    with pytest.raises(IncompleteBasisError):
+        trk_sum_rule(table, [row(table, (3, 0))])
 
 
-def test_lookup_and_validation():
-    table = build_oscillator_table(2, 1.0, 2, NATURAL)
-    assert table.labels[table.lookup((1, 1))] == (1, 1)
-    assert table.z is None
-    with pytest.raises(ValueError):
-        table.lookup((5, 5))
+def test_table_validation():
+    table = build_oscillator_table(3, 1.0, 2, NATURAL)
+    # every spectral sum about z reads x and y alone
+    assert not hasattr(table, "z")
     with pytest.raises(ValueError):
         build_oscillator_table(4, 1.0, 2, NATURAL)
     with pytest.raises(ValueError):
@@ -230,11 +233,19 @@ def test_lookup_and_validation():
 
 
 def test_oversized_table_refused_before_allocation():
-    # C(43, 3) = 12341 states: five dense complex matrices of 2.4 GB each
+    # C(43, 3) = 12341 states: four dense complex matrices of 2.4 GB each
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match="GiB"):
         build_oscillator_table(3, 1.0, 40, NATURAL)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("dims,largest", [(2, 89), (3, 27)])
+def test_table_size_cap(dims, largest):
+    # four dense complex matrices of C(n_cut + dims, dims)^2 elements each
+    check_table_size(dims, largest)
+    with pytest.raises(SizeLimitError, match=f"{dims}-d table at n_cut = {largest + 1}"):
+        check_table_size(dims, largest + 1)
 
 
 @pytest.mark.parametrize(
@@ -251,8 +262,3 @@ def test_out_of_range_length_scale_refused(omega0, hbar, m):
     with pytest.raises(ValueError, match="normal floats"):
         build_oscillator_table(2, omega0, 2, consts)
 
-
-def test_m_ell_and_shell_helpers():
-    assert MatrixElementTable.shell((2, 1, 3)) == 6
-    assert MatrixElementTable.m_ell((2, 1, 3)) == 1
-    assert MatrixElementTable.m_ell((0, 4)) == -4

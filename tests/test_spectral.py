@@ -12,14 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zpfspin import spectral
 from zpfspin.cli import main
 from zpfspin.constants import NATURAL, PhysicalConstants
 from zpfspin.errors import IncompleteBasisError
-from zpfspin.oscillator import (
-    MatrixElementTable,
-    build_oscillator_table,
-    circular_components,
-)
+from zpfspin.oscillator import build_oscillator_table
 from zpfspin.spectral import (
     lz_expectation,
     magnetic_moment_identity,
@@ -35,8 +32,14 @@ CONSTS = PhysicalConstants(hbar=0.7, c=1.0, m=2.3, mu0=1.0)
 OMEGA0 = 1.4
 
 
-def complete_labels(table):
-    return [l for l in table.labels if table.coupling_complete(l)]
+def complete_rows(table):
+    """Rows of the states whose coupled shells lie inside the cutoff."""
+    return np.flatnonzero(table.states.sum(axis=1) < table.n_cut)
+
+
+def row(table, label):
+    (index,) = np.flatnonzero((table.states == label).all(axis=1))
+    return index
 
 
 # --- oscillator-strength sum rule ---------------------------------------------
@@ -45,24 +48,58 @@ def complete_labels(table):
 @pytest.mark.parametrize("dims", [2, 3])
 def test_sum_rule_saturates_at_hbar(dims):
     table = build_oscillator_table(dims, OMEGA0, 5, CONSTS)
-    for label in complete_labels(table):
-        value = trk_sum_rule(table, label)
+    values = trk_sum_rule(table, complete_rows(table))
+    assert len(values) == len(complete_rows(table))
+    for value in values:
         assert value == pytest.approx(CONSTS.hbar, rel=1e-12)
 
 
 def test_sum_rule_rejects_truncated_states():
     table = build_oscillator_table(2, OMEGA0, 3, CONSTS)
-    with pytest.raises(IncompleteBasisError):
-        trk_sum_rule(table, (3, 0))
-    with pytest.raises(IncompleteBasisError):
-        lz_expectation(table, (0, 3))
+    with pytest.raises(IncompleteBasisError, match=r"\(3, 0\)"):
+        trk_sum_rule(table, [row(table, (3, 0))])
+    with pytest.raises(IncompleteBasisError, match=r"\(0, 3\)"):
+        lz_expectation(table, [row(table, (0, 3))])
+    # one truncated row among complete ones refuses the whole call
+    with pytest.raises(IncompleteBasisError, match=r"\(1, 2\)"):
+        polarized_momenta(table, [0, row(table, (1, 2)), 1])
 
 
 def test_sum_rule_scales_quadratically_in_elements():
     table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
     doubled = replace(table, x=2 * table.x, y=2 * table.y)
-    base = trk_sum_rule(table, (1, 1))
-    assert trk_sum_rule(doubled, (1, 1)) == pytest.approx(4 * base, rel=1e-12)
+    base = trk_sum_rule(table, [row(table, (1, 1))])
+    assert trk_sum_rule(doubled, [row(table, (1, 1))]) == pytest.approx(4 * base, rel=1e-12)
+
+
+QUANTITIES = {
+    "trk_sum_rule": lambda table, rows: [trk_sum_rule(table, rows)],
+    "lz_polarized": lambda table, rows: [lz_expectation(table, rows, method="polarized")],
+    "lz_direct": lambda table, rows: [lz_expectation(table, rows, method="direct")],
+    "polarized_momenta": lambda table, rows: list(polarized_momenta(table, rows)),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+def test_all_rows_equal_one_row_calls_bit_for_bit(quantity):
+    # 120 states: a block holds 34 rows, so the 84 complete rows span three
+    table = build_oscillator_table(3, OMEGA0, 7, CONSTS)
+    rows = complete_rows(table)[::-1]
+    assert len(rows) > spectral._BLOCK_ELEMENTS // len(table.states) * 2
+    compute = QUANTITIES[quantity]
+    together = compute(table, rows)
+    for k, i in enumerate(rows):
+        alone = compute(table, [i])
+        for whole, single in zip(together, alone):
+            assert single.shape == (1,)
+            assert whole[k : k + 1].tobytes() == single.tobytes()
+
+
+def test_no_rows_give_empty_results():
+    table = build_oscillator_table(2, OMEGA0, 3, CONSTS)
+    for quantity in QUANTITIES.values():
+        for values in quantity(table, []):
+            assert values.shape == (0,)
 
 
 def test_all_state_sum_rule_sweep_is_quadratic(capsys):
@@ -90,11 +127,12 @@ def lz_matrix_oracle(table):
 def test_lz_routes_agree_and_hit_eigenvalue():
     table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
     oracle = lz_matrix_oracle(table)
-    for label in complete_labels(table):
-        i = table.lookup(label)
-        pol = lz_expectation(table, label, method="polarized")
-        direct = lz_expectation(table, label, method="direct")
-        target = MatrixElementTable.m_ell(label) * CONSTS.hbar
+    rows = complete_rows(table)
+    pols = lz_expectation(table, rows, method="polarized")
+    directs = lz_expectation(table, rows, method="direct")
+    for i, pol, direct in zip(rows, pols, directs):
+        label = table.states[i]
+        target = int(label[0] - label[1]) * CONSTS.hbar
         assert abs(pol - direct) < 1e-12
         assert abs(pol - target) < 1e-12
         assert abs(oracle[i, i].real - target) < 1e-12
@@ -104,14 +142,14 @@ def test_lz_routes_agree_and_hit_eigenvalue():
 def test_lz_unknown_method_rejected():
     table = build_oscillator_table(2, OMEGA0, 3, CONSTS)
     with pytest.raises(ValueError):
-        lz_expectation(table, (0, 0), method="guess")
+        lz_expectation(table, [0], method="guess")
 
 
 def test_polarized_channels_split_lz():
     table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
-    for label in complete_labels(table):
-        m_plus, m_minus = polarized_momenta(table, label)
-        lz = lz_expectation(table, label, method="polarized")
+    rows = complete_rows(table)
+    channels = zip(*polarized_momenta(table, rows), lz_expectation(table, rows, method="polarized"))
+    for m_plus, m_minus, lz in channels:
         assert m_plus + m_minus == pytest.approx(lz, abs=1e-12)
         # the two channels always sit a full hbar apart, so each one is
         # pinned to (lz +- hbar) / 2
@@ -124,9 +162,8 @@ def test_commutator_diagonal_inside_truncation():
     gaps = table.omega_array[:, None] - table.omega_array[None, :]
     px = 1j * table.mass * gaps * table.x
     comm = table.x @ px - px @ table.x
-    for label in table.labels:
-        d = comm[table.lookup(label), table.lookup(label)]
-        if table.coupling_complete(label):
+    for label, d in zip(table.states, np.diag(comm)):
+        if sum(label) + 1 <= table.n_cut:
             assert abs(d - 1j * CONSTS.hbar) < 1e-12
         else:
             # the top shell has no partner above it, so the canonical value
