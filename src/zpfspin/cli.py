@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import ContradictionError, IncompleteBasisError, check_bytes
+from .errors import ContradictionError, IncompleteBasisError, SizeLimitError, check_bytes
 from .exchange import (
     antiphase_feasible,
     antisymmetrize,
@@ -125,7 +125,11 @@ _tolerance_value = _checked("a finite number of at least 0", float, lambda value
 _tolerance = _checked("NAME=VALUE with VALUE a finite number of at least 0", _name_value)
 _mode_index = _checked("three comma-separated integers", _comma_list(int), lambda n: len(n) == 3)
 _gamma = _checked("+1 or -1", int, lambda value: value in (1, -1))
-_dims = _checked("2, 3 or 2,3", _comma_list(int), lambda dims: set(dims) <= {2, 3})
+_dims = _checked(
+    "2, 3 or 2,3",
+    _comma_list(int),
+    lambda dims: set(dims) <= {2, 3} and len(set(dims)) == len(dims),
+)
 _dim = _checked("2 or 3", int, lambda value: value in (2, 3))
 _orderings = ("phi2_greater", "phi1_greater", "tie")
 _ordering = _checked("phi2_greater, phi1_greater or tie", str, _orderings.__contains__)
@@ -460,6 +464,12 @@ def _run_totals(cfg):
     return checks, details, None
 
 
+# Each pair averages over every realization, about 35 ns a pair and row
+# (--ensemble 20000 and 200000, 2-vCPU x86-64), so this budget bounds the
+# pair means to a few seconds.
+_PAIR_ROWS_LIMIT = 10**8
+
+
 @_experiment(
     "phases",
     "ensemble independence of mode phases",
@@ -472,6 +482,11 @@ def _run_phases(cfg):
     # (114 bytes of JSON) included
     check_bytes(f"{cfg.pairs} mode pairs", 1400 * cfg.pairs)
     check_ensemble_size(cfg.n_max, cfg.ensemble)
+    if cfg.pairs * cfg.ensemble > _PAIR_ROWS_LIMIT:
+        raise SizeLimitError(
+            f"refusing {cfg.pairs} mode pairs over {cfg.ensemble} realizations: "
+            f"{cfg.pairs * cfg.ensemble} pair rows, over the limit of {_PAIR_ROWS_LIMIT}"
+        )
     _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed)
     count, n_modes = zetas.shape
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))

@@ -37,19 +37,26 @@ __all__ = [
 ]
 
 
+# Neighbour slot k of a state a holds b = a - e_axis (k even) or a + e_axis
+# (k odd), axis 0 for n_plus and 1 for n_minus, so the slot that leads from
+# b back to a is k ^ 1.
+_SLOTS = ((0, -1), (0, 1), (1, -1), (1, 1))
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixElementTable:
     """Position matrix elements of the isotropic oscillator, shells <= n_cut.
 
     states is an (S, dims) integer array of labels, ordered by shell and
-    then by label; row i of every matrix and of omega_array belongs to
-    states[i]. x and y are dense complex matrices over those states. The
-    circular combinations x+ = (x + i y)/sqrt2 and x- = (i x + y)/sqrt2
-    (xplus, xminus) and the state frequencies omega = omega0 (N + dims/2)
-    (omega_array) are derived from x, y and states when the table is
-    constructed, so every spectral sum over the table reuses them. All
-    arrays are read-only; derive modified tables with dataclasses.replace
-    on fresh x and y, which derives the circular pair again.
+    then by label; row a of every other array belongs to states[a].
+    omega_array holds the state frequencies omega = omega0 (N + dims/2).
+    x and y couple each state only to the four states one n_plus or n_minus
+    quantum away, so they are stored per neighbour slot: neighbours[a, k] is
+    the row of neighbour b in slot k (see _SLOTS), or -1 where b lies
+    outside the table, and x[a, k] and y[a, k] are the elements <b|x|a> and
+    Im <b|y|a> (y is imaginary on this basis), zero at an absent neighbour.
+    All arrays are read-only; derive modified tables with
+    dataclasses.replace.
     """
 
     dims: int
@@ -58,22 +65,18 @@ class MatrixElementTable:
     hbar: float
     mass: float
     states: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    xplus: np.ndarray = field(init=False, repr=False)
-    xminus: np.ndarray = field(init=False, repr=False)
-    omega_array: np.ndarray = field(init=False, repr=False)
+    omega_array: np.ndarray = field(repr=False)
+    neighbours: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
+    def circular(self, at) -> tuple[np.ndarray, np.ndarray]:
+        """The circular elements x+ = (x + i y)/sqrt2 and x- = (i x + y)/sqrt2
+        at entries `at` of the coupling arrays (rows, or any index into
+        them), as two complex arrays."""
+        x, y = self.x[at], 1j * self.y[at]
         root2 = math.sqrt(2.0)
-        derived = {
-            "xplus": (self.x + 1j * self.y) / root2,
-            "xminus": (1j * self.x + self.y) / root2,
-            "omega_array": self.omega0 * (self.states.sum(axis=1) + self.dims / 2.0),
-        }
-        for name, value in derived.items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        return (x + 1j * y) / root2, (1j * x + y) / root2
 
 
 def _state_labels(dims: int, n_cut: int) -> np.ndarray:
@@ -84,16 +87,19 @@ def _state_labels(dims: int, n_cut: int) -> np.ndarray:
     return labels[np.argsort(labels.sum(axis=1), kind="stable")]
 
 
+# Peak bytes per state of a sum-rule or angular-momentum run: the table
+# holds 120 (2-d) or 128 (3-d) and an all-row sum about 290 more
+# (tracemalloc, 424 in all at n_cut 1000 in 2-d and 100 in 3-d). The
+# build's label and index cubes, up to 2 (2-d) or 6 (3-d) entries per
+# state, peak lower, at about 195.
+_BYTES_PER_STATE = 440
+
+
 def check_table_size(dims: int, n_cut: int) -> None:
-    """Raise SizeLimitError when the dense matrices of a dims-d table at
-    n_cut would exceed errors.BYTES_LIMIT."""
-    # S = C(n_cut + dims, dims) states and four dense S x S complex128
-    # matrices: x, y and the circular pair
+    """Raise SizeLimitError when building a dims-d table at n_cut and
+    summing over all its states would exceed errors.BYTES_LIMIT."""
     size = math.comb(n_cut + dims, dims)
-    check_bytes(
-        f"a {dims}-d table at n_cut = {n_cut} (dense matrices)",
-        4 * 16 * size * size,
-    )
+    check_bytes(f"a {dims}-d table at n_cut = {n_cut} ({size} states)", _BYTES_PER_STATE * size)
 
 
 def _length_scale(omega0: float, constants: PhysicalConstants) -> float:
@@ -119,9 +125,9 @@ def build_oscillator_table(
 ) -> MatrixElementTable:
     """Tabulate every state with shell <= n_cut and its position elements.
 
-    Raises SizeLimitError, before allocating anything, when the dense
-    matrices would exceed errors.BYTES_LIMIT, and ValueError when the
-    length scale overflows or underflows.
+    Raises SizeLimitError, before allocating anything, when the table and
+    its spectral sums would exceed errors.BYTES_LIMIT, and ValueError when
+    the length scale overflows or underflows.
     """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")
@@ -134,27 +140,27 @@ def build_oscillator_table(
     l0 = _length_scale(omega0, constants)
     states = _state_labels(dims, n_cut)
     size = len(states)
-    index = np.zeros((n_cut + 1,) * dims, dtype=np.intp)
+    # one padding layer of -1 on each axis: a label one quantum below 0 or
+    # above the cutoff looks up -1
+    index = np.full((n_cut + 2,) * dims, -1, dtype=np.intp)
     index[tuple(states.T)] = np.arange(size)
-    shell = states.sum(axis=1)
 
-    # each element couples one state to one neighbour, so it is set once;
-    # y is set through its imaginary part, keeping every real part +0.0
     s = l0 / math.sqrt(2.0)
-    x = np.zeros((size, size), dtype=complex)
-    y = np.zeros((size, size), dtype=complex)
-    for axis, sign in ((0, 1.0), (1, -1.0)):  # the n_plus and n_minus quanta
-        quanta = states[:, axis]
-        for step, source in ((-1, quanta > 0), (1, shell < n_cut)):
-            neighbour = states[source].copy()
-            neighbour[:, axis] += step
-            rows = index[tuple(neighbour.T)]
-            cols = np.flatnonzero(source)
-            value = s * np.sqrt(quanta[source] + max(step, 0))
-            x[rows, cols] = value
-            y.imag[rows, cols] = -step * sign * value
+    neighbours = np.empty((size, 4), dtype=np.intp)
+    x = np.empty((size, 4))
+    y = np.empty((size, 4))
+    for k, (axis, step) in enumerate(_SLOTS):
+        label = list(states.T)
+        label[axis] = label[axis] + step
+        neighbours[:, k] = index[tuple(label)]
+        present = neighbours[:, k] >= 0
+        x[:, k] = np.where(present, s * np.sqrt(states[:, axis] + max(step, 0)), 0.0)
+        # Im <b|y|a> = -x for a raised n_plus or a lowered n_minus quantum,
+        # as y = (i l0/sqrt2)(b_+ - b_- - b_+^dag + b_-^dag) has it
+        y[:, k] = (2 * axis - 1) * step * x[:, k]
 
-    for arr in (states, x, y):
+    omega_array = omega0 * (states.sum(axis=1) + dims / 2.0)
+    for arr in (states, omega_array, neighbours, x, y):
         arr.setflags(write=False)
     return MatrixElementTable(
         dims=dims,
@@ -163,16 +169,17 @@ def build_oscillator_table(
         hbar=constants.hbar,
         mass=constants.m,
         states=states,
+        omega_array=omega_array,
+        neighbours=neighbours,
         x=x,
         y=y,
     )
 
 
 def circular_components(table: MatrixElementTable) -> MatrixElementTable:
-    """Return `table`, whose circular pair x+ = (x + i y)/sqrt2 and
-    x- = (i x + y)/sqrt2 was derived when it was constructed.
+    """Return `table`, whose circular elements MatrixElementTable.circular
+    derives from its x and y couplings on demand.
 
-    Together the two carry the same weight as the Cartesian pair,
-    |x+|^2 + |x-|^2 = |x|^2 + |y|^2 per element.
+    Kept, as an identity, because the benchmark tracer traces this name.
     """
     return table

@@ -42,21 +42,17 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 
-# Rows per block are chosen so that each transient array of a block holds
-# at most this many elements (or one row): the peak memory stays the
-# table's own matrices, and a block's complex temporaries (64 KB) stay in
-# cache.
-_BLOCK_ELEMENTS = 1 << 12
+# slot k ^ 1 of a state's neighbour in slot k leads back to the state
+_REVERSE = np.arange(4) ^ 1
 
 
-def _row_sums(table: MatrixElementTable, rows, terms) -> np.ndarray:
-    """sum_b w_ba terms(block)[k, b] for each state a = rows[k], with
-    w_ba = w_b - w_a, once the cutoff is known to hold every state coupled
-    to each of them.
+def _gaps(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, w) with w[k, slot] = w_b - w_a for each state a = rows[k] and
+    its neighbour b in that slot, and 0 where the slot holds no neighbour,
+    once the cutoff is known to hold every state coupled to each of them.
 
-    terms(block) returns a C-contiguous (len(block), S) array, so each
-    state's terms are summed as one row, in the order a one-row call sums
-    them.
+    Each term of a sum is weighted by its own w_ba, never by a difference
+    of row sums, which cancels badly.
     """
     rows = np.asarray(rows, dtype=np.intp)
     truncated = rows[table.states[rows].sum(axis=1) >= table.n_cut]
@@ -66,19 +62,15 @@ def _row_sums(table: MatrixElementTable, rows, terms) -> np.ndarray:
             f"shell cutoff {table.n_cut} drops states coupled to {label!r}; "
             f"rebuild the table with n_cut >= {sum(label) + 1}"
         )
-    step = max(1, _BLOCK_ELEMENTS // len(table.states))
-    sums = [np.zeros(0)]
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        w = table.omega_array - table.omega_array[block, None]
-        sums.append(np.sum(w * terms(block), axis=1))
-    return np.concatenate(sums)
+    neighbours = table.neighbours[rows]
+    w = table.omega_array[neighbours] - table.omega_array[rows, None]
+    return rows, np.where(neighbours >= 0, w, 0.0)
 
 
-def _columns(matrix: np.ndarray, block) -> np.ndarray:
-    """Columns `block` of `matrix` as C-contiguous rows, copied only when
-    the indexing did not already lay them out so."""
-    return np.ascontiguousarray(matrix[:, block].T)
+def _back(table: MatrixElementTable, rows) -> tuple:
+    """The index of element ab for each element ba of `rows`: the slot of
+    each neighbour b that leads back to a."""
+    return table.neighbours[rows], _REVERSE
 
 
 def trk_sum_rule(table: MatrixElementTable, rows) -> np.ndarray:
@@ -88,11 +80,9 @@ def trk_sum_rule(table: MatrixElementTable, rows) -> np.ndarray:
     Equals hbar for every state whose coupled shells sit inside the cutoff,
     independent of which circular component ordering is used.
     """
-
-    def terms(block):
-        return np.abs(table.xplus[block]) ** 2 + np.abs(table.xminus[block]) ** 2
-
-    return table.mass * _row_sums(table, rows, terms)
+    rows, w = _gaps(table, rows)
+    xplus, xminus = table.circular(_back(table, rows))
+    return table.mass * np.sum(w * (np.abs(xplus) ** 2 + np.abs(xminus) ** 2), axis=1)
 
 
 def lz_expectation(table: MatrixElementTable, rows, method: str = "polarized") -> np.ndarray:
@@ -100,26 +90,22 @@ def lz_expectation(table: MatrixElementTable, rows, method: str = "polarized") -
     state a = table.states[row] of `rows`.
 
     method="direct" evaluates i m sum_b w_ba (x_ab y_ba - y_ab x_ba), the
-    spectral transcription of x p_y - y p_x. method="polarized" evaluates
-    m sum_b w_ba (|x+_ba|^2 - |x-_ba|^2), the difference of the two circular
-    coupling strengths. Both equal m_l hbar on this basis.
+    spectral transcription of x p_y - y p_x, with each ab element read from
+    the neighbour's slot back to a; y = i Y is imaginary, Y the stored
+    coupling, so that is m sum_b w_ba (Y_ab x_ba - x_ab Y_ba).
+    method="polarized" evaluates m sum_b w_ba (|x+_ba|^2 - |x-_ba|^2), the
+    difference of the two circular coupling strengths. Both equal m_l hbar
+    on this basis.
     """
     if method == "polarized":
-
-        def terms(block):
-            return (
-                np.abs(_columns(table.xplus, block)) ** 2
-                - np.abs(_columns(table.xminus, block)) ** 2
-            )
-
-        return table.mass * _row_sums(table, rows, terms)
+        rows, w = _gaps(table, rows)
+        xplus, xminus = table.circular(rows)
+        return table.mass * np.sum(w * (np.abs(xplus) ** 2 - np.abs(xminus) ** 2), axis=1)
     if method == "direct":
-        x, y = table.x, table.y
-
-        def terms(block):
-            return x[block] * _columns(y, block) - y[block] * _columns(x, block)
-
-        return (1j * table.mass * _row_sums(table, rows, terms)).real
+        rows, w = _gaps(table, rows)
+        back = _back(table, rows)
+        terms = table.y[back] * table.x[rows] - table.x[back] * table.y[rows]
+        return table.mass * np.sum(w * terms, axis=1)
     raise ValueError(f"unknown method {method!r}; use 'polarized' or 'direct'")
 
 
@@ -131,12 +117,10 @@ def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.n
     M_minus = -m sum_b w_ba |x-_ba|^2; their sum is lz_expectation and their
     difference is hbar by the oscillator-strength sum.
     """
-    m_plus = table.mass * _row_sums(
-        table, rows, lambda block: np.abs(_columns(table.xplus, block)) ** 2
-    )
-    m_minus = -table.mass * _row_sums(
-        table, rows, lambda block: np.abs(_columns(table.xminus, block)) ** 2
-    )
+    rows, w = _gaps(table, rows)
+    xplus, xminus = table.circular(rows)
+    m_plus = table.mass * np.sum(w * np.abs(xplus) ** 2, axis=1)
+    m_minus = -table.mass * np.sum(w * np.abs(xminus) ** 2, axis=1)
     return m_plus, m_minus
 
 

@@ -466,6 +466,22 @@ def test_benchmark_tracer_sees_one_span_per_table_and_quantity(capsys, monkeypat
     assert totals["spectral.polarized_momenta.calls"] == 1
 
 
+def test_benchmark_cases_pass_their_oracle(capsys, monkeypatch):
+    # every seed-1 case of every workload exits 0 and satisfies the
+    # benchmark's report oracle, so its pass_ratio stays 1
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    oracle = _perfbench_module(monkeypatch, "oracle")
+    _perfbench_module(monkeypatch, "spans").check_span_arithmetic()
+    failed = []
+    for workload in workloads.WORKLOADS:
+        for case in workloads.build_mix(workload, 1):
+            code = main(list(case.argv))
+            verdict = oracle.judge(case, code, capsys.readouterr().out)
+            if verdict.failed:
+                failed.append((case.label, code, verdict.problems))
+    assert failed == []
+
+
 def test_malformed_tol_exits_two(capsys):
     assert main(["totals", "--tol", "sum_rule"]) == 2
     capsys.readouterr()
@@ -702,10 +718,11 @@ def test_underflowing_flag_exits_two(capsys, flag):
         ("pairs", "--pairs", "-1"),
         ("seed", "--seed", "x"),
         ("seed", "--seed", "-1"),
+        ("dims", "--dims", "3,3"),
     ],
 )
 def test_config_values_are_validated_like_flags(capsys, tmp_path, key, flag, value):
-    command = "phases" if key in ("ensemble", "pairs") else "totals"
+    command = {"ensemble": "phases", "pairs": "phases", "dims": "sum-rule"}.get(key, "totals")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     for argv in ([command, "--config", str(cfg)], [command, f"{flag}={value}"]):
@@ -740,7 +757,7 @@ def test_nan_errors_fail_their_checks(monkeypatch, runner, args):
 
 def test_oversized_table_exits_two_at_once(capsys):
     start = time.perf_counter()
-    assert main(["sum-rule", "--dims", "3", "--n-cut", "40"]) == 2
+    assert main(["sum-rule", "--dims", "3", "--n-cut", "300"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "GiB" in capsys.readouterr().err
 
@@ -748,7 +765,7 @@ def test_oversized_table_exits_two_at_once(capsys):
 def test_sum_rule_refuses_every_size_before_any_table(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "build_oscillator_table", lambda *a, **k: built.append(a))
-    assert main(["sum-rule", "--dims", "2,3", "--n-cut", "30"]) == 2
+    assert main(["sum-rule", "--dims", "2,3", "--n-cut", "300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "3-d table" in captured.err
@@ -789,11 +806,20 @@ def _never_called(*args, **kwargs):
         (["field-sample", "--points", "3000000"], "sample_realization", "1.2 GiB"),
         # 1e7 pairs x 1.4 KB, checked before the ensemble is drawn
         (["phases", "--pairs", "10000000"], "sample_zeta_ensemble", "13.0 GiB"),
+        # each array fits, but 101 pair means over 1e6 realizations pass the
+        # work budget of 1e8 pair rows
+        (
+            ["phases", "--ensemble", "1000000", "--pairs", "101"],
+            "sample_zeta_ensemble",
+            "101000000 pair rows",
+        ),
     ],
 )
 def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv, patched, estimate):
     monkeypatch.setattr(cli, patched, _never_called)
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert estimate in captured.err

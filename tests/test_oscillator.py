@@ -80,19 +80,18 @@ def _oracle_table(dims, omega0, n_cut, consts):
 
 
 @pytest.mark.parametrize("dims,n_cut", [(2, 4), (3, 3)])
-def test_position_matrices_match_cartesian_oracle(dims, n_cut):
+def test_position_matrices_match_cartesian_oracle(dense, dims, n_cut):
     table = build_oscillator_table(dims, OMEGA0, n_cut, CONSTS)
     vector, ops = _oracle_table(dims, OMEGA0, n_cut, CONSTS)
     vecs = [vector(label) for label in table.states]
-    for name, op in ops.items():
-        got = getattr(table, name)
+    for got, op in zip(dense(table), ops.values()):
         want = np.array(
             [[np.vdot(vi, op @ vj) for vj in vecs] for vi in vecs]
         )
         assert np.max(np.abs(got - want)) < 1e-13
 
 
-def test_one_dimensional_scale_by_quadrature():
+def test_one_dimensional_scale_by_quadrature(dense):
     # <n+1|x|n> of one Cartesian ladder, integrated numerically; the
     # circular element <(n+1, 0, 0)|x|(n, 0, 0)> carries 1/sqrt2 of it
     nodes, weights = hermgauss(60)
@@ -104,11 +103,12 @@ def test_one_dimensional_scale_by_quadrature():
         return norm * hermval(u, coeffs)
 
     table = build_oscillator_table(3, OMEGA0, 3, CONSTS)
+    x, _ = dense(table)
     scale = math.sqrt(CONSTS.hbar / (CONSTS.m * OMEGA0))
     for n in range(3):
         integral = np.sum(weights * psi(n + 1, nodes) * nodes * psi(n, nodes))
         want = scale * integral
-        got = table.x[row(table, (n + 1, 0, 0)), row(table, (n, 0, 0))]
+        got = x[row(table, (n + 1, 0, 0)), row(table, (n, 0, 0))]
         assert got == pytest.approx(want / math.sqrt(2), rel=1e-12)
         assert want == pytest.approx(
             math.sqrt((n + 1) * CONSTS.hbar / (2 * CONSTS.m * OMEGA0)), rel=1e-12
@@ -119,65 +119,84 @@ def test_one_dimensional_scale_by_quadrature():
 
 
 @pytest.mark.parametrize("dims", [2, 3])
-def test_matrices_hermitian(dims):
+def test_matrices_hermitian(dense, dims):
     table = build_oscillator_table(dims, OMEGA0, 4, CONSTS)
-    for name in ("x", "y"):
-        mat = getattr(table, name)
+    for mat in dense(table):
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-13
 
 
-def test_adjacent_shell_selection_rule():
+@pytest.mark.parametrize("dims", [2, 3])
+def test_neighbour_slots_lead_back(dims):
+    # slot k ^ 1 of the neighbour in slot k is the state itself, and a slot
+    # whose label leaves the table holds -1 and zero couplings
+    table = build_oscillator_table(dims, OMEGA0, 4, CONSTS)
+    for a, label in enumerate(table.states.tolist()):
+        for k, b in enumerate(table.neighbours[a].tolist()):
+            axis, step = divmod(k, 2)
+            want = list(label)
+            want[axis] += 2 * step - 1
+            if min(want) < 0 or sum(want) > table.n_cut:
+                assert b == -1
+                assert table.x[a, k] == table.y[a, k] == 0
+            else:
+                assert table.states[b].tolist() == want
+                assert table.neighbours[b, k ^ 1] == a
+
+
+def test_adjacent_shell_selection_rule(dense):
     table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
     shells = table.states.sum(axis=1).tolist()
-    for mat in (table.x, table.y):
+    for mat in dense(table):
         for i, si in enumerate(shells):
             for j, sj in enumerate(shells):
                 if abs(si - sj) != 1:
                     assert mat[i, j] == 0
 
 
-def test_m_ell_selection_rules():
+def test_m_ell_selection_rules(dense, scatter):
     table = circular_components(build_oscillator_table(3, OMEGA0, 3, CONSTS))
     m = (table.states[:, 0] - table.states[:, 1]).tolist()
-    for i, j in np.argwhere(np.abs(table.x) > 1e-13):
+    x, _ = dense(table)
+    xplus, xminus = (scatter(table, part) for part in table.circular(slice(None)))
+    for i, j in np.argwhere(np.abs(x) > 1e-13):
         assert abs(m[i] - m[j]) == 1
-    for i, j in np.argwhere(np.abs(table.xplus) > 1e-13):
+    for i, j in np.argwhere(np.abs(xplus) > 1e-13):
         assert m[i] - m[j] == 1
-    for i, j in np.argwhere(np.abs(table.xminus) > 1e-13):
+    for i, j in np.argwhere(np.abs(xminus) > 1e-13):
         assert m[i] - m[j] == -1
 
 
-def test_circular_split_preserves_weight():
+def test_circular_split_preserves_weight(dense, scatter):
     table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
     assert circular_components(table) is table
-    weight = np.abs(table.xplus) ** 2 + np.abs(table.xminus) ** 2
-    assert np.max(np.abs(weight - (np.abs(table.x) ** 2 + np.abs(table.y) ** 2))) < 1e-13
-    assert np.allclose(table.xplus, (table.x + 1j * table.y) / math.sqrt(2))
-    assert np.allclose(table.xminus, (1j * table.x + table.y) / math.sqrt(2))
+    x, y = dense(table)
+    xplus, xminus = (scatter(table, part) for part in table.circular(slice(None)))
+    weight = np.abs(xplus) ** 2 + np.abs(xminus) ** 2
+    assert np.max(np.abs(weight - (np.abs(x) ** 2 + np.abs(y) ** 2))) < 1e-13
+    assert np.allclose(xplus, (x + 1j * y) / math.sqrt(2))
+    assert np.allclose(xminus, (1j * x + y) / math.sqrt(2))
 
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_derived_arrays_are_read_only(dims):
     table = build_oscillator_table(dims, OMEGA0, 3, CONSTS)
-    for name in ("states", "xplus", "xminus", "omega_array"):
+    for name in ("states", "omega_array", "neighbours", "x", "y"):
         arr = getattr(table, name)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr[0] = 1.0
+            arr[0] = 1
     with pytest.raises(AttributeError):
-        table.xplus = np.zeros_like(table.x)
+        table.x = np.zeros_like(table.x)
 
 
 def test_replace_derives_circular_pair_again():
     table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
     x, y = 2 * table.x, 3 * table.y
     scaled = replace(table, x=x, y=y)
-    assert np.array_equal(scaled.xplus, (x + 1j * y) / math.sqrt(2))
-    assert np.array_equal(scaled.xminus, (1j * x + y) / math.sqrt(2))
-    assert np.array_equal(scaled.omega_array, table.omega_array)
-    assert not scaled.xplus.flags.writeable
-    with pytest.raises(ValueError):
-        replace(table, xplus=table.xminus)
+    xplus, xminus = scaled.circular(slice(None))
+    assert np.array_equal(xplus, (x + 1j * (1j * y)) / math.sqrt(2))
+    assert np.array_equal(xminus, (1j * x + 1j * y) / math.sqrt(2))
+    assert scaled.omega_array is table.omega_array
 
 
 @pytest.mark.parametrize("dims", [2, 3])
@@ -233,16 +252,16 @@ def test_table_validation():
 
 
 def test_oversized_table_refused_before_allocation():
-    # C(43, 3) = 12341 states: four dense complex matrices of 2.4 GB each
+    # C(303, 3) = 4590551 states at 440 bytes each
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match="GiB"):
-        build_oscillator_table(3, 1.0, 40, NATURAL)
+        build_oscillator_table(3, 1.0, 300, NATURAL)
     assert time.perf_counter() - start < 0.5
 
 
-@pytest.mark.parametrize("dims,largest", [(2, 89), (3, 27)])
+@pytest.mark.parametrize("dims,largest", [(2, 2207), (3, 242)])
 def test_table_size_cap(dims, largest):
-    # four dense complex matrices of C(n_cut + dims, dims)^2 elements each
+    # 440 bytes for each of the C(n_cut + dims, dims) states
     check_table_size(dims, largest)
     with pytest.raises(SizeLimitError, match=f"{dims}-d table at n_cut = {largest + 1}"):
         check_table_size(dims, largest + 1)

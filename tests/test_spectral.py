@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zpfspin import spectral
 from zpfspin.cli import main
 from zpfspin.constants import NATURAL, PhysicalConstants
 from zpfspin.errors import IncompleteBasisError
@@ -82,10 +81,8 @@ QUANTITIES = {
 
 @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
 def test_all_rows_equal_one_row_calls_bit_for_bit(quantity):
-    # 120 states: a block holds 34 rows, so the 84 complete rows span three
     table = build_oscillator_table(3, OMEGA0, 7, CONSTS)
     rows = complete_rows(table)[::-1]
-    assert len(rows) > spectral._BLOCK_ELEMENTS // len(table.states) * 2
     compute = QUANTITIES[quantity]
     together = compute(table, rows)
     for k, i in enumerate(rows):
@@ -102,11 +99,12 @@ def test_no_rows_give_empty_results():
             assert values.shape == (0,)
 
 
-def test_all_state_sum_rule_sweep_is_quadratic(capsys):
-    # 969 states: a few tenths of a second when each per-state sum reuses the
-    # table's circular pair, tens of seconds when every call rebuilds it
+@pytest.mark.parametrize("command", ["sum-rule", "angular-momentum"])
+def test_all_state_sweep_at_3d_n_cut_80_within_ceiling(capsys, command):
+    # 91881 states: a fraction of a second over the four neighbours of each
+    # state, far past the size limit as dense S x S matrices (135 GB each)
     start = time.perf_counter()
-    code = main(["sum-rule", "--dims", "3", "--n-cut", "16"])
+    code = main([command, "--dims", "3", "--n-cut", "80"])
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert code == 0
@@ -116,17 +114,17 @@ def test_all_state_sum_rule_sweep_is_quadratic(capsys):
 # --- orbital angular momentum, three routes -----------------------------------
 
 
-def lz_matrix_oracle(table):
+def lz_matrix_oracle(table, x, y):
     """L_z = x py - y px with momenta built from frequency gaps, test-local."""
     gaps = table.omega_array[:, None] - table.omega_array[None, :]
-    px = 1j * table.mass * gaps * table.x
-    py = 1j * table.mass * gaps * table.y
-    return table.x @ py - table.y @ px
+    px = 1j * table.mass * gaps * x
+    py = 1j * table.mass * gaps * y
+    return x @ py - y @ px
 
 
-def test_lz_routes_agree_and_hit_eigenvalue():
+def test_lz_routes_agree_and_hit_eigenvalue(dense):
     table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
-    oracle = lz_matrix_oracle(table)
+    oracle = lz_matrix_oracle(table, *dense(table))
     rows = complete_rows(table)
     pols = lz_expectation(table, rows, method="polarized")
     directs = lz_expectation(table, rows, method="direct")
@@ -157,11 +155,12 @@ def test_polarized_channels_split_lz():
         assert m_plus == pytest.approx((lz + CONSTS.hbar) / 2, abs=1e-12)
 
 
-def test_commutator_diagonal_inside_truncation():
+def test_commutator_diagonal_inside_truncation(dense):
     table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
+    x, _ = dense(table)
     gaps = table.omega_array[:, None] - table.omega_array[None, :]
-    px = 1j * table.mass * gaps * table.x
-    comm = table.x @ px - px @ table.x
+    px = 1j * table.mass * gaps * x
+    comm = x @ px - px @ x
     for label, d in zip(table.states, np.diag(comm)):
         if sum(label) + 1 <= table.n_cut:
             assert abs(d - 1j * CONSTS.hbar) < 1e-12
