@@ -1,147 +1,41 @@
 """Verification library for circularly polarized vacuum-mode algebra,
-oscillator spectral sums, and exact exchange-symmetry derivations."""
+oscillator spectral sums, and exact exchange-symmetry derivations.
 
-from .constants import NATURAL, PhysicalConstants
-from .errors import (
-    ContradictionError,
-    IncompleteBasisError,
-    ResolutionError,
-    SizeLimitError,
+The package exports each submodule's own __all__.
+"""
+
+from . import (
+    constants,
+    errors,
+    exchange,
+    internal_rotation,
+    modes,
+    oscillator,
+    phase_algebra,
+    spectral,
 )
-from .exchange import (
-    AntiphaseResult,
-    BipartiteState,
-    CompositeKet,
-    DerivationReport,
-    ExchangePhaseSolution,
-    MultiparticleState,
-    ParticleSwapResult,
-    StateSwapResult,
-    antiphase_feasible,
-    antisymmetrize,
-    apply_exchange_phase,
-    derive_antisymmetry,
-    entanglement_phase,
-    exchange_particles,
-    exchange_states,
-    make_bipartite,
-    negate,
-    solve_exchange_phase,
-    state_hash,
-    state_to_dict,
-)
-from .internal_rotation import (
-    DichotomyResult,
-    SpinState,
-    apply_spin_z,
-    dichotomy_solve,
-    rotation_factor,
-)
-from .modes import (
-    Mode,
-    ModeObservables,
-    ZpfRealization,
-    analytic_mode_observables,
-    make_mode,
-    mode_keys,
-    mode_observables,
-    realization_totals,
-    resolution_floor,
-    sample_fields,
-    sample_realization,
-    sample_zeta_ensemble,
-    wave_vector,
-)
-from .oscillator import (
-    MatrixElementTable,
-    build_oscillator_table,
-    circular_components,
-)
-from .phase_algebra import (
-    Coefficient,
-    PhaseExpression,
-    Surd,
-    format_symbol,
-    phi_symbol,
-    zeta_symbol,
-)
-from .spectral import (
-    MomentIdentity,
-    SpinSplit,
-    lz_expectation,
-    magnetic_moment_identity,
-    polarized_momenta,
-    spin_split,
-    total_momentum,
-    trk_sum_rule,
-    zeeman_energy,
-    zeeman_levels,
-)
+from .constants import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .exchange import *  # noqa: F403
+from .internal_rotation import *  # noqa: F403
+from .modes import *  # noqa: F403
+from .oscillator import *  # noqa: F403
+from .phase_algebra import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NATURAL",
-    "PhysicalConstants",
-    "ContradictionError",
-    "IncompleteBasisError",
-    "ResolutionError",
-    "SizeLimitError",
-    "AntiphaseResult",
-    "BipartiteState",
-    "CompositeKet",
-    "DerivationReport",
-    "ExchangePhaseSolution",
-    "MultiparticleState",
-    "ParticleSwapResult",
-    "StateSwapResult",
-    "antiphase_feasible",
-    "antisymmetrize",
-    "apply_exchange_phase",
-    "derive_antisymmetry",
-    "entanglement_phase",
-    "exchange_particles",
-    "exchange_states",
-    "make_bipartite",
-    "negate",
-    "solve_exchange_phase",
-    "state_hash",
-    "state_to_dict",
-    "DichotomyResult",
-    "SpinState",
-    "apply_spin_z",
-    "dichotomy_solve",
-    "rotation_factor",
-    "Mode",
-    "ModeObservables",
-    "ZpfRealization",
-    "analytic_mode_observables",
-    "make_mode",
-    "mode_keys",
-    "mode_observables",
-    "realization_totals",
-    "resolution_floor",
-    "sample_fields",
-    "sample_realization",
-    "sample_zeta_ensemble",
-    "wave_vector",
-    "MatrixElementTable",
-    "build_oscillator_table",
-    "circular_components",
-    "Coefficient",
-    "PhaseExpression",
-    "Surd",
-    "format_symbol",
-    "phi_symbol",
-    "zeta_symbol",
-    "MomentIdentity",
-    "SpinSplit",
-    "lz_expectation",
-    "magnetic_moment_identity",
-    "polarized_momenta",
-    "spin_split",
-    "total_momentum",
-    "trk_sum_rule",
-    "zeeman_energy",
-    "zeeman_levels",
+    name
+    for module in (
+        constants,
+        errors,
+        exchange,
+        internal_rotation,
+        modes,
+        oscillator,
+        phase_algebra,
+        spectral,
+    )
+    for name in module.__all__
 ]

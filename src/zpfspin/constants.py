@@ -7,6 +7,8 @@ Zeeman energies read in units of mu0*B.
 
 from dataclasses import dataclass
 
+__all__ = ["PhysicalConstants", "NATURAL"]
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:

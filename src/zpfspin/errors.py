@@ -8,6 +8,16 @@ mark failure modes that callers are expected to distinguish programmatically.
 
 import numpy as np
 
+__all__ = [
+    "ResolutionError",
+    "IncompleteBasisError",
+    "ContradictionError",
+    "SizeLimitError",
+    "BYTES_LIMIT",
+    "check_bytes",
+    "check_scales",
+]
+
 
 class ResolutionError(ValueError):
     """Grid too coarse for the requested mode or operator."""
@@ -36,9 +46,10 @@ def check_bytes(what: str, estimate: int) -> None:
     """Raise SizeLimitError when `what` would need more than BYTES_LIMIT
     bytes; callers run this before allocating anything."""
     if estimate > BYTES_LIMIT:
+        # the bytes show why an estimate that rounds to the limit is over it
         raise SizeLimitError(
-            f"refusing {what}: it needs {estimate / 2**30:.1f} GiB, over the "
-            f"{BYTES_LIMIT / 2**30:.0f} GiB limit"
+            f"refusing {what}: it needs {estimate / 2**30:.1f} GiB ({estimate} bytes), "
+            f"over the {BYTES_LIMIT / 2**30:.0f} GiB limit ({BYTES_LIMIT} bytes)"
         )
 
 

@@ -24,9 +24,7 @@ which the quadrature in mode_observables verifies rather than assumes.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .constants import NATURAL, PhysicalConstants
 from .errors import ResolutionError, check_bytes, check_scales
 
 __all__ = [
-    "Mode",
+    "Modes",
     "ZpfRealization",
     "ModeObservables",
     "wave_vector",
@@ -58,33 +56,48 @@ __all__ = [
 _BLOCK_DOUBLES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Mode:
-    """Lattice vector n, handedness gamma and the two phases of one mode.
+@dataclass(frozen=True, eq=False)
+class Modes:
+    """M modes as rows: lattice vectors n (M, 3) int, handedness gamma (M,)
+    and the two phases zeta and phi (M,).
 
+    Indexing with a slice or an index array gives the Modes of those rows;
+    rows stay 2-D, so modes[:1] is the first mode and modes[0] is refused.
     The frequency omega = c |k| is derived where fields are evaluated, from
     the box and the constants in use there.
     """
 
-    n: tuple[int, int, int]
-    gamma: int
-    zeta: float
-    phi: float
+    n: np.ndarray
+    gamma: np.ndarray
+    zeta: np.ndarray
+    phi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gamma)
+
+    def __getitem__(self, rows) -> Modes:
+        if not isinstance(rows, slice) and np.ndim(rows) == 0:
+            raise TypeError("index Modes with a slice or an index array, e.g. modes[:1]")
+        return Modes(self.n[rows], self.gamma[rows], self.zeta[rows], self.phi[rows])
 
     @property
-    def amplitude(self) -> complex:
-        """a = e^{i zeta} e^{i gamma phi}; unit modulus by construction."""
-        return cmath.exp(1j * (self.zeta + self.gamma * self.phi))
+    def amplitude(self) -> np.ndarray:
+        """a = e^{i zeta} e^{i gamma phi} per mode; unit modulus by construction."""
+        return np.exp(1j * (self.zeta + self.gamma * self.phi))
 
 
 @dataclass(frozen=True)
 class ZpfRealization:
     L: float
-    modes: tuple[Mode, ...]
+    modes: Modes
 
 
 @dataclass(frozen=True, eq=False)
 class ModeObservables:
+    """Energy H, momentum P and angular momentum J: of one mode or a total
+    (a float and two 3-vectors), or of each of M modes from
+    analytic_mode_observables ((M,), (M, 3) and (M, 3))."""
+
     H: float
     P: np.ndarray
     J: np.ndarray
@@ -130,7 +143,8 @@ def wave_vector(n, L: float) -> np.ndarray:
     return 2.0 * np.pi * np.asarray(n, dtype=float) / L
 
 
-def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Mode:
+def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Modes:
+    """The one-row Modes of a single mode, its inputs validated."""
     n = tuple(int(c) for c in n)
     if len(n) != 3:
         raise ValueError("wave-vector index must be a 3-vector")
@@ -140,30 +154,29 @@ def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Mode:
         raise ValueError(f"polarization index must be +1 or -1, got {gamma!r}")
     if not L > 0:
         raise ValueError("box size must be positive")
-    return Mode(n=n, gamma=gamma, zeta=float(zeta), phi=float(phi))
+    return Modes(
+        np.array([n]), np.array([int(gamma)]), np.array([float(zeta)]), np.array([float(phi)])
+    )
 
 
-def mode_keys(n_max: int) -> list[tuple[tuple[int, int, int], int]]:
-    """All (n, gamma) with 0 < |n|_inf <= n_max, in a fixed deterministic order."""
+def mode_keys(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice vectors n (M, 3) and polarization indices gamma (M,) of all
+    modes with 0 < |n|_inf <= n_max: n ascending, each n with gamma = +1,
+    then -1."""
     if int(n_max) != n_max or n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    n_max = int(n_max)
-    keys = []
-    for n in product(range(-n_max, n_max + 1), repeat=3):
-        if n == (0, 0, 0):
-            continue
-        for gamma in (1, -1):
-            keys.append((n, gamma))
-    return keys
+    axis = np.arange(-int(n_max), int(n_max) + 1)
+    n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    n = n[np.any(n, axis=1)]
+    return np.repeat(n, 2, axis=0), np.tile([1, -1], len(n))
 
 
-def _mode_arrays(n, gamma, L: float, constants: PhysicalConstants):
+def _mode_arrays(modes: Modes, L: float, constants: PhysicalConstants):
     """Polarizations eps (M, 3), wave vectors k (M, 3), frequencies omega (M,)
-    and carrier prefactors sqrt(hbar / (V omega)) (M,) of the modes with
-    lattice vectors n (M, 3) and polarization indices gamma (M,)."""
-    n = np.asarray(n, dtype=float)
+    and carrier prefactors sqrt(hbar / (V omega)) (M,) of M modes."""
+    n = modes.n.astype(float)
     e1, e2, _ = _triads(n)
-    eps = _polarizations(e1, e2, np.asarray(gamma))
+    eps = _polarizations(e1, e2, modes.gamma)
     k, omega, prefactor = _mode_scales(n, L, constants)
     return eps, k, omega, prefactor
 
@@ -207,38 +220,34 @@ def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     np.random.default_rng accepts: an int or a SeedSequence (drawn through
     PCG64), or a bit generator, which is drawn from where it stands. The
     zetas of all modes come first in the stream, then the phis;
-    np.random.Philox(s).advance(i * M // 2), with M = len(mode_keys(n_max)),
-    gives realization i of sample_zeta_ensemble(n_max, count, s).
+    np.random.Philox(s).advance(i * M // 2), M being the mode count, gives
+    realization i of sample_zeta_ensemble(n_max, count, s).
     """
     if not L > 0:
         raise ValueError("box size must be positive")
-    keys = mode_keys(n_max)
+    n, gamma = mode_keys(n_max)
     rng = np.random.default_rng(seed)
-    zetas, phis = _draw_phases(rng, len(keys))
-    modes = tuple(
-        make_mode(n, gamma, zetas[i], phis[i], L)
-        for i, (n, gamma) in enumerate(keys)
-    )
-    return ZpfRealization(L=float(L), modes=modes)
+    zetas, phis = _draw_phases(rng, len(gamma))
+    return ZpfRealization(L=float(L), modes=Modes(n, gamma, zetas, phis))
 
 
 def sample_zeta_ensemble(n_max: int, count: int, seed: int):
     """zeta draws for `count` independent realizations from one Philox stream.
 
     Realization i owns the i-th block of 2M uniforms of the stream of
-    np.random.Philox(seed), M = len(mode_keys(n_max)) being the mode count:
-    its M zetas, then its M phis, the order sample_realization draws them in.
+    np.random.Philox(seed), M being the mode count: its M zetas, then its M
+    phis, the order sample_realization draws them in.
     M is even and Philox yields four 64-bit words per counter, so a block is
     M/2 counters, and row i holds exactly the zeta block of
     sample_realization(L, n_max, np.random.Philox(seed).advance(i * M // 2)).
     The phi halves are drawn in blocks of rows and dropped. Returns
-    (mode_keys, matrix) with the matrix of shape (count, M).
+    (mode_keys(n_max), matrix) with the matrix of shape (count, M).
     """
     if count < 1:
         raise ValueError("ensemble size must be at least 1")
     keys = mode_keys(n_max)
     check_ensemble_size(n_max, count)
-    m = len(keys)
+    m = len(keys[1])
     rng = np.random.Generator(np.random.Philox(seed))
     out = np.empty((count, m))
     rows = max(1, _BLOCK_DOUBLES // (2 * m))
@@ -280,11 +289,9 @@ def sample_fields(
     _check_in_box(points, real.L)
     flat = points.reshape(-1, 3)
     fields = np.zeros((len(flat), 9))
-    if real.modes:
-        eps, k, omega, prefactor = _mode_arrays(
-            [m.n for m in real.modes], [m.gamma for m in real.modes], real.L, constants
-        )
-        amplitude = np.array([m.amplitude for m in real.modes])
+    if len(real.modes):
+        eps, k, omega, prefactor = _mode_arrays(real.modes, real.L, constants)
+        amplitude = real.modes.amplitude
         w_a = (prefactor * (-1j) * amplitude)[:, np.newaxis] * eps
         w_e = 1j * omega[:, np.newaxis] * w_a
         # w_B = i f (k x eps) with i f = sqrt(hbar / (V omega)) a; B is built
@@ -345,13 +352,14 @@ def _phase_step(n, grid: int) -> tuple[int, tuple[int, int, int]]:
 
 
 def mode_observables(
-    mode: Mode,
+    mode: Modes,
     L: float,
     grid: int,
     constants: PhysicalConstants = NATURAL,
     t: float = 0.0,
 ) -> ModeObservables:
-    """H, P, J of one mode by trapezoidal quadrature on the periodic grid.
+    """H, P, J of a one-row Modes by trapezoidal quadrature on the periodic
+    grid.
 
     With periodic sampling at grid^3 points j L / grid the trapezoidal rule
     reduces to the grid mean times the volume. One mode's integrands depend
@@ -361,27 +369,28 @@ def mode_observables(
     grid mean equals, exactly, the mean over the grid / d points
     j_m = m u mod grid, m = 0 .. grid/d - 1, one per fibre, where
     n.u = d (mod grid). The periodic trapezoidal rule is spectrally exact for
-    these band-limited integrands once grid >= resolution_floor(mode.n)
+    these band-limited integrands once grid >= resolution_floor(n)
     (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
     SIAM Review 56, 2014).
     """
+    if len(mode) != 1:
+        raise ValueError(f"mode_observables takes one mode, got {len(mode)}")
+    n = tuple(mode.n[0].tolist())
     grid = int(grid)
     check_quadrature_size(grid)
-    floor = resolution_floor(mode.n)
+    floor = resolution_floor(n)
     if grid < floor:
-        raise ResolutionError(
-            f"grid {grid} is below the resolution floor {floor} for n={mode.n}"
-        )
-    _, omega, _ = _mode_scales(np.array([mode.n], dtype=float), L, constants)
+        raise ResolutionError(f"grid {grid} is below the resolution floor {floor} for n={n}")
+    _, omega, _ = _mode_scales(mode.n.astype(float), L, constants)
     V = np.float64(L) ** 3
     with np.errstate(all="ignore"):
         density = constants.hbar * omega / V
     # the integrands are of the size of the energy density hbar omega / V
     check_scales(f"a quadrature in a box of edge {L:g}", energy_density=density)
-    d, step = _phase_step(mode.n, grid)
+    d, step = _phase_step(n, grid)
     lattice = np.arange(grid // d)[:, np.newaxis] * np.array(step) % grid
     points = lattice * (L / grid)
-    A, E, B = sample_fields(ZpfRealization(L, (mode,)), points, t, constants)
+    A, E, B = sample_fields(ZpfRealization(L, mode), points, t, constants)
     c2 = constants.c**2
     u = 0.5 * (np.sum(E * E, axis=-1) + c2 * np.sum(B * B, axis=-1))
     H = float(np.mean(u) * V)
@@ -407,16 +416,17 @@ def check_quadrature_size(grid: int) -> None:
 
 
 def analytic_mode_observables(
-    mode: Mode, L: float, constants: PhysicalConstants = NATURAL
+    modes: Modes, L: float, constants: PhysicalConstants = NATURAL
 ) -> ModeObservables:
-    """Closed-form single-mode observables under the module's field convention."""
-    k = wave_vector(mode.n, L)
-    norm = float(np.linalg.norm(k))
+    """Closed-form observables of each of M modes under the module's field
+    convention: H (M,), P (M, 3) and J (M, 3)."""
+    k = wave_vector(modes.n, L)
+    norm = np.sqrt(_row_dots(k, k))
     khat = k / norm
-    omega = constants.c * norm
+    omega = constants.c * norm[:, 0]
     H = constants.hbar * omega / 2.0
-    P = (constants.hbar * omega / (2.0 * constants.c)) * khat
-    J = mode.gamma * (constants.hbar / 2.0) * khat
+    P = (constants.hbar * omega / (2.0 * constants.c))[:, np.newaxis] * khat
+    J = (modes.gamma * (constants.hbar / 2.0))[:, np.newaxis] * khat
     return ModeObservables(H=H, P=P, J=J)
 
 
@@ -428,20 +438,14 @@ def realization_totals(
     Modes are accumulated in an order that places exactly cancelling partners
     adjacently (n with -n, gamma with -gamma), so totals over sets closed
     under those reflections vanish exactly in floating point, not just to
-    rounding.
+    rounding: by canon = max(n, -n), then n == canon first, then gamma = +1
+    first, one after another from zero.
     """
-    groups: dict = {}
-    for mode in real.modes:
-        canon = max(mode.n, tuple(-c for c in mode.n))
-        groups.setdefault(canon, []).append(mode)
-    rank = {(True, 1): 0, (True, -1): 1, (False, 1): 2, (False, -1): 3}
-    H = 0.0
-    P = np.zeros(3)
-    J = np.zeros(3)
-    for canon in sorted(groups):
-        for mode in sorted(groups[canon], key=lambda m: rank[(m.n == canon, m.gamma)]):
-            obs = analytic_mode_observables(mode, real.L, constants)
-            H += obs.H
-            P = P + obs.P
-            J = J + obs.J
-    return ModeObservables(H=H, P=P, J=J)
+    modes = real.modes
+    obs = analytic_mode_observables(modes, real.L, constants)
+    first = modes.n[np.arange(len(modes)), np.argmax(modes.n != 0, axis=1)]
+    canon = modes.n * np.sign(first)[:, np.newaxis]
+    order = np.lexsort((-modes.gamma, first < 0, canon[:, 2], canon[:, 1], canon[:, 0]))
+    rows = np.concatenate([obs.H[:, np.newaxis], obs.P, obs.J], axis=1)[order]
+    total = np.add.accumulate(np.concatenate([np.zeros((1, 7)), rows]))[-1]
+    return ModeObservables(H=float(total[0]), P=total[1:4], J=total[4:7])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from zpfspin import cli, modes, oscillator
+from zpfspin import cli, errors, modes, oscillator
 from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
 from zpfspin.oscillator import build_oscillator_table
 from zpfspin.phase_algebra import MINUS_ONE
@@ -466,6 +466,35 @@ def test_benchmark_tracer_sees_one_span_per_table_and_quantity(capsys, monkeypat
     assert totals["spectral.polarized_momenta.calls"] == 1
 
 
+def test_benchmark_tracer_counts_the_modes_layer(capsys, monkeypatch):
+    # a renamed traced function or parameter of the modes layer fails here
+    spans = _perfbench_module(monkeypatch, "spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["field-sample", "--n-max", "1", "--points", "4"]) == 0
+        assert main(["totals", "--n-max", "1"]) == 0
+        assert main(["phases", "--n-max", "1", "--ensemble", "10", "--pairs", "2"]) == 0
+        assert main(["mode-observables", "--grid", "8"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert not hasattr(modes.sample_fields, "__wrapped__")
+    traced, counts = tracer.take()
+    totals = spans.aggregate(traced)
+    # field-sample: 52 modes, then rows [:1], [1:2] and [:2], at 4 points;
+    # mode-observables: one mode at grid / gcd(0, 0, 1, 8) = 8 phases, twice
+    assert counts["modes.field_mode_points"] == (52 + 1 + 1 + 2) * 4 + 2 * 8
+    assert counts["modes.ensemble_rows"] == 10
+    assert counts["modes.quadrature_points"] == 2 * 8**3
+    # realizations are drawn as arrays: only mode-observables builds its two
+    # modes one by one, and each realization_totals is one analytic call
+    assert totals["modes.make_mode.calls"] == 2
+    assert totals["modes.sample_realization.calls"] == 2
+    assert totals["modes.realization_totals.calls"] == 2
+    assert totals["modes.analytic_mode_observables.calls"] == 2 + 1
+
+
 def test_benchmark_cases_pass_their_oracle(capsys, monkeypatch):
     # every seed-1 case of every workload exits 0 and satisfies the
     # benchmark's report oracle, so its pass_ratio stays 1
@@ -823,6 +852,22 @@ def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert estimate in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sum-rule", "--dims", "3", "--n-cut", "243"], ["sum-rule", "--dims", "2", "--n-cut", "2208"]],
+)
+def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv):
+    # the smallest tables over the limit round to it, 1.0 GiB; the byte
+    # counts in the message show why they are refused
+    monkeypatch.setattr(cli, "build_oscillator_table", _never_called)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "it needs 1.0 GiB" in captured.err
+    needed, limit = (int(v) for v in re.findall(r"\((\d+) bytes\)", captured.err))
+    assert limit == errors.BYTES_LIMIT < needed
 
 
 @pytest.mark.parametrize(

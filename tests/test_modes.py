@@ -5,6 +5,7 @@ the library's complex-carrier bookkeeping, so a sign slip in either place
 shows up as a mismatch.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from zpfspin import modes
 from zpfspin.constants import NATURAL, PhysicalConstants
 from zpfspin.errors import ResolutionError, SizeLimitError
 from zpfspin.modes import (
+    ModeObservables,
+    Modes,
     ZpfRealization,
     analytic_mode_observables,
     make_mode,
@@ -30,6 +33,17 @@ from zpfspin.modes import (
 )
 
 L = 1.3
+
+
+def stack(*parts):
+    """One Modes holding the rows of each part, in order."""
+    fields = ("n", "gamma", "zeta", "phi")
+    return Modes(*(np.concatenate([getattr(p, f) for p in parts]) for f in fields))
+
+
+def row(obs, i):
+    """Mode i of per-mode observables."""
+    return ModeObservables(H=obs.H[i], P=obs.P[i], J=obs.J[i])
 
 nonzero_triples = st.tuples(
     st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)
@@ -138,29 +152,30 @@ def test_fields_match_oracle(n, gamma):
     for _ in range(6):
         r = rng.uniform(0, L, 3)
         t = rng.uniform(0, 3)
-        fields = sample_fields(ZpfRealization(L, (mode,)), r[np.newaxis], t, NATURAL)
+        fields = sample_fields(ZpfRealization(L, mode), r[np.newaxis], t, NATURAL)
         for got, want in zip(fields, oracle_fields(n, gamma, 0.7, 2.1, r, t)):
             assert np.max(np.abs(got[0] - want)) < 1e-13
 
 
 def test_fields_transverse_and_circular():
     mode = make_mode((2, 1, -1), -1, 1.2, 0.4, L)
-    k = wave_vector(mode.n, L)
+    k = wave_vector(mode.n[0], L)
     khat = k / np.linalg.norm(k)
     pts = np.random.default_rng(0).uniform(0, L, (40, 3))
-    A, E, B = sample_fields(ZpfRealization(L, (mode,)), pts, 0.25, NATURAL)
+    A, E, B = sample_fields(ZpfRealization(L, mode), pts, 0.25, NATURAL)
     assert np.max(np.abs(A @ khat)) < 1e-13
     assert np.max(np.abs(E @ khat)) < 1e-13
-    assert np.max(np.abs(B - mode.gamma * np.linalg.norm(k) * A)) < 1e-12
+    assert np.max(np.abs(B - mode.gamma[0] * np.linalg.norm(k) * A)) < 1e-12
 
 
 def test_fields_sum_linearly():
     m1 = make_mode((0, 1, 0), 1, 0.3, 1.0, L)
     m2 = make_mode((1, 0, 1), -1, 2.2, 0.1, L)
     pts = np.random.default_rng(1).uniform(0, L, (10, 3))
-    one = sample_fields(ZpfRealization(L, (m1,)), pts, 0.5, NATURAL)
-    two = sample_fields(ZpfRealization(L, (m2,)), pts, 0.5, NATURAL)
-    both = sample_fields(ZpfRealization(L, (m1, m2)), pts, 0.5, NATURAL)
+    pair = stack(m1, m2)
+    one = sample_fields(ZpfRealization(L, pair[:1]), pts, 0.5, NATURAL)
+    two = sample_fields(ZpfRealization(L, pair[1:]), pts, 0.5, NATURAL)
+    both = sample_fields(ZpfRealization(L, pair), pts, 0.5, NATURAL)
     for got, a, b in zip(both, one, two):
         assert np.max(np.abs(got - (a + b))) < 1e-13
 
@@ -169,15 +184,16 @@ def loop_fields(real, points, t, constants=NATURAL):
     """The per-mode sum: one complex carrier per mode, added mode by mode."""
     shape = points.shape[:-1] + (3,)
     A, E, B = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    for mode in real.modes:
-        eps = oracle_polarization(mode.n, mode.gamma)
-        k = wave_vector(mode.n, real.L)
+    modes = real.modes
+    for n, gamma, zeta, phi in zip(modes.n.tolist(), modes.gamma, modes.zeta, modes.phi):
+        eps = oracle_polarization(n, gamma)
+        k = wave_vector(n, real.L)
         omega = constants.c * float(np.linalg.norm(k))
         theta = points @ k - omega * t
         carrier = (
             np.sqrt(constants.hbar / (real.L**3 * omega))
             * (-1j)
-            * mode.amplitude
+            * cmath.exp(1j * (zeta + gamma * phi))
             * np.exp(1j * theta)
         )
         F = carrier[..., np.newaxis] * eps
@@ -189,9 +205,9 @@ def loop_fields(real, points, t, constants=NATURAL):
 
 def _realization(n_max):
     if n_max == "empty":
-        return ZpfRealization(L, ())
+        return ZpfRealization(L, make_mode((0, 0, 1), 1, 0.0, 0.0, L)[:0])
     if n_max == "one mode":
-        return ZpfRealization(L, (make_mode((1, -2, 3), -1, 0.7, 2.1, L),))
+        return ZpfRealization(L, make_mode((1, -2, 3), -1, 0.7, 2.1, L))
     return sample_realization(L, n_max, 17)
 
 
@@ -216,13 +232,14 @@ def test_fields_match_mode_loop_across_point_blocks():
 
 
 def test_empty_realization_is_dark():
-    for field in sample_fields(ZpfRealization(L, ()), np.zeros((1, 3)), 0.0, NATURAL):
+    empty = ZpfRealization(L, make_mode((0, 0, 1), 1, 0.0, 0.0, L)[:0])
+    for field in sample_fields(empty, np.zeros((1, 3)), 0.0, NATURAL):
         assert field.shape == (1, 3)
         assert not np.any(field)
 
 
 def test_points_must_lie_in_box():
-    real = ZpfRealization(L, (make_mode((0, 0, 1), 1, 0.0, 0.0, L),))
+    real = ZpfRealization(L, make_mode((0, 0, 1), 1, 0.0, 0.0, L))
     with pytest.raises(ValueError):
         sample_fields(real, np.array([[L, 0.0, 0.0]]), 0.0, NATURAL)
     with pytest.raises(ValueError):
@@ -236,12 +253,13 @@ def test_analytic_observables_closed_form():
     consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
     mode = make_mode((1, -2, 3), -1, 0.9, 1.7, L)
     obs = analytic_mode_observables(mode, L, consts)
-    k = wave_vector(mode.n, L)
+    assert (obs.H.shape, obs.P.shape, obs.J.shape) == ((1,), (1, 3), (1, 3))
+    k = wave_vector(mode.n[0], L)
     khat = k / np.linalg.norm(k)
     omega = consts.c * np.linalg.norm(k)
-    assert obs.H == pytest.approx(consts.hbar * omega / 2, rel=1e-15)
-    assert np.allclose(obs.P, consts.hbar * omega / (2 * consts.c) * khat, rtol=1e-15)
-    assert np.allclose(obs.J, -consts.hbar / 2 * khat, rtol=1e-15)
+    assert obs.H[0] == pytest.approx(consts.hbar * omega / 2, rel=1e-15)
+    assert np.allclose(obs.P[0], consts.hbar * omega / (2 * consts.c) * khat, rtol=1e-15)
+    assert np.allclose(obs.J[0], -consts.hbar / 2 * khat, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n,gamma", [((0, 0, 1), 1), ((1, 2, -1), -1), ((2, 2, 2), 1)])
@@ -249,7 +267,7 @@ def test_quadrature_matches_analytic(n, gamma):
     mode = make_mode(n, gamma, 1.1, 0.6, L)
     grid = max(16, resolution_floor(n))
     obs = mode_observables(mode, L, grid, NATURAL)
-    ref = analytic_mode_observables(mode, L, NATURAL)
+    ref = row(analytic_mode_observables(mode, L, NATURAL), 0)
     assert obs.H == pytest.approx(ref.H, rel=1e-9)
     assert np.max(np.abs(obs.P - ref.P)) < 1e-9 * np.linalg.norm(ref.P)
     assert np.max(np.abs(obs.J - ref.J)) < 1e-9 * np.linalg.norm(ref.J)
@@ -280,7 +298,7 @@ def grid_oracle(mode, L, grid, constants, t):
     axis = np.arange(grid) * (L / grid)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.stack([X, Y, Z], axis=-1)
-    A, E, B = sample_fields(ZpfRealization(L, (mode,)), points, t, constants)
+    A, E, B = sample_fields(ZpfRealization(L, mode), points, t, constants)
     V = L**3
     u = 0.5 * (np.sum(E * E, axis=-1) + constants.c**2 * np.sum(B * B, axis=-1))
     H = float(np.mean(u) * V)
@@ -390,7 +408,7 @@ def test_out_of_range_scales_refused(box, consts):
 def test_out_of_range_box_refused_for_realizations(box):
     with pytest.raises(ValueError, match="normal floats"):
         modes.check_mode_scales(box, 1, NATURAL)
-    real = ZpfRealization(box, (make_mode((0, 0, 1), 1, 0.0, 0.0, box),))
+    real = ZpfRealization(box, make_mode((0, 0, 1), 1, 0.0, 0.0, box))
     with pytest.raises(ValueError, match="normal floats"):
         sample_fields(real, np.zeros((1, 3)), 0.0, NATURAL)
 
@@ -408,7 +426,9 @@ def test_resolution_floor_enforced():
 
 
 def test_mode_keys_cover_both_polarizations():
-    keys = mode_keys(1)
+    n, gamma = mode_keys(1)
+    keys = list(zip(map(tuple, n.tolist()), gamma.tolist()))
+    assert n.shape == (52, 3)
     assert len(keys) == 52
     assert len(set(keys)) == 52
     assert all(any(n) for n, _ in keys)
@@ -422,26 +442,26 @@ def test_mode_keys_cover_both_polarizations():
 
 
 def test_sample_realization_deterministic():
-    a = sample_realization(L, 1, 42)
-    b = sample_realization(L, 1, 42)
-    c = sample_realization(L, 1, 43)
-    assert [(m.n, m.gamma, m.zeta, m.phi) for m in a.modes] == [
-        (m.n, m.gamma, m.zeta, m.phi) for m in b.modes
-    ]
-    assert [m.zeta for m in a.modes] != [m.zeta for m in c.modes]
+    a = sample_realization(L, 1, 42).modes
+    b = sample_realization(L, 1, 42).modes
+    c = sample_realization(L, 1, 43).modes
+    for field in ("n", "gamma", "zeta", "phi"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert not np.array_equal(a.zeta, c.zeta)
 
 
 def test_zeta_ensemble_rows_match_child_realizations():
     # realization i owns the i-th block of 2M draws of one Philox stream,
     # M/2 counters long, also past the sampler's first block of rows
-    count_modes = len(mode_keys(1))
+    count_modes = len(mode_keys(1)[1])
     per_block = modes._BLOCK_DOUBLES // (2 * count_modes)
     keys, zetas = sample_zeta_ensemble(1, per_block + 2, 9)
     for i in (0, 3, per_block, per_block + 1):
         stream = np.random.Philox(9).advance(i * count_modes // 2)
         real = sample_realization(L, 1, stream)
-        assert [(m.n, m.gamma) for m in real.modes] == list(keys)
-        assert np.array_equal(zetas[i], np.array([m.zeta for m in real.modes]))
+        assert np.array_equal(real.modes.n, keys[0])
+        assert np.array_equal(real.modes.gamma, keys[1])
+        assert np.array_equal(zetas[i], real.modes.zeta)
 
 
 def test_oversized_ensemble_and_grid_refused_before_allocation():
@@ -460,14 +480,63 @@ def test_totals_cancel_exactly_for_closed_set():
     assert np.all(totals.J == 0.0)
 
 
+def grouped_loop_energy(real, constants):
+    """Total H added mode by mode: groups of canon = max(n, -n) ascending,
+    within a group n == canon first, then gamma = +1 first."""
+    per_mode = analytic_mode_observables(real.modes, real.L, constants)
+    n = [tuple(v) for v in real.modes.n.tolist()]
+    gamma = real.modes.gamma.tolist()
+    groups = {}
+    for i, v in enumerate(n):
+        groups.setdefault(max(v, tuple(-c for c in v)), []).append(i)
+    H = 0.0
+    for canon, rows in sorted(groups.items()):
+        for i in sorted(rows, key=lambda i: (n[i] != canon, -gamma[i])):
+            H += float(per_mode.H[i])
+    return H
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_permuted_closed_set_keeps_exact_totals(n_max):
+    consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
+    real = sample_realization(L, n_max, 7)
+    order = np.random.default_rng(n_max).permutation(len(real.modes))
+    totals = realization_totals(real, consts)
+    shuffled = realization_totals(ZpfRealization(L, real.modes[order]), consts)
+    assert np.all(shuffled.P == 0.0)
+    assert np.all(shuffled.J == 0.0)
+    assert shuffled.H.hex() == totals.H.hex() == grouped_loop_energy(real, consts).hex()
+
+
+def test_modes_rows_stay_two_dimensional():
+    m = sample_realization(L, 1, 3).modes
+    assert len(m) == 52
+    first = m[:1]
+    assert len(first) == 1
+    assert first.n.shape == (1, 3)
+    picked = m[np.array([5, 0])]
+    for field in ("n", "gamma", "zeta", "phi"):
+        assert np.array_equal(getattr(picked, field), getattr(m, field)[[5, 0]])
+    for index in (0, np.int64(0)):
+        with pytest.raises(TypeError):
+            m[index]
+    with pytest.raises(ValueError, match="one mode"):
+        mode_observables(m[:2], L, 8, NATURAL)
+    want = [
+        cmath.exp(1j * z) * cmath.exp(1j * g * p)
+        for g, z, p in zip(m.gamma.tolist(), m.zeta.tolist(), m.phi.tolist())
+    ]
+    assert np.max(np.abs(m.amplitude - np.array(want))) < 1e-15
+
+
 def test_gamma_pair_kills_spin_but_not_momentum():
     m_plus = make_mode((1, 0, 0), 1, 0.2, 0.3, L)
     m_minus = make_mode((1, 0, 0), -1, 1.2, 2.3, L)
-    totals = realization_totals(ZpfRealization(L, (m_plus, m_minus)), NATURAL)
+    totals = realization_totals(ZpfRealization(L, stack(m_plus, m_minus)), NATURAL)
     assert np.all(totals.J == 0.0)
     assert np.linalg.norm(totals.P) > 0
-    single = realization_totals(ZpfRealization(L, (m_plus,)), NATURAL)
-    ref = analytic_mode_observables(m_plus, L, NATURAL)
+    single = realization_totals(ZpfRealization(L, m_plus), NATURAL)
+    ref = row(analytic_mode_observables(m_plus, L, NATURAL), 0)
     assert single.H == pytest.approx(ref.H, rel=1e-15)
     assert np.allclose(single.J, ref.J, rtol=1e-15)
 
@@ -476,7 +545,7 @@ def test_gamma_pair_kills_spin_but_not_momentum():
 @given(nonzero_triples, st.sampled_from([1, -1]))
 def test_spin_is_half_hbar_along_k(n, gamma):
     mode = make_mode(n, gamma, 0.0, 0.0, L)
-    obs = analytic_mode_observables(mode, L, NATURAL)
+    obs = row(analytic_mode_observables(mode, L, NATURAL), 0)
     khat = np.array(n, dtype=float)
     khat /= np.linalg.norm(khat)
     assert np.max(np.abs(obs.J - gamma * 0.5 * khat)) < 1e-14
