@@ -43,13 +43,13 @@ from .exchange import (
     derive_antisymmetry,
     negate,
 )
-from .internal_rotation import SpinState, apply_spin_z, dichotomy_solve, rotation_factor
+from .internal_rotation import apply_spin_z, dichotomy_solve, rotation_factor
 from .modes import (
     ZpfRealization,
     analytic_mode_observables,
-    check_ensemble_size,
     check_field_size,
     check_mode_scales,
+    check_modes_size,
     check_quadrature_size,
     make_mode,
     mode_observables,
@@ -402,6 +402,7 @@ def _relative(error, field) -> float:
 )
 def _run_field_sample(cfg):
     check_field_size(cfg.points)
+    check_modes_size(cfg.n_max)
     consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
@@ -441,6 +442,7 @@ def _run_field_sample(cfg):
 
 @_experiment("totals", "whole-realization momentum and spin totals", BOX, N_MAX, HBAR, C)
 def _run_totals(cfg):
+    check_modes_size(cfg.n_max)
     consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
@@ -477,7 +479,7 @@ def _run_phases(cfg):
     # one pair holds about 1.4 KB at peak (tracemalloc), its report entry
     # (114 bytes of JSON) included
     check_bytes(f"{cfg.pairs} mode pairs", 1400 * cfg.pairs)
-    check_ensemble_size(cfg.n_max, cfg.ensemble)
+    check_modes_size(cfg.n_max, cfg.ensemble)
     if cfg.pairs * cfg.ensemble > _PAIR_ROWS_LIMIT:
         raise SizeLimitError(
             f"refusing {cfg.pairs} mode pairs over {cfg.ensemble} realizations: "
@@ -685,9 +687,9 @@ def _run_dichotomy(cfg):
 def _run_sz(cfg):
     winding = cfg.winding
     consts = PhysicalConstants(hbar=cfg.hbar)
-    state = SpinState(base_label="alpha", winding=winding)
-    symbolic = apply_spin_z(state, "symbolic", consts)
-    numeric = apply_spin_z(state, "numeric", consts, grid=cfg.points)
+    numeric = apply_spin_z(winding, consts, grid=cfg.points)
+    # the exact eigenvalue, read off the generator's half-turn phase e^{-i w pi}
+    symbolic = -consts.hbar * float(rotation_factor(winding, 1).pi_part)
     full_turn = rotation_factor(winding, 2)
     double_turn = rotation_factor(winding, 4)
     checks = [
@@ -792,7 +794,7 @@ def _transpositions_flip_sign(labels, state) -> bool:
     index_of = _once_per_object({label: i for i, label in enumerate(labels)}.__getitem__)
     classes: dict = {}
     class_of = _once_per_object(lambda c: classes.setdefault(c, len(classes)))
-    keys = [bytes(map(index_of, ket.slots)) for _, ket in state.terms]
+    keys = [bytes(map(index_of, ket)) for _, ket in state.terms]
     ids = [class_of(c) for c, _ in state.terms]
     flipped = negate(state)
     want = {key: class_of(c) for key, (c, _) in zip(keys, flipped.terms)}

@@ -36,9 +36,9 @@ class SizeLimitError(ValueError):
     BYTES_LIMIT bytes of arrays."""
 
 
-# Largest working set, in bytes, that one table, ensemble, field sample or
-# quadrature may allocate. A quadrature holds one point per lattice phase,
-# at most grid of them, so its estimate grows linearly in grid.
+# Largest working set, in bytes, that one table, set of modes, ensemble,
+# field sample or quadrature may allocate. A quadrature holds one point per
+# lattice phase, at most grid of them, so its estimate grows linearly in grid.
 BYTES_LIMIT = 1 << 30
 
 

@@ -3,7 +3,9 @@ n-particle consequences.
 
 The whole derivation is phase bookkeeping, so no float ever appears here:
 coefficients are exact surd magnitudes times unit phases with rational
-exponent data, and state equality is structural. Kets do not store their
+exponent data, and state equality is structural. A ket is a plain tuple of
+slots, slot p (particle p, 1-based) an (orbital str, spin Fraction) pair;
+a state is a tuple of (coefficient, ket) terms. Kets do not store their
 angle prefactors; slot p of a ket contributes e^{-i s phi_p} canonically
 (s the spin in that slot), and any numeric residue produced by exchanging
 slots and substituting angles migrates into the term coefficient, where the
@@ -41,7 +43,6 @@ from .phase_algebra import (
 )
 
 __all__ = [
-    "CompositeKet",
     "BipartiteState",
     "MultiparticleState",
     "make_bipartite",
@@ -76,49 +77,19 @@ def _check_spin(s) -> Fraction:
     return s
 
 
-@dataclass(frozen=True)
-class CompositeKet:
-    """Ordered product ket; slot p (1-based particle p) holds (orbital, spin)."""
-
-    slots: tuple
-
-    def __post_init__(self):
-        slots = tuple((str(o), _check_spin(s)) for o, s in self.slots)
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def n(self) -> int:
-        return len(self.slots)
-
-    @property
-    def prefactor(self) -> PhaseExpression:
-        coeffs = {}
-        for p, (_, s) in enumerate(self.slots, start=1):
-            if s:
-                coeffs[phi_symbol(p)] = -s
-        return PhaseExpression(0, coeffs)
-
-    def swapped(self) -> "CompositeKet":
-        if self.n != 2:
-            raise ValueError("swapped() is the two-particle slot swap")
-        return CompositeKet(self.slots[::-1])
-
-    @classmethod
-    def _trusted(cls, slots: tuple) -> "CompositeKet":
-        """A ket over slots already in canonical (str, Fraction) form."""
-        ket = object.__new__(cls)
-        object.__setattr__(ket, "slots", slots)
-        return ket
+def _prefactor(ket) -> PhaseExpression:
+    """The canonical angle factor of a ket: e^{-i s phi_p} from each slot p."""
+    return PhaseExpression(0, {phi_symbol(p): -s for p, (_, s) in enumerate(ket, start=1)})
 
 
 def _collect(pairs):
-    """Sum coefficients per ket, drop exact zeros, order deterministically."""
+    """Sum coefficients per ket, drop exact zeros, order by slots."""
     acc: dict = {}
     for coeff, ket in pairs:
         cur = acc.get(ket)
         acc[ket] = coeff if cur is None else cur + coeff
     items = [(c, k) for k, c in acc.items() if not c.is_zero]
-    items.sort(key=lambda item: item[1].slots)
+    items.sort(key=lambda item: item[1])
     return tuple(items)
 
 
@@ -128,16 +99,16 @@ class BipartiteState:
 
     Equality compares terms only; the remaining fields are provenance.
     relative_phase is the symbolic phase the construction introduced and
-    stays symbolic until the exchange constraint fixes it. degenerate
-    records that the two arrangements share one total energy, which is what
-    licenses superposing them with a time-independent relative phase.
+    stays symbolic until the exchange constraint fixes it. The two
+    arrangements share one total energy, which is what licenses superposing
+    them with a time-independent relative phase; the serialized state
+    records this as "degenerate": true.
     """
 
     terms: tuple
     relative_phase: PhaseExpression = field(compare=False)
     first: tuple = field(compare=False)
     second: tuple = field(compare=False)
-    degenerate: bool = field(compare=False, default=True)
 
 
 @dataclass(frozen=True)
@@ -163,7 +134,7 @@ def entanglement_phase(orbital_a: str, orbital_b: str) -> PhaseExpression:
     return PhaseExpression(0, {s1: Fraction(sign1), s2: Fraction(sign2)})
 
 
-def make_bipartite(orbital_a, spin_a, orbital_b, spin_b, degenerate: bool = True) -> BipartiteState:
+def make_bipartite(orbital_a, spin_a, orbital_b, spin_b) -> BipartiteState:
     """Entangled two-particle state over two distinct orbitals.
 
     The orbitals must differ: the relative phase is a ratio of mode
@@ -177,15 +148,9 @@ def make_bipartite(orbital_a, spin_a, orbital_b, spin_b, degenerate: bool = True
         raise ValueError("the two orbital labels must be distinct")
     lam = entanglement_phase(oa, ob)
     norm = Coefficient.of(Surd.inv_sqrt(2))
-    ket_a = CompositeKet(((oa, sa), (ob, sb)))
-    terms = _collect([(norm, ket_a), (norm.mul_phase(lam), ket_a.swapped())])
-    return BipartiteState(
-        terms=terms,
-        relative_phase=lam,
-        first=(oa, sa),
-        second=(ob, sb),
-        degenerate=degenerate,
-    )
+    ket_a = ((oa, sa), (ob, sb))
+    terms = _collect([(norm, ket_a), (norm.mul_phase(lam), ket_a[::-1])])
+    return BipartiteState(terms=terms, relative_phase=lam, first=(oa, sa), second=(ob, sb))
 
 
 def _proportionality(new_terms, ref_terms):
@@ -224,7 +189,7 @@ def exchange_states(psi: BipartiteState) -> StateSwapResult:
     """
     oa, sa = psi.first
     ob, sb = psi.second
-    flipped = make_bipartite(ob, sb, oa, sa, degenerate=psi.degenerate)
+    flipped = make_bipartite(ob, sb, oa, sa)
     factor = _proportionality(flipped.terms, psi.terms)
     if factor is None:
         raise ContradictionError("swapped construction is not proportional to the input")
@@ -252,8 +217,8 @@ def _exchange_branch(psi: BipartiteState, branch: str) -> BipartiteState:
     subst = _phi_substitution(branch)
     pairs = []
     for coeff, ket in psi.terms:
-        new_ket = ket.swapped()
-        residual = ket.prefactor.substitute(subst) * new_ket.prefactor.inverse()
+        new_ket = ket[::-1]
+        residual = _prefactor(ket).substitute(subst) * _prefactor(new_ket).inverse()
         if not residual.is_numeric:
             raise ContradictionError("angle relabeling left a symbolic residue")
         pairs.append((coeff.transform_phase(_swap_zeta_particles).mul_phase(residual), new_ket))
@@ -264,7 +229,6 @@ def _exchange_branch(psi: BipartiteState, branch: str) -> BipartiteState:
 class ParticleSwapResult:
     state: BipartiteState
     factor: PhaseExpression | None
-    ordering: str
     tie_flagged: bool
     branches_agree: bool
 
@@ -288,7 +252,6 @@ def exchange_particles(psi: BipartiteState, ordering: str = "phi2_greater") -> P
     return ParticleSwapResult(
         state=chosen,
         factor=_proportionality(chosen.terms, psi.terms),
-        ordering=branch,
         tie_flagged=tie,
         branches_agree=agree,
     )
@@ -457,7 +420,7 @@ def antisymmetrize(labels) -> MultiparticleState:
     one with the two equal labels swapped; that is the algebraic face of
     the exclusion rule, not an error, and it is found by a duplicate check
     before any term is built. Distinct labels give n! distinct kets, ordered
-    by their slots.
+    by their slots; the kets share the n normalized label tuples.
     """
     labs = [(str(o), _check_spin(s)) for o, s in labels]
     n = len(labs)
@@ -474,7 +437,7 @@ def antisymmetrize(labels) -> MultiparticleState:
     norm = Coefficient.of(Surd.inv_sqrt(math.factorial(n)))
     signed = (norm, norm.mul_phase(MINUS_ONE))
     terms = tuple(
-        (signed[base ^ _parity(perm)], CompositeKet._trusted(slots))
+        (signed[base ^ _parity(perm)], slots)
         for perm, slots in zip(
             permutations(range(n)), permutations([labs[i] for i in order])
         )
@@ -485,8 +448,8 @@ def antisymmetrize(labels) -> MultiparticleState:
 # --- serialization and the derivation trace ----------------------------------
 
 
-def ket_to_dict(ket: CompositeKet) -> dict:
-    return {"slots": [{"orbital": o, "spin": str(s)} for o, s in ket.slots]}
+def ket_to_dict(ket: tuple) -> dict:
+    return {"slots": [{"orbital": o, "spin": str(s)} for o, s in ket]}
 
 
 def state_to_dict(state) -> dict:
@@ -499,7 +462,7 @@ def state_to_dict(state) -> dict:
     if isinstance(state, BipartiteState):
         d["kind"] = "bipartite"
         d["relative_phase"] = state.relative_phase.format()
-        d["degenerate"] = state.degenerate
+        d["degenerate"] = True
     else:
         d["kind"] = "multiparticle"
         d["n"] = state.n

@@ -1,10 +1,13 @@
-"""Half-integer internal rotation states and their z-projection generator.
+"""The winding dichotomy, the internal rotation generator and its finite
+rotations.
 
 A particle state here carries, besides its orbital label, a factor
 e^{i*w*angle} in an internal angle. The winding w is pinned to +-1/2 by the
 dichotomy argument (every admissible pair of values must differ by exactly
 one, values must be pairwise distinct, and the two members of a pair are
 sign-opposed), and -i hbar d/d(angle) then measures +-hbar/2 on these states.
+The exact eigenvalue is read off rotation_factor; apply_spin_z measures it
+numerically.
 
 Half-integer windings are 4 pi periodic, not 2 pi periodic, so the numeric
 differentiation grid lives on the double cover [0, 4 pi); a single-cover grid
@@ -24,7 +27,6 @@ from .errors import ResolutionError, check_bytes
 from .phase_algebra import PhaseExpression
 
 __all__ = [
-    "SpinState",
     "DichotomyResult",
     "dichotomy_solve",
     "apply_spin_z",
@@ -33,20 +35,6 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 _ALLOWED = (_HALF, -_HALF)
-
-
-@dataclass(frozen=True)
-class SpinState:
-    """Orbital label plus internal winding; winding must be +-1/2."""
-
-    base_label: object
-    winding: Fraction
-
-    def __post_init__(self):
-        w = Fraction(self.winding)
-        if w not in _ALLOWED:
-            raise ValueError(f"winding must be +1/2 or -1/2, got {w}")
-        object.__setattr__(self, "winding", w)
 
 
 @dataclass(frozen=True)
@@ -63,53 +51,48 @@ def dichotomy_solve(candidates) -> DichotomyResult:
     repeated value violates distinctness and must come out infeasible).
     Feasible means every pair of entries is distinct and differs by exactly
     one; three or more values can never satisfy that, which the pairwise
-    check discovers on its own. The sign condition (each pair sums to zero)
-    is reported separately; it is what narrows a feasible pair to the
-    canonical (-1/2, +1/2). Neither flag turns True again once a pair has
-    cleared it, so the search stops when both are False.
+    search discovers on its own: it stops at the first pair that fails, and
+    among the first three values one always does. The sign condition (each
+    pair sums to zero) is reported separately; it is what narrows a feasible
+    pair to the canonical (-1/2, +1/2). It is decided without a pair search:
+    a pair sums to zero or not, and among three or more values every pair
+    sums to zero only when all of them are 0. Both take O(n) steps.
     """
     values = [Fraction(v) for v in candidates]
     if not values:
         raise ValueError("need at least one candidate value")
-    feasible = True
-    sign_opposed = True
-    for a, b in combinations(values, 2):
-        if a == b or abs(a - b) != 1:
-            feasible = False
-        if a != -b:
-            sign_opposed = False
-        if not (feasible or sign_opposed):
-            break
+    feasible = all(a != b and abs(a - b) == 1 for a, b in combinations(values, 2))
+    if len(values) == 2:
+        sign_opposed = values[0] == -values[1]
+    else:
+        # a single value has no pair to fail
+        sign_opposed = len(values) == 1 or not any(values)
     canonical = (-_HALF, _HALF) if feasible else None
     return DichotomyResult(feasible=feasible, sign_opposed=sign_opposed, canonical=canonical)
 
 
 def apply_spin_z(
-    state: SpinState,
-    mode: str = "symbolic",
-    constants: PhysicalConstants = NATURAL,
-    grid: int = 1024,
+    winding, constants: PhysicalConstants = NATURAL, grid: int = 1024
 ) -> float:
-    """Eigenvalue of -i hbar d/d(angle) on the state's internal factor.
+    """Eigenvalue of -i hbar d/d(angle) on e^{i*w*angle}, measured
+    numerically; the winding w must be +-1/2.
 
-    symbolic: the winding times hbar, exact.
-    numeric: samples e^{i*w*angle} on a uniform grid over the double cover
-    and applies the 5-point central first-derivative stencil (the 3-point
-    one stalls near 1e-6 at practical grids and cannot certify 1e-8). The
+    Samples e^{i*w*angle} on a uniform grid over the double cover and
+    applies the 5-point central first-derivative stencil (the 3-point one
+    stalls near 1e-6 at practical grids and cannot certify 1e-8). The
     stencil wraps periodically, which is legitimate only because the grid
     spans the full 4 pi period. Raises SizeLimitError, before allocating,
     for a grid past errors.BYTES_LIMIT.
     """
-    if mode == "symbolic":
-        return constants.hbar * float(state.winding)
-    if mode != "numeric":
-        raise ValueError(f"unknown mode {mode!r}; use 'symbolic' or 'numeric'")
+    w = Fraction(winding)
+    if w not in _ALLOWED:
+        raise ValueError(f"winding must be +1/2 or -1/2, got {w}")
     if grid < 16:
-        raise ResolutionError(f"numeric mode needs at least 16 grid points, got {grid}")
+        raise ResolutionError(f"the derivative stencil needs at least 16 grid points, got {grid}")
     # the samples, their four shifted copies and the stencil's partial sums
     # hold about 72 bytes per point (tracemalloc)
     check_bytes(f"a spin grid of {grid} points", 72 * grid)
-    w = float(state.winding)
+    w = float(w)
     theta = np.linspace(0.0, 4.0 * np.pi, grid, endpoint=False)
     h = 4.0 * np.pi / grid
     f = np.exp(1j * w * theta)

@@ -40,7 +40,7 @@ __all__ = [
     "mode_keys",
     "sample_realization",
     "sample_zeta_ensemble",
-    "check_ensemble_size",
+    "check_modes_size",
     "sample_fields",
     "check_field_size",
     "check_mode_scales",
@@ -159,12 +159,19 @@ def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Modes:
     )
 
 
+def _mode_count(n_max: int) -> int:
+    """M = 2((2 n_max + 1)^3 - 1), the number of modes with
+    0 < |n|_inf <= n_max."""
+    if int(n_max) != n_max or n_max < 1:
+        raise ValueError("n_max must be a positive integer")
+    return 2 * ((2 * int(n_max) + 1) ** 3 - 1)
+
+
 def mode_keys(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice vectors n (M, 3) and polarization indices gamma (M,) of all
     modes with 0 < |n|_inf <= n_max: n ascending, each n with gamma = +1,
     then -1."""
-    if int(n_max) != n_max or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _mode_count(n_max)  # validates n_max
     axis = np.arange(-int(n_max), int(n_max) + 1)
     n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     n = n[np.any(n, axis=1)]
@@ -221,10 +228,12 @@ def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     PCG64), or a bit generator, which is drawn from where it stands. The
     zetas of all modes come first in the stream, then the phis;
     np.random.Philox(s).advance(i * M // 2), M being the mode count, gives
-    realization i of sample_zeta_ensemble(n_max, count, s).
+    realization i of sample_zeta_ensemble(n_max, count, s). Raises
+    SizeLimitError, before any mode array is built, past errors.BYTES_LIMIT.
     """
     if not L > 0:
         raise ValueError("box size must be positive")
+    check_modes_size(n_max)
     n, gamma = mode_keys(n_max)
     rng = np.random.default_rng(seed)
     zetas, phis = _draw_phases(rng, len(gamma))
@@ -241,12 +250,13 @@ def sample_zeta_ensemble(n_max: int, count: int, seed: int):
     M/2 counters, and row i holds exactly the zeta block of
     sample_realization(L, n_max, np.random.Philox(seed).advance(i * M // 2)).
     The phi halves are drawn in blocks of rows and dropped. Returns
-    (mode_keys(n_max), matrix) with the matrix of shape (count, M).
+    (mode_keys(n_max), matrix) with the matrix of shape (count, M). Raises
+    SizeLimitError, before any mode array is built, past errors.BYTES_LIMIT.
     """
     if count < 1:
         raise ValueError("ensemble size must be at least 1")
+    check_modes_size(n_max, count)
     keys = mode_keys(n_max)
-    check_ensemble_size(n_max, count)
     m = len(keys[1])
     rng = np.random.Generator(np.random.Philox(seed))
     out = np.empty((count, m))
@@ -257,13 +267,23 @@ def sample_zeta_ensemble(n_max: int, count: int, seed: int):
     return keys, out
 
 
-def check_ensemble_size(n_max: int, count: int) -> None:
-    """Raise SizeLimitError when the zeta matrix of an ensemble of `count`
-    realizations at n_max would pass errors.BYTES_LIMIT."""
-    modes = 2 * ((2 * n_max + 1) ** 3 - 1)
-    check_bytes(
-        f"an ensemble of {count} realizations of {modes} modes", 8 * count * modes
-    )
+# Peak bytes per mode that a run holds besides its zeta matrix, the largest
+# over the runs that draw modes (tracemalloc at n_max 8 to 12): a
+# field-sample run 745, mostly the field weights of sample_fields; totals
+# 312; an ensemble draw 48, the mode keys and one row of the draw block.
+_BYTES_PER_MODE = 760
+
+
+def check_modes_size(n_max: int, ensemble: int = 0) -> None:
+    """Raise SizeLimitError when the modes with 0 < |n|_inf <= n_max, and
+    the zeta matrix of an ensemble of `ensemble` realizations of them (8
+    bytes a mode and realization), would pass errors.BYTES_LIMIT. Runs
+    before mode_keys, so nothing is allocated."""
+    modes = _mode_count(n_max)
+    what = f"a realization of {modes} modes"
+    if ensemble:
+        what = f"an ensemble of {ensemble} realizations of {modes} modes"
+    check_bytes(what, (_BYTES_PER_MODE + 8 * ensemble) * modes)
 
 
 def _check_in_box(points: np.ndarray, L: float):

@@ -68,7 +68,11 @@ def format_symbol(sym) -> str:
 
 
 class PhaseExpression:
-    """exp(i*(pi_part*pi + sum coeffs[s]*s)), exact."""
+    """exp(i*(pi_part*pi + sum coeffs[s]*s)), exact.
+
+    pi_part is kept as given, unreduced; it is taken mod 2 only when phases
+    are compared or formatted.
+    """
 
     __slots__ = ("pi_part", "coeffs")
 
@@ -81,10 +85,6 @@ class PhaseExpression:
                 if c != 0:
                     clean[sym] = c
         self.coeffs = clean
-
-    @classmethod
-    def one(cls) -> "PhaseExpression":
-        return cls(0)
 
     @classmethod
     def from_pi(cls, q) -> "PhaseExpression":
@@ -104,17 +104,6 @@ class PhaseExpression:
 
     def inverse(self) -> "PhaseExpression":
         return PhaseExpression(-self.pi_part, {s: -c for s, c in self.coeffs.items()})
-
-    def scale(self, factor) -> "PhaseExpression":
-        """Scale the exponent: (e^{iX}).scale(r) = e^{i*r*X}.
-
-        Exponent arithmetic is linear and branch-free because the raw pi part
-        is kept unreduced; reduction mod 2 happens only at comparison time.
-        """
-        factor = _as_fraction(factor)
-        return PhaseExpression(
-            self.pi_part * factor, {s: c * factor for s, c in self.coeffs.items()}
-        )
 
     def substitute(self, mapping: Mapping) -> "PhaseExpression":
         """Replace symbols by angle forms: each value is a PhaseExpression
@@ -185,7 +174,7 @@ class PhaseExpression:
         return f"PhaseExpression({self.format()!r})"
 
 
-ONE = PhaseExpression.one()
+ONE = PhaseExpression(0)
 MINUS_ONE = PhaseExpression.from_pi(1)
 
 
@@ -232,9 +221,6 @@ class Surd:
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def __mul__(self, other: "Surd") -> "Surd":
-        return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
 
     def __truediv__(self, other: "Surd") -> "Surd":
         if other.is_zero:
@@ -284,10 +270,6 @@ class Coefficient:
             return cls(-magnitude, phase * MINUS_ONE)
         return cls(magnitude, phase)
 
-    @classmethod
-    def zero(cls) -> "Coefficient":
-        return cls(_ZERO_SURD, ONE)
-
     @property
     def is_zero(self) -> bool:
         return self.magnitude.is_zero
@@ -297,17 +279,12 @@ class Coefficient:
             return self
         return Coefficient.of(self.magnitude, self.phase * phase)
 
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        if self.is_zero or other.is_zero:
-            return Coefficient.zero()
-        return Coefficient.of(self.magnitude * other.magnitude, self.phase * other.phase)
-
     def ratio(self, other: "Coefficient") -> "Coefficient":
         """self / other; other must be nonzero."""
         if other.is_zero:
             raise ZeroDivisionError("ratio against a zero coefficient")
         if self.is_zero:
-            return Coefficient.zero()
+            return self
         return Coefficient.of(
             self.magnitude / other.magnitude, self.phase * other.phase.inverse()
         )

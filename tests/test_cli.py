@@ -842,6 +842,16 @@ def _never_called(*args, **kwargs):
             "sample_zeta_ensemble",
             "101000000 pair rows",
         ),
+        # 3543120 modes x 760 bytes: the mode arrays of a realization
+        (["field-sample", "--n-max", "60"], "sample_realization", "2.5 GiB"),
+        (["totals", "--n-max", "60"], "sample_realization", "2.5 GiB"),
+        # 128962400 modes x (760 + 8) bytes, although one row of zetas,
+        # 8 bytes a mode, would fit
+        (
+            ["phases", "--n-max", "200", "--ensemble", "1", "--pairs", "1"],
+            "sample_zeta_ensemble",
+            "92.2 GiB",
+        ),
     ],
 )
 def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv, patched, estimate):

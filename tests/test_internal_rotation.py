@@ -1,5 +1,6 @@
 """Winding constraint on internal phase rotation, and the generator itself."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zpfspin.constants import NATURAL, PhysicalConstants
+from zpfspin.constants import PhysicalConstants
 from zpfspin.errors import ResolutionError, SizeLimitError
 from zpfspin.internal_rotation import (
-    SpinState,
     apply_spin_z,
     dichotomy_solve,
     rotation_factor,
@@ -84,6 +84,15 @@ def test_adding_a_value_never_helps(values, extra):
         assert before.feasible
 
 
+def test_repeated_zeros_decided_in_linear_time():
+    # every pair of zeros sums to zero, so the sign condition holds to the
+    # end; deciding it pair by pair took seconds at a few thousand values
+    start = time.perf_counter()
+    result = dichotomy_solve([Fraction(0)] * 20000)
+    assert time.perf_counter() - start < 1.0
+    assert (result.feasible, result.sign_opposed, result.canonical) == (False, True, None)
+
+
 # the grid the `dichotomy` command searches for feasible triples
 CLI_GRID = [Fraction(k, 6) for k in range(-12, 13)]
 
@@ -111,50 +120,44 @@ def test_dichotomy_matches_exhaustive_oracle_on_cli_grid(size):
 
 
 def test_winding_must_be_half():
-    SpinState("up", HALF)
-    SpinState("down", -HALF)
-    with pytest.raises(ValueError):
-        SpinState("bad", Fraction(3, 2))
-    with pytest.raises(ValueError):
-        SpinState("bad", 0)
+    for winding in (Fraction(3, 2), 0, Fraction(1, 4)):
+        with pytest.raises(ValueError, match="winding must be"):
+            apply_spin_z(winding)
 
 
 def test_symbolic_eigenvalue_scales_with_hbar():
+    # -hbar times the pi coefficient of the half-turn phase e^{-i w pi} is
+    # hbar w, to the bit; the stencil measures it at every hbar
     consts = PhysicalConstants(hbar=0.7, c=1.0, m=1.0, mu0=1.0)
-    assert apply_spin_z(SpinState("up", HALF), "symbolic", consts) == 0.7 * 0.5
-    assert apply_spin_z(SpinState("down", -HALF), "symbolic", consts) == -0.7 * 0.5
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        apply_spin_z(SpinState("up", HALF), "analytic")
+    for winding in (HALF, -HALF):
+        exact = -0.7 * float(rotation_factor(winding, 1).pi_part)
+        assert exact == 0.7 * float(winding)
+        assert abs(apply_spin_z(winding, consts) - exact) <= 1e-8
 
 
 @pytest.mark.parametrize("winding", [HALF, -HALF])
 @pytest.mark.parametrize("grid", [256, 300, 1024])
 def test_numeric_agrees_with_symbolic(winding, grid):
-    state = SpinState("s", winding)
-    symbolic = apply_spin_z(state, "symbolic")
-    numeric = apply_spin_z(state, "numeric", grid=grid)
-    assert abs(numeric - symbolic) <= 1e-8
+    numeric = apply_spin_z(winding, grid=grid)
+    assert abs(numeric - float(winding)) <= 1e-8
 
 
 def test_numeric_reference_resolution():
-    numeric = apply_spin_z(SpinState("s", HALF), "numeric", grid=1024)
+    numeric = apply_spin_z(HALF, grid=1024)
     assert abs(numeric - 0.5) <= 1e-8
 
 
 def test_numeric_needs_enough_points():
     with pytest.raises(ResolutionError):
-        apply_spin_z(SpinState("s", HALF), "numeric", grid=15)
-    value = apply_spin_z(SpinState("s", HALF), "numeric", grid=16)
+        apply_spin_z(HALF, grid=15)
+    value = apply_spin_z(HALF, grid=16)
     assert isinstance(value, float)
 
 
 def test_numeric_grid_past_the_byte_limit_refused():
     # 72 bytes per point: the largest grid under 1 GiB is 14913080 points
     with pytest.raises(SizeLimitError, match="GiB"):
-        apply_spin_z(SpinState("s", HALF), "numeric", grid=14_913_081)
+        apply_spin_z(HALF, grid=14_913_081)
 
 
 # --- finite rotations ---------------------------------------------------------

@@ -472,6 +472,18 @@ def test_oversized_ensemble_and_grid_refused_before_allocation():
         mode_observables(make_mode((0, 0, 1), 1, 0.0, 0.0, L), L, 8_388_608, NATURAL)
 
 
+def test_oversized_mode_sets_refused_before_mode_keys(monkeypatch):
+    def never_called(*args, **kwargs):
+        raise AssertionError("mode keys built before the size check")
+
+    monkeypatch.setattr(modes, "mode_keys", never_called)
+    # 3543120 modes x 760 bytes; 128962400 modes x (760 + 8) bytes
+    with pytest.raises(SizeLimitError, match="2.5 GiB"):
+        sample_realization(L, 60, 1)
+    with pytest.raises(SizeLimitError, match="92.2 GiB"):
+        sample_zeta_ensemble(200, 1, 9)
+
+
 def test_totals_cancel_exactly_for_closed_set():
     real = sample_realization(L, 1, 7)
     totals = realization_totals(real, NATURAL)
