@@ -47,11 +47,13 @@ from .internal_rotation import apply_spin_z, dichotomy_solve, rotation_factor
 from .modes import (
     ZpfRealization,
     analytic_mode_observables,
+    check_ensemble_size,
     check_field_size,
     check_mode_scales,
     check_modes_size,
     check_quadrature_size,
     make_mode,
+    mode_count,
     mode_observables,
     realization_totals,
     sample_fields,
@@ -391,6 +393,12 @@ def _relative(error, field) -> float:
     return float(np.max(np.abs(error)) / np.max(np.abs(field)))
 
 
+# sample_fields takes about 15 ns a point and mode (field-sample --n-max 8,
+# 1000 and 4000 points, 2-vCPU x86-64), so this budget bounds a run to a
+# few seconds.
+_FIELD_EVALUATIONS_LIMIT = 10**8
+
+
 @_experiment(
     "field-sample",
     "field values along the box diagonal",
@@ -401,8 +409,14 @@ def _relative(error, field) -> float:
     csv=True,
 )
 def _run_field_sample(cfg):
-    check_field_size(cfg.points)
-    check_modes_size(cfg.n_max)
+    check_field_size(cfg.points, cfg.n_max)
+    n_modes = mode_count(cfg.n_max)
+    if cfg.points * n_modes > _FIELD_EVALUATIONS_LIMIT:
+        raise SizeLimitError(
+            f"refusing the fields of {n_modes} modes at {cfg.points} points: "
+            f"{cfg.points * n_modes} mode evaluations, over the limit of "
+            f"{_FIELD_EVALUATIONS_LIMIT}"
+        )
     consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
@@ -479,26 +493,30 @@ def _run_phases(cfg):
     # one pair holds about 1.4 KB at peak (tracemalloc), its report entry
     # (114 bytes of JSON) included
     check_bytes(f"{cfg.pairs} mode pairs", 1400 * cfg.pairs)
-    check_modes_size(cfg.n_max, cfg.ensemble)
+    n_modes = mode_count(cfg.n_max)
+    # at most two distinct columns a pair
+    check_ensemble_size(cfg.n_max, cfg.ensemble, min(2 * cfg.pairs, n_modes))
     if cfg.pairs * cfg.ensemble > _PAIR_ROWS_LIMIT:
         raise SizeLimitError(
             f"refusing {cfg.pairs} mode pairs over {cfg.ensemble} realizations: "
             f"{cfg.pairs * cfg.ensemble} pair rows, over the limit of {_PAIR_ROWS_LIMIT}"
         )
-    _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed)
-    count, n_modes = zetas.shape
+    # the pairs come first, so that the draw keeps only their columns
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
+    pairs = np.array([rng.choice(n_modes, size=2, replace=False) for _ in range(cfg.pairs)])
+    columns, rows = np.unique(pairs, return_inverse=True)
+    _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed, columns)
+    zetas = zetas.T  # one contiguous row of realizations per column
     worst = 0.0
     pair_stats = []
-    for _ in range(cfg.pairs):
-        a, b = (int(v) for v in rng.choice(n_modes, size=2, replace=False))
-        mean = np.mean(np.exp(1j * (zetas[:, a] - zetas[:, b])))
+    for (a, b), (i, j) in zip(pairs.tolist(), rows.reshape(-1, 2)):
+        mean = np.mean(np.exp(1j * (zetas[i] - zetas[j])))
         value = float(abs(mean))
         worst = max(worst, value)
         pair_stats.append({"modes": [a, b], "abs_mean": value})
-    bound = 4.0 / math.sqrt(count)
+    bound = 4.0 / math.sqrt(cfg.ensemble)
     checks = [_close("circular_mean_bound", 0.0, worst, bound)]
-    details = {"ensemble": count, "mode_count": n_modes, "pairs": pair_stats}
+    details = {"ensemble": cfg.ensemble, "mode_count": n_modes, "pairs": pair_stats}
     return checks, details, None
 
 

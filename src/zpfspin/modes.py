@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import ResolutionError, check_bytes, check_scales
+from .errors import ResolutionError, SizeLimitError, check_bytes, check_scales
 
 __all__ = [
     "Modes",
@@ -37,9 +37,11 @@ __all__ = [
     "ModeObservables",
     "wave_vector",
     "make_mode",
+    "mode_count",
     "mode_keys",
     "sample_realization",
     "sample_zeta_ensemble",
+    "check_ensemble_size",
     "check_modes_size",
     "sample_fields",
     "check_field_size",
@@ -51,9 +53,17 @@ __all__ = [
     "realization_totals",
 ]
 
-# Largest transient array, in doubles, that the ensemble draw and the field
-# sum hold at once (8 MiB); larger requests are worked through in blocks.
+# Largest transient array, in doubles, that the field sum holds at once
+# (8 MiB); larger requests are worked through in blocks.
 _BLOCK_DOUBLES = 1 << 20
+
+# Uniforms the ensemble draw holds at once (512 KiB), unless one row of 2M
+# is longer; a larger buffer adds resident memory and saves no time.
+_DRAW_DOUBLES = 1 << 16
+
+# Most zeta draws, realizations x M, that an ensemble may take: as many as
+# a 1 GiB zeta matrix holds, about 2 s of Philox.
+_DRAW_LIMIT = 1 << 27
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +169,7 @@ def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Modes:
     )
 
 
-def _mode_count(n_max: int) -> int:
+def mode_count(n_max: int) -> int:
     """M = 2((2 n_max + 1)^3 - 1), the number of modes with
     0 < |n|_inf <= n_max."""
     if int(n_max) != n_max or n_max < 1:
@@ -171,7 +181,7 @@ def mode_keys(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice vectors n (M, 3) and polarization indices gamma (M,) of all
     modes with 0 < |n|_inf <= n_max: n ascending, each n with gamma = +1,
     then -1."""
-    _mode_count(n_max)  # validates n_max
+    mode_count(n_max)  # validates n_max
     axis = np.arange(-int(n_max), int(n_max) + 1)
     n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     n = n[np.any(n, axis=1)]
@@ -240,50 +250,75 @@ def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     return ZpfRealization(L=float(L), modes=Modes(n, gamma, zetas, phis))
 
 
-def sample_zeta_ensemble(n_max: int, count: int, seed: int):
-    """zeta draws for `count` independent realizations from one Philox stream.
+def sample_zeta_ensemble(n_max: int, count: int, seed: int, columns):
+    """The zetas of the modes `columns` in `count` independent realizations,
+    drawn from one Philox stream.
 
     Realization i owns the i-th block of 2M uniforms of the stream of
     np.random.Philox(seed), M being the mode count: its M zetas, then its M
     phis, the order sample_realization draws them in.
     M is even and Philox yields four 64-bit words per counter, so a block is
-    M/2 counters, and row i holds exactly the zeta block of
+    M/2 counters, and row i holds exactly those columns of the zeta block of
     sample_realization(L, n_max, np.random.Philox(seed).advance(i * M // 2)).
-    The phi halves are drawn in blocks of rows and dropped. Returns
-    (mode_keys(n_max), matrix) with the matrix of shape (count, M). Raises
-    SizeLimitError, before any mode array is built, past errors.BYTES_LIMIT.
+    The stream is drawn a block of rows at a time into one reused buffer of
+    _DRAW_DOUBLES uniforms (or one row, if a row is longer), and only
+    `columns`, mode indices in [0, M) in any order and with repeats, are
+    copied out. They are scaled by 2 pi after the copy, bit for bit the
+    values rng.uniform(0, 2 pi) gives. Returns (mode_keys(n_max), zetas) with
+    zetas of shape (count, len(columns)), each column contiguous in memory.
+    Raises SizeLimitError, before any mode array is built, where
+    check_ensemble_size does.
     """
     if count < 1:
         raise ValueError("ensemble size must be at least 1")
-    check_modes_size(n_max, count)
+    check_ensemble_size(n_max, count, len(columns))
     keys = mode_keys(n_max)
     m = len(keys[1])
+    columns = np.asarray(columns, dtype=np.intp)
+    if columns.ndim != 1 or np.any((columns < 0) | (columns >= m)):
+        raise ValueError(f"columns must be a sequence of mode indices in [0, {m})")
     rng = np.random.Generator(np.random.Philox(seed))
-    out = np.empty((count, m))
-    rows = max(1, _BLOCK_DOUBLES // (2 * m))
-    for start in range(0, count, rows):
-        block = rng.uniform(0.0, 2.0 * np.pi, (min(rows, count - start), 2 * m))
-        out[start : start + len(block)] = block[:, :m]
-    return keys, out
+    buffer = np.empty((max(1, _DRAW_DOUBLES // (2 * m)), 2 * m))
+    kept = np.empty((len(columns), count))
+    for start in range(0, count, len(buffer)):
+        block = buffer[: count - start]
+        rng.random(out=block)
+        kept[:, start : start + len(block)] = block[:, columns].T
+    kept *= 2.0 * np.pi
+    return keys, kept.T
 
 
-# Peak bytes per mode that a run holds besides its zeta matrix, the largest
-# over the runs that draw modes (tracemalloc at n_max 8 to 12): a
+# Peak bytes per mode that a run holds besides its kept zeta columns, the
+# largest over the runs that draw modes (tracemalloc at n_max 8 to 12): a
 # field-sample run 745, mostly the field weights of sample_fields; totals
-# 312; an ensemble draw 48, the mode keys and one row of the draw block.
+# 312; an ensemble draw 48 from n_max 12 on, the mode keys and a draw buffer
+# of one row (below that the buffer is its fixed 512 KiB).
 _BYTES_PER_MODE = 760
 
 
-def check_modes_size(n_max: int, ensemble: int = 0) -> None:
-    """Raise SizeLimitError when the modes with 0 < |n|_inf <= n_max, and
-    the zeta matrix of an ensemble of `ensemble` realizations of them (8
-    bytes a mode and realization), would pass errors.BYTES_LIMIT. Runs
-    before mode_keys, so nothing is allocated."""
-    modes = _mode_count(n_max)
-    what = f"a realization of {modes} modes"
-    if ensemble:
-        what = f"an ensemble of {ensemble} realizations of {modes} modes"
-    check_bytes(what, (_BYTES_PER_MODE + 8 * ensemble) * modes)
+def check_modes_size(n_max: int) -> None:
+    """Raise SizeLimitError when the modes with 0 < |n|_inf <= n_max would
+    pass errors.BYTES_LIMIT. Runs before mode_keys, so nothing is
+    allocated."""
+    modes = mode_count(n_max)
+    check_bytes(f"a realization of {modes} modes", _BYTES_PER_MODE * modes)
+
+
+def check_ensemble_size(n_max: int, count: int, columns: int) -> None:
+    """Raise SizeLimitError when an ensemble of `count` realizations of the
+    modes with 0 < |n|_inf <= n_max would pass a limit: the modes, or the
+    `columns` kept zeta columns (8 bytes a column and realization), past
+    errors.BYTES_LIMIT, or its count x M zeta draws past _DRAW_LIMIT, since
+    every draw is made whichever columns are kept. Runs before mode_keys,
+    so nothing is allocated."""
+    check_modes_size(n_max)
+    check_bytes(f"{columns} zeta columns of {count} realizations", 8 * count * columns)
+    modes = mode_count(n_max)
+    if count * modes > _DRAW_LIMIT:
+        raise SizeLimitError(
+            f"refusing an ensemble of {count} realizations of {modes} modes: "
+            f"{count * modes} zeta draws, over the limit of {_DRAW_LIMIT}"
+        )
 
 
 def _check_in_box(points: np.ndarray, L: float):
@@ -337,10 +372,16 @@ def sample_fields(
 _FIELD_BYTES_PER_POINT = 445
 
 
-def check_field_size(points: int) -> None:
-    """Raise SizeLimitError when sampling the fields at `points` points and
-    checking them, as field-sample does, would pass errors.BYTES_LIMIT."""
-    check_bytes(f"fields at {points} points", _FIELD_BYTES_PER_POINT * points)
+def check_field_size(points: int, n_max: int) -> None:
+    """Raise SizeLimitError when sampling the fields of the modes with
+    0 < |n|_inf <= n_max at `points` points and checking them, as
+    field-sample does, would pass errors.BYTES_LIMIT: one estimate for the
+    points and the modes together. Runs before mode_keys."""
+    modes = mode_count(n_max)
+    check_bytes(
+        f"the fields of {modes} modes at {points} points",
+        _FIELD_BYTES_PER_POINT * points + _BYTES_PER_MODE * modes,
+    )
 
 
 def resolution_floor(n) -> int:

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -818,6 +819,60 @@ def test_oversized_sz_grid_exits_two_before_allocating(capsys):
     assert "an integer of at least 16" in capsys.readouterr().err
 
 
+# SHA-256 of each phases report with wall_time_s popped, keyed by
+# (--n-max, --ensemble, --pairs) at the default seed, as a draw of the whole
+# zeta matrix reports them; the streamed draw keeps only the pairs' columns
+# and must keep every byte
+PHASES_DIGESTS = [
+    ((1, 1, 1), "5653cf6f7610f7c84e13969d466287bd50d1d9c5b111d36df09ad59a9152125c"),
+    ((1, 1, 200), "41af9f814f07a5291e19abe43cecc75375e12603aa166b5468bad10e2e4659d1"),
+    ((1, 7, 1), "2a8c2ca69d7627a8adca9199f091eed9d440f744a78e523b6844d9d053ffad1a"),
+    ((1, 7, 200), "ba1358c4e6e511bb237ddf5f2aa779285fbe5b51b836dff4bdda5e515849c8ce"),
+    ((1, 20000, 1), "0076d0110bd8dc96e91909590ed0bb4d387fdc454816912632cd4d8e81e54d7b"),
+    ((1, 20000, 200), "f7e93dd8d6996f82036cfd39a69915e9b2c44e04b93acbb952409238074075fa"),
+    ((2, 1, 1), "ced9febcff46b38a223bb16813e9f51ee935ab9a8eb73d17e84dd21bd8f8a4eb"),
+    ((2, 1, 200), "bc67714328d4b544b80974c9f71fd6af344dbebbe1799f77c3a368d835153ff6"),
+    ((2, 7, 1), "0ab88052b7d0bb9cf38e592baf90cb0f53227425930e855258bcb65653bb409a"),
+    ((2, 7, 200), "e6272993343fc2fa3870498f95773991509e75188b70b6c6d840b4e3c8c5235a"),
+    ((2, 20000, 1), "9fc50544fdda66b9f4b2bbb4419575ebca33062c7ba1a6eb57f4af88c6e54a81"),
+    ((2, 20000, 200), "8df535d3ea56c9c0e968f551a75c283d47b4d5657dbbb44a0bc7458720d0795c"),
+    ((3, 1, 1), "ec167eb51c8f7519386fe3fd0b33115d4e4b47348a148e7da3b533643c8ee8c6"),
+    ((3, 1, 200), "380d7d65bdac1e8975d675d3ceadf08c7f9dbb7a534d87270826108954cdcc27"),
+    ((3, 7, 1), "85d6f216d331fe91271b6fa88111db301d2c5c1f2038fbf73926fee5aae01ee0"),
+    ((3, 7, 200), "647961d4889ea40ba6f054273d86e01b55da3fdab2011e46ae94bd2b7e7a9a97"),
+    ((3, 20000, 1), "b2d299660ba17bef97d45921b83b96711a5f2d2a2d1b9f1936c0c36ffa2e77fc"),
+    ((3, 20000, 200), "a69cac50f7e781a811318bb5e8e059b591b3fc4e7e6c29fdadc197e44b3bea79"),
+    ((4, 1, 1), "b0f045db6b216fd44b3456eda0695120f709b8293d2eb5a572b25deb0a91402c"),
+    ((4, 1, 200), "01267ba569e59019454e0996cb249b4ea126962b96880c96abe700874cd4356c"),
+    ((4, 7, 1), "9206f37e8a629c3d74455ae5d63fb4a37938868ccab7e738b6945b5efd9ba7bc"),
+    ((4, 7, 200), "d7e91ea901f06b891383f922cd9e5b5469f46d27203f0c1b016cd87b6939a3c4"),
+    ((4, 20000, 1), "6623e93ccc600c3c23525051b32d903bf844f7fd653d2c131b3900c3c7fa05c7"),
+    ((4, 20000, 200), "601fd6fdb7a420e38b2ed294a40f7ff723194ee490278ba6e2b57a3f8edc9c3e"),
+]
+
+
+@pytest.mark.parametrize("sizes,digest", PHASES_DIGESTS)
+def test_phases_reports_are_pinned(capsys, sizes, digest):
+    n_max, ensemble, pairs = (str(v) for v in sizes)
+    code, body = run(capsys, ["phases", "--n-max", n_max, "--ensemble", ensemble, "--pairs", pairs])
+    assert code == 0
+    body.pop("wall_time_s")
+    assert hashlib.sha256(json.dumps(body).encode()).hexdigest() == digest
+
+
+def test_phases_draw_holds_only_the_read_columns(capsys):
+    # the whole zeta matrix of 20000 realizations of 1456 modes is 233 MB;
+    # the 20 columns the pairs read are 3.2 MB
+    tracemalloc.start()
+    try:
+        assert main(["phases", "--n-max", "4", "--ensemble", "20000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 10 * 2**20
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("work started before the size check")
 
@@ -825,8 +880,9 @@ def _never_called(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv,patched,estimate",
     [
-        # 3e6 realizations x 52 modes x 8 bytes
-        (["phases", "--ensemble", "3000000"], "sample_zeta_ensemble", "1.2 GiB"),
+        # 3e6 realizations x 52 modes: zeta draws past the budget of 2^27,
+        # although the 20 columns the pairs read would fit
+        (["phases", "--ensemble", "3000000"], "sample_zeta_ensemble", "156000000 zeta draws"),
         # 2e7 points x 445 bytes: the fields of a field-sample run and its checks
         (["field-sample", "--points", "20000000"], "sample_realization", "8.3 GiB"),
         # 8388608 lattice phases x 232 bytes
@@ -845,12 +901,33 @@ def _never_called(*args, **kwargs):
         # 3543120 modes x 760 bytes: the mode arrays of a realization
         (["field-sample", "--n-max", "60"], "sample_realization", "2.5 GiB"),
         (["totals", "--n-max", "60"], "sample_realization", "2.5 GiB"),
-        # 128962400 modes x (760 + 8) bytes, although one row of zetas,
-        # 8 bytes a mode, would fit
+        # 128962400 modes x 760 bytes, although one row of zetas, 8 bytes a
+        # mode, would fit
         (
             ["phases", "--n-max", "200", "--ensemble", "1", "--pairs", "1"],
             "sample_zeta_ensemble",
-            "92.2 GiB",
+            "91.3 GiB",
+        ),
+        # 1409936 modes x 760 bytes + 10000 points x 445 bytes: each part
+        # fits on its own, together they do not
+        (
+            ["field-sample", "--n-max", "44", "--points", "10000"],
+            "sample_realization",
+            "(1076001360 bytes)",
+        ),
+        # 20000 points x 9824 modes pass the budget of 1e8 mode evaluations,
+        # although every array fits
+        (
+            ["field-sample", "--n-max", "8", "--points", "20000"],
+            "sample_realization",
+            "196480000 mode evaluations",
+        ),
+        # 1e6 realizations x 1409936 modes pass the budget of 2^27 zeta
+        # draws, although the modes and the two kept columns fit
+        (
+            ["phases", "--n-max", "44", "--ensemble", "1000000", "--pairs", "1"],
+            "sample_zeta_ensemble",
+            "1409936000000 zeta draws",
         ),
     ],
 )

@@ -454,8 +454,8 @@ def test_zeta_ensemble_rows_match_child_realizations():
     # realization i owns the i-th block of 2M draws of one Philox stream,
     # M/2 counters long, also past the sampler's first block of rows
     count_modes = len(mode_keys(1)[1])
-    per_block = modes._BLOCK_DOUBLES // (2 * count_modes)
-    keys, zetas = sample_zeta_ensemble(1, per_block + 2, 9)
+    per_block = modes._DRAW_DOUBLES // (2 * count_modes)
+    keys, zetas = sample_zeta_ensemble(1, per_block + 2, 9, range(count_modes))
     for i in (0, 3, per_block, per_block + 1):
         stream = np.random.Philox(9).advance(i * count_modes // 2)
         real = sample_realization(L, 1, stream)
@@ -464,9 +464,47 @@ def test_zeta_ensemble_rows_match_child_realizations():
         assert np.array_equal(zetas[i], real.modes.zeta)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 13])
+def test_streamed_zeta_columns_match_the_whole_draw(n_max):
+    # the whole ensemble drawn at once, as rng.uniform scales it, against the
+    # streamed columns, bit for bit: three buffers of rows, the last partial
+    # (n_max 13 has rows longer than the buffer, so a buffer is one row),
+    # with columns unsorted and repeated
+    m = len(mode_keys(n_max)[1])
+    rows = max(1, modes._DRAW_DOUBLES // (2 * m))
+    count = 2 * rows + rows // 2 + 1
+    columns = [m - 1, 0, 5, 5, m // 2, 3, m - 1]
+    whole = np.random.Generator(np.random.Philox(4)).uniform(0.0, 2.0 * np.pi, (count, 2 * m))
+    _, zetas = sample_zeta_ensemble(n_max, count, 4, columns)
+    assert zetas.shape == (count, len(columns))
+    assert np.array_equal(zetas, whole[:, :m][:, columns])
+
+
+def test_columns_outside_the_zeta_block_refused():
+    # columns M .. 2M - 1 of a row are phis; a negative index would reach them
+    for columns in ([52], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="mode indices"):
+            sample_zeta_ensemble(1, 3, 9, columns)
+
+
+def test_zeta_draw_budget_refused_before_mode_keys(monkeypatch):
+    def never_called(*args, **kwargs):
+        raise AssertionError("mode keys built before the draw budget")
+
+    monkeypatch.setattr(modes, "mode_keys", never_called)
+    # 1e6 realizations x 1409936 modes, although two kept columns and the
+    # modes themselves fit
+    with pytest.raises(SizeLimitError, match="1409936000000 zeta draws"):
+        sample_zeta_ensemble(44, 1_000_000, 9, [0, 1])
+    # 2^27 draws are 2581110.15 realizations of 52 modes
+    modes.check_ensemble_size(1, 2_581_110, 2)
+    with pytest.raises(SizeLimitError, match="134217772 zeta draws"):
+        modes.check_ensemble_size(1, 2_581_111, 2)
+
+
 def test_oversized_ensemble_and_grid_refused_before_allocation():
     with pytest.raises(SizeLimitError, match="GiB"):
-        sample_zeta_ensemble(1, 3_000_000, 9)
+        sample_zeta_ensemble(1, 3_000_000, 9, range(52))
     # 8388608 lattice phases x 232 bytes
     with pytest.raises(SizeLimitError, match="1.8 GiB"):
         mode_observables(make_mode((0, 0, 1), 1, 0.0, 0.0, L), L, 8_388_608, NATURAL)
@@ -477,11 +515,12 @@ def test_oversized_mode_sets_refused_before_mode_keys(monkeypatch):
         raise AssertionError("mode keys built before the size check")
 
     monkeypatch.setattr(modes, "mode_keys", never_called)
-    # 3543120 modes x 760 bytes; 128962400 modes x (760 + 8) bytes
+    # 3543120 modes x 760 bytes; 128962400 modes x 760 bytes, although one
+    # row of their zetas, 8 bytes a mode, would fit
     with pytest.raises(SizeLimitError, match="2.5 GiB"):
         sample_realization(L, 60, 1)
-    with pytest.raises(SizeLimitError, match="92.2 GiB"):
-        sample_zeta_ensemble(200, 1, 9)
+    with pytest.raises(SizeLimitError, match="91.3 GiB"):
+        sample_zeta_ensemble(200, 1, 9, range(128_962_400))
 
 
 def test_totals_cancel_exactly_for_closed_set():
