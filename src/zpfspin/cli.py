@@ -28,7 +28,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from pathlib import Path
@@ -295,22 +295,14 @@ def _tol(cfg, name: str) -> float:
     return cfg.tolerances.get(name, _EXPERIMENTS[cfg.command].tolerances[name])
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+def _json_default(value):
+    """The json.dumps hook for what json cannot write itself: a Fraction as
+    its text, a numpy scalar or array as its Python value."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -324,10 +316,10 @@ class Check:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "expected": _jsonable(self.expected),
-            "actual": _jsonable(self.actual),
-            "tolerance": _jsonable(self.tolerance),
-            "pass": bool(self.passed),
+            "expected": self.expected,
+            "actual": self.actual,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
         }
 
 
@@ -426,7 +418,6 @@ def _run_field_sample(cfg):
     def fields(modes):
         return sample_fields(ZpfRealization(cfg.L, modes), points, cfg.time, consts)
 
-    A, E, B = fields(real.modes)
     A1, E1, B1 = fields(real.modes[:1])
     k = wave_vector(real.modes.n[0], cfg.L)
     khat = k / np.linalg.norm(k)
@@ -445,13 +436,15 @@ def _run_field_sample(cfg):
         _close("linearity", 0.0, linear, _tol(cfg, "field_linearity")),
     ]
     header = ["s", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez", "Bx", "By", "Bz"]
-    # built row by row only when --csv consumes them
-    rows = (
-        [float(s), *points[i].tolist(), *A[i].tolist(), *E[i].tolist(), *B[i].tolist()]
-        for i, s in enumerate(s_vals)
-    )
+
+    def rows():
+        # the whole realization's fields are built only when --csv reads them
+        A, E, B = fields(real.modes)
+        for i, s in enumerate(s_vals):
+            yield [float(s), *points[i].tolist(), *A[i].tolist(), *E[i].tolist(), *B[i].tolist()]
+
     details = {"modes": len(real.modes), "points": cfg.points, "time": cfg.time}
-    return checks, details, (header, rows)
+    return checks, details, (header, rows())
 
 
 @_experiment("totals", "whole-realization momentum and spin totals", BOX, N_MAX, HBAR, C)
@@ -477,9 +470,11 @@ def _run_totals(cfg):
 
 
 # Each pair averages over every realization, about 35 ns a pair and row
-# (--ensemble 20000 and 200000, 2-vCPU x86-64), so this budget bounds the
-# pair means to a few seconds.
+# (--ensemble 20000 and 200000, 2-vCPU x86-64), and costs about 26-37 us
+# more whatever the ensemble, as much as 1000 rows do. Charged at least that
+# many rows a pair, the pair means fit this budget in a few seconds.
 _PAIR_ROWS_LIMIT = 10**8
+_PAIR_MIN_ROWS = 1000
 
 
 @_experiment(
@@ -496,10 +491,11 @@ def _run_phases(cfg):
     n_modes = mode_count(cfg.n_max)
     # at most two distinct columns a pair
     check_ensemble_size(cfg.n_max, cfg.ensemble, min(2 * cfg.pairs, n_modes))
-    if cfg.pairs * cfg.ensemble > _PAIR_ROWS_LIMIT:
+    pair_rows = cfg.pairs * max(cfg.ensemble, _PAIR_MIN_ROWS)
+    if pair_rows > _PAIR_ROWS_LIMIT:
         raise SizeLimitError(
             f"refusing {cfg.pairs} mode pairs over {cfg.ensemble} realizations: "
-            f"{cfg.pairs * cfg.ensemble} pair rows, over the limit of {_PAIR_ROWS_LIMIT}"
+            f"{pair_rows} pair rows, over the limit of {_PAIR_ROWS_LIMIT}"
         )
     # the pairs come first, so that the draw keeps only their columns
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
@@ -680,17 +676,7 @@ def _run_dichotomy(cfg):
         _exact("no_feasible_triple", 0, triples_feasible),
         _exact("repeated_value_infeasible", False, repeated.feasible),
     ]
-    details = {
-        "input": {
-            "values": [str(v) for v in values],
-            "feasible": result.feasible,
-            "sign_opposed": result.sign_opposed,
-            "canonical": None
-            if result.canonical is None
-            else [str(v) for v in result.canonical],
-        },
-        "triples_searched": triples,
-    }
+    details = {"input": {"values": values, **asdict(result)}, "triples_searched": triples}
     return checks, details, None
 
 
@@ -882,12 +868,12 @@ def main(argv=None) -> int:
         body = {
             "schema": 1,
             "command": args.command,
-            "config": _jsonable(config),
+            "config": config,
             "checks": [c.to_dict() for c in checks],
-            "details": _jsonable(details or {}),
+            "details": details or {},
             "wall_time_s": time.perf_counter() - start,
         }
-        text = json.dumps(body, indent=2)
+        text = json.dumps(body, indent=2, default=_json_default)
         # the files come first, so a failed write leaves stdout empty
         _write_outputs(args, text, csv_data)
     except ValueError as exc:

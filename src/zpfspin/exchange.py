@@ -209,8 +209,8 @@ def _swap_zeta_particles(expr: PhaseExpression) -> PhaseExpression:
     mapping = {}
     for sym in expr.coeffs:
         if isinstance(sym, tuple) and sym and sym[0] == "zeta":
-            mapping[sym] = ("zeta", {1: 2, 2: 1}[sym[1]], sym[2])
-    return expr.relabel(mapping)
+            mapping[sym] = PhaseExpression.from_symbol(("zeta", {1: 2, 2: 1}[sym[1]], sym[2]))
+    return expr.substitute(mapping)
 
 
 def _exchange_branch(psi: BipartiteState, branch: str) -> BipartiteState:
@@ -229,7 +229,6 @@ def _exchange_branch(psi: BipartiteState, branch: str) -> BipartiteState:
 class ParticleSwapResult:
     state: BipartiteState
     factor: PhaseExpression | None
-    tie_flagged: bool
     branches_agree: bool
 
 
@@ -237,22 +236,20 @@ def exchange_particles(psi: BipartiteState, ordering: str = "phi2_greater") -> P
     """Exchange the particles themselves by a same-sense rotation.
 
     ordering names which internal angle is the larger one; "tie" routes to
-    the phi2_greater branch and flags the choice. Both branches are always
+    the phi2_greater branch. Both branches are always
     evaluated and compared structurally. factor is None when the exchanged
     state is not a single multiple of the input (mixed integer/half-integer
     spins do this).
     """
     if ordering not in _ORDERINGS:
         raise ValueError(f"ordering must be one of {_ORDERINGS}, got {ordering!r}")
-    tie = ordering == "tie"
-    branch = "phi2_greater" if tie else ordering
+    branch = "phi2_greater" if ordering == "tie" else ordering
     other = "phi1_greater" if branch == "phi2_greater" else "phi2_greater"
     chosen = _exchange_branch(psi, branch)
     agree = chosen == _exchange_branch(psi, other)
     return ParticleSwapResult(
         state=chosen,
         factor=_proportionality(chosen.terms, psi.terms),
-        tie_flagged=tie,
         branches_agree=agree,
     )
 
@@ -267,7 +264,6 @@ class ExchangePhaseSolution:
     """
 
     value: PhaseExpression
-    antisymmetric: bool
     constraint: Mapping
     exchange: ParticleSwapResult = field(compare=False)
 
@@ -304,7 +300,6 @@ def solve_exchange_phase(psi: BipartiteState, ordering: str = "phi2_greater") ->
         raise ContradictionError("the exchange constraint leaves the phase undetermined")
     return ExchangePhaseSolution(
         value=value,
-        antisymmetric=value.is_minus_one,
         constraint=_pin_symbols(psi.relative_phase, value),
         exchange=swap,
     )
@@ -344,7 +339,6 @@ def negate(state):
 
 @dataclass(frozen=True)
 class AntiphaseResult:
-    n: int
     feasible: bool
     witness: tuple | None
     cross_check: bool | None
@@ -378,20 +372,9 @@ def antiphase_feasible(n: int) -> AntiphaseResult:
     cross = None
     if n <= 4:
         grid = [Fraction(k, 4) for k in range(8)]
-        found = None
-        for combo in _product_grid(grid, n):
-            if _pairwise_antiphase(combo):
-                found = combo
-                break
-        cross = (found is not None) == feasible
-    return AntiphaseResult(n=n, feasible=feasible, witness=witness, cross_check=cross)
-
-
-def _product_grid(values, n):
-    # anchored product: fixing the first angle at 0 costs nothing by
-    # rotational freedom and keeps the search at 8^(n-1) tuples
-    for rest in product(values, repeat=n - 1):
-        yield (Fraction(0),) + rest
+        anchored = ((Fraction(0), *rest) for rest in product(grid, repeat=n - 1))
+        cross = any(map(_pairwise_antiphase, anchored)) == feasible
+    return AntiphaseResult(feasible=feasible, witness=witness, cross_check=cross)
 
 
 # --- n-particle antisymmetrizer ----------------------------------------------
@@ -503,10 +486,13 @@ class DerivationReport:
     solution: ExchangePhaseSolution
     resolved: BipartiteState
     resolved_swapped: BipartiteState
-    antisymmetric: bool
     swap_factor: PhaseExpression
     matches_antisymmetrizer: bool
     trace: tuple
+
+    @property
+    def antisymmetric(self) -> bool:
+        return self.solution.value.is_minus_one
 
     def to_dict(self) -> dict:
         return {
@@ -522,27 +508,24 @@ class DerivationReport:
 
 
 def derive_antisymmetry(
-    orbital_a="alpha",
-    spin_a=Fraction(1, 2),
-    orbital_b="beta",
-    spin_b=Fraction(1, 2),
-    ordering: str = "phi2_greater",
+    spin_a=Fraction(1, 2), spin_b=Fraction(1, 2), ordering: str = "phi2_greater"
 ) -> DerivationReport:
     """Run the whole mechanical derivation and log each step.
 
-    Constructs the entangled pair, exchanges states, exchanges particles,
-    solves the invariance constraint, applies it, and checks the resolved
-    state against both the swapped-ordering run and the two-particle
-    antisymmetrizer.
+    Constructs the entangled pair over the orbitals alpha and beta,
+    exchanges states, exchanges particles, solves the invariance constraint,
+    applies it, and checks the resolved state against both the
+    swapped-ordering run and the two-particle antisymmetrizer.
     """
+    # the fixed orbitals stay in the digest of the construct step
     params = {
-        "orbital_a": str(orbital_a),
+        "orbital_a": "alpha",
         "spin_a": str(_check_spin(spin_a)),
-        "orbital_b": str(orbital_b),
+        "orbital_b": "beta",
         "spin_b": str(_check_spin(spin_b)),
         "ordering": ordering,
     }
-    psi = make_bipartite(orbital_a, spin_a, orbital_b, spin_b)
+    psi = make_bipartite("alpha", spin_a, "beta", spin_b)
     h_psi = state_hash(psi)
     trace = [TraceStep("construct", _digest(params), h_psi, psi.relative_phase.format())]
 
@@ -587,8 +570,7 @@ def derive_antisymmetry(
         solution=solution,
         resolved=resolved,
         resolved_swapped=resolved_swapped,
-        antisymmetric=solution.antisymmetric,
         swap_factor=swap_factor,
-        matches_antisymmetrizer=solution.antisymmetric and pair.terms == resolved.terms,
+        matches_antisymmetrizer=solution.value.is_minus_one and pair.terms == resolved.terms,
         trace=tuple(trace),
     )

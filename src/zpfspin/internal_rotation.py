@@ -110,4 +110,4 @@ def rotation_factor(winding, theta_over_pi) -> PhaseExpression:
     as a rational multiple of pi so a full turn (theta_over_pi = 2) on a
     half-integer state gives exactly -1.
     """
-    return PhaseExpression.from_pi(-Fraction(winding) * Fraction(theta_over_pi))
+    return PhaseExpression(-Fraction(winding) * Fraction(theta_over_pi))

@@ -60,9 +60,7 @@ class MatrixElementTable:
     """
 
     dims: int
-    omega0: float
     n_cut: int
-    hbar: float
     mass: float
     states: np.ndarray
     omega_array: np.ndarray = field(repr=False)
@@ -164,9 +162,7 @@ def build_oscillator_table(
         arr.setflags(write=False)
     return MatrixElementTable(
         dims=dims,
-        omega0=float(omega0),
         n_cut=n_cut,
-        hbar=constants.hbar,
         mass=constants.m,
         states=states,
         omega_array=omega_array,

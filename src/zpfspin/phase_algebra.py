@@ -87,11 +87,6 @@ class PhaseExpression:
         self.coeffs = clean
 
     @classmethod
-    def from_pi(cls, q) -> "PhaseExpression":
-        """e^{i*q*pi} for exact rational q."""
-        return cls(q)
-
-    @classmethod
     def from_symbol(cls, sym, coeff=1) -> "PhaseExpression":
         """e^{i*coeff*sym}."""
         return cls(0, {sym: coeff})
@@ -119,13 +114,6 @@ class PhaseExpression:
             for s2, c2 in repl.coeffs.items():
                 coeffs[s2] = coeffs.get(s2, Fraction(0)) + c * c2
         return PhaseExpression(pi, coeffs)
-
-    def relabel(self, mapping: Mapping) -> "PhaseExpression":
-        """Rename symbols (e.g. swap particle tags) without touching exponents."""
-        return PhaseExpression(
-            self.pi_part,
-            {mapping.get(s, s): c for s, c in self.coeffs.items()},
-        )
 
     @property
     def is_one(self) -> bool:
@@ -175,7 +163,7 @@ class PhaseExpression:
 
 
 ONE = PhaseExpression(0)
-MINUS_ONE = PhaseExpression.from_pi(1)
+MINUS_ONE = PhaseExpression(1)
 
 
 def _squarefree(n: int) -> tuple[int, Fraction]:

@@ -132,25 +132,24 @@ def _exactify(value):
 
 @dataclass(frozen=True)
 class SpinSplit:
-    lz: object
     m_plus: object
     m_minus: object
 
 
-def spin_split(lz, hbar=1) -> SpinSplit:
+def spin_split(lz) -> SpinSplit:
     """Split one orbital expectation into the two polarized channels,
-    M_+- = lz/2 +- hbar/2. Exact when called with rational inputs."""
+    M_+- = lz/2 +- 1/2, in hbar units. Exact when lz is rational."""
     lz = _exactify(lz)
-    half_hbar = _exactify(hbar) * _HALF
-    return SpinSplit(lz=lz, m_plus=lz / 2 + half_hbar, m_minus=lz / 2 - half_hbar)
+    return SpinSplit(m_plus=lz / 2 + _HALF, m_minus=lz / 2 - _HALF)
 
 
-def total_momentum(orbital_lz, sigma, hbar=1):
-    """Total projection orbital_lz/2 + sigma*hbar for spin sigma = +-1/2."""
+def total_momentum(orbital_lz, sigma):
+    """Total projection orbital_lz/2 + sigma, in hbar units, for spin
+    sigma = +-1/2."""
     sigma = Fraction(sigma)
     if sigma not in (_HALF, -_HALF):
         raise ValueError(f"sigma must be +1/2 or -1/2, got {sigma}")
-    return _exactify(orbital_lz) / 2 + sigma * _exactify(hbar)
+    return _exactify(orbital_lz) / 2 + sigma
 
 
 def _check_zeeman_labels(m_l, m_s) -> tuple[int, Fraction]:

@@ -263,6 +263,21 @@ def test_field_sample_csv_columns(capsys, tmp_path):
     assert len(floats) == 13
 
 
+def test_field_sample_realization_fields_built_only_for_csv(capsys, monkeypatch, tmp_path):
+    seen = []
+    fields = cli.sample_fields
+    monkeypatch.setattr(
+        cli, "sample_fields", lambda real, *a: seen.append(len(real.modes)) or fields(real, *a)
+    )
+    assert main(["field-sample", "--n-max", "2", "--points", "8"]) == 0
+    # the checks read one mode, the next one and the two together
+    assert seen == [1, 1, 2]
+    path = tmp_path / "fields.csv"
+    assert main(["field-sample", "--n-max", "2", "--points", "8", "--csv", str(path)]) == 0
+    assert seen[3:] == [1, 1, 2, 248]
+    capsys.readouterr()
+
+
 def test_zeeman_ramp_built_only_for_csv(capsys, monkeypatch, tmp_path):
     calls = []
     levels = cli.zeeman_levels
@@ -483,9 +498,9 @@ def test_benchmark_tracer_counts_the_modes_layer(capsys, monkeypatch):
     assert not hasattr(modes.sample_fields, "__wrapped__")
     traced, counts = tracer.take()
     totals = spans.aggregate(traced)
-    # field-sample: 52 modes, then rows [:1], [1:2] and [:2], at 4 points;
+    # field-sample without --csv: rows [:1], [1:2] and [:2], at 4 points;
     # mode-observables: one mode at grid / gcd(0, 0, 1, 8) = 8 phases, twice
-    assert counts["modes.field_mode_points"] == (52 + 1 + 1 + 2) * 4 + 2 * 8
+    assert counts["modes.field_mode_points"] == (1 + 1 + 2) * 4 + 2 * 8
     assert counts["modes.ensemble_rows"] == 10
     assert counts["modes.quadrature_points"] == 2 * 8**3
     # realizations are drawn as arrays: only mode-observables builds its two
@@ -860,6 +875,141 @@ def test_phases_reports_are_pinned(capsys, sizes, digest):
     assert hashlib.sha256(json.dumps(body).encode()).hexdigest() == digest
 
 
+# SHA-256 of each exact command's report with wall_time_s popped, and its
+# exit code (1: mixed spins contradict the exchange constraint). These
+# reports are exact pure-Python arithmetic, so the digests hold on every
+# platform; sz is left out, as its stencil runs in numpy.
+EXACT_DIGESTS = [
+    (
+        "exchange-derive --spin-a 1/2 --spin-b 1/2 --ordering phi2_greater",
+        0,
+        "b0027a828fa3cb1743f890204a11a8ac70fe0ba45bd7918d00a1a998d879e4e7",
+    ),
+    (
+        "exchange-derive --spin-a 1 --spin-b 1 --ordering phi2_greater",
+        0,
+        "9c286653cedc1733303560b3778e1094ecdfc9df3e2597a8647074d2d048aeff",
+    ),
+    (
+        "exchange-derive --spin-a 1/2 --spin-b 1 --ordering phi2_greater",
+        1,
+        "14d56b1920679560c2459abdc395efaa6a453615c30dc622c297a66d587521b6",
+    ),
+    (
+        "exchange-derive --spin-a 1/2 --spin-b 1/2 --ordering phi1_greater",
+        0,
+        "31b8e6462150ffe20c91baa10c6ba11513cdaffaa344e18a204a73a772afe76f",
+    ),
+    (
+        "exchange-derive --spin-a 1 --spin-b 1 --ordering phi1_greater",
+        0,
+        "f7b16b9d264da289690653c58d3caac5ad5330a1f8e1407a348cd2b5f3a2e8fd",
+    ),
+    (
+        "exchange-derive --spin-a 1/2 --spin-b 1 --ordering phi1_greater",
+        1,
+        "3218808cb4c087671e0b4c201ac0f3c3965ff991caba5f0a85a214b9e69f1742",
+    ),
+    (
+        "exchange-derive --spin-a 1/2 --spin-b 1/2 --ordering tie",
+        0,
+        "82c909dbb21ee31906f1ee2f0a935363b3d0559a45b3b02d596c5909ecc0291b",
+    ),
+    (
+        "exchange-derive --spin-a 1 --spin-b 1 --ordering tie",
+        0,
+        "57c7a5eeba4c9cc6dc872ceac6cd7e88b4814621df3714685e91b6193d5ad597",
+    ),
+    (
+        "exchange-derive --spin-a 1/2 --spin-b 1 --ordering tie",
+        1,
+        "f5ff27d66058213c33e96cefb27fcbb5f9c1678b656f2e1df6ee8e5c59879d9d",
+    ),
+    (
+        "slater --labels a:1/2",
+        0,
+        "3c6baf9069236a024e846cce08deeebb89c94b518f3e995389e57611a16067b1",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2",
+        0,
+        "b5d931e92df95ca6f73c7e919d7774897c09087fffab188141302b66f08b3f10",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2,c:3/2",
+        0,
+        "c0014684f8fc5ba44fa1090f7949a274381d6046b4338b9d9a8705f616013146",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2,c:3/2,d:-3/2",
+        0,
+        "e91dd44710d3c8f029d368d858cce8707067ea5bffe37a82db45cb4abcd3303e",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2,c:3/2,d:-3/2,e:1/2",
+        0,
+        "0977af4e1644870f575e2acc3010ffa05bc57aed305d87516cba9c20bed45d44",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2,c:3/2,d:-3/2,e:1/2,f:-1/2",
+        0,
+        "154fadc6188a6c2eafedcd8955f9719ce8e7da3586e5de8e17ecd9ada81bb667",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2,c:3/2,d:-3/2,e:1/2,f:-1/2,g:3/2",
+        0,
+        "2fa7ac5ec2f3bfcecec9c157c251692e790fad0879e749a712194266ba2468c2",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2,c:3/2,d:-3/2,e:1/2,f:-1/2,g:3/2,h:-3/2",
+        0,
+        "3e3cd35496baa38bc161bee7788599799c9872521989a1a45958382a26671c6a",
+    ),
+    (
+        "slater --labels a:1/2,b:-1/2,a:1/2",
+        0,
+        "15b216ca2d2da233411dee5151f4583e55466b27f1ab1e96f35d59491d40cc8e",
+    ),
+    ("antiphase --n 1", 0, "74f03cdb47531b241b68279a14838a7531bfac81f7d03d6b054f1c4f433992ec"),
+    ("antiphase --n 2", 0, "438d2e28dffb30da6b014ffcfdb618a2b227d55ec88f5e0c2cad2ef77c2375ee"),
+    ("antiphase --n 3", 0, "e2eb6b09a71fb71059ca0199072e520ee90efb9f6ba3c1e696876ee4599c4223"),
+    ("antiphase --n 4", 0, "4d874248f438853f0b56ff669a752a17455fbe6f36745a47ca3117cd63bd9068"),
+    ("antiphase --n 5", 0, "81d80ca4e295975508bb6a62b8fd250e5d5011e20cf69aee85b8c1debea9fcaa"),
+    ("dichotomy", 0, "33789ce13914124bcd876cae34bd9778f7c42a0d6eb433dbae5e2083e4ed9066"),
+    (
+        "dichotomy --values 3/2,1/2",
+        0,
+        "cbf6450b5f1eea9c12c408a51d144e704ff0eeb308d4522d480e3a63fbf27a8f",
+    ),
+    (
+        "dichotomy --values 1/2,1/2,0",
+        0,
+        "01922faa1f8ec8a5a51a30d5dec06720d91e47acf5bc1a51541c7acb2c9acaf7",
+    ),
+    (
+        "dichotomy --values 7/3",
+        0,
+        "3f80c6fe85ba34834d105b5fd4881069ed2d57734a26639c4cf9b991cd84e967",
+    ),
+    ("spin-split", 0, "b7fe03fee669503c0629c32f4e69b916600c30414531624963349b5d4fd410a2"),
+    ("spin-split --lz=-5/3", 0, "bbe194a752579f8f239ad1a44349a2de4f8b0264ee0c2118a1e05ecab1053a83"),
+    ("zeeman", 0, "17595e78a6d44b364602c244672d3152c9275217ddb58b4ad5a1dba07ca2d109"),
+    (
+        "zeeman --field=-2.5 --mu0 0.3",
+        0,
+        "f3fefaf813addfac79e5129911851652d0d097b5405ce702fa65761437088718",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", EXACT_DIGESTS)
+def test_exact_command_reports_are_pinned(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    body = json.loads(capsys.readouterr().out)
+    body.pop("wall_time_s")
+    assert hashlib.sha256(json.dumps(body).encode()).hexdigest() == digest
+
+
 def test_phases_draw_holds_only_the_read_columns(capsys):
     # the whole zeta matrix of 20000 realizations of 1456 modes is 233 MB;
     # the 20 columns the pairs read are 3.2 MB
@@ -928,6 +1078,18 @@ def _never_called(*args, **kwargs):
             ["phases", "--n-max", "44", "--ensemble", "1000000", "--pairs", "1"],
             "sample_zeta_ensemble",
             "1409936000000 zeta draws",
+        ),
+        # a pair over fewer than 1000 realizations is charged 1000 rows, its
+        # fixed cost, so many pairs over one realization pass the budget too
+        (
+            ["phases", "--ensemble", "1", "--pairs", "100001"],
+            "sample_zeta_ensemble",
+            "100001000 pair rows",
+        ),
+        (
+            ["phases", "--ensemble", "1", "--pairs", "766958"],
+            "sample_zeta_ensemble",
+            "766958000 pair rows",
         ),
     ],
 )

@@ -108,7 +108,6 @@ def test_particle_swap_factor():
     # inverted entanglement phase
     assert flipped.factor == MINUS_ONE * psi.relative_phase.inverse()
     assert flipped.branches_agree
-    assert not flipped.tie_flagged
     assert flipped.state.first == psi.second
 
 
@@ -120,10 +119,11 @@ def test_particle_swap_orderings_agree_for_equal_spins():
     assert a.state == b.state
 
 
-def test_particle_swap_tie_is_flagged():
+def test_particle_swap_tie_takes_the_phi2_branch():
     flipped = exchange_particles(fermion(), "tie")
-    assert flipped.tie_flagged
-    assert flipped.factor == exchange_particles(fermion()).factor
+    chosen = exchange_particles(fermion(), "phi2_greater")
+    assert flipped.factor == chosen.factor
+    assert flipped.state == chosen.state
 
 
 def test_particle_swap_twice_returns_home():
@@ -152,7 +152,6 @@ def test_unknown_ordering_rejected():
 def test_solve_half_integer_gives_minus_one():
     sol = solve_exchange_phase(fermion())
     assert sol.value == MINUS_ONE
-    assert sol.antisymmetric
     # the constraint pins one zeta in terms of the other, half a turn apart
     assert len(sol.constraint) == 1
     sym, expr = next(iter(sol.constraint.items()))
@@ -163,14 +162,12 @@ def test_solve_half_integer_gives_minus_one():
 def test_solve_any_half_integer_pair(spin):
     sol = solve_exchange_phase(make_bipartite("alpha", spin, "beta", spin))
     assert sol.value == MINUS_ONE
-    assert sol.antisymmetric
 
 
 @pytest.mark.parametrize("spin", [0, 1, 2, Fraction(-1)])
 def test_solve_integer_pair_is_symmetric(spin):
     sol = solve_exchange_phase(make_bipartite("alpha", spin, "beta", spin))
     assert sol.value == ONE
-    assert not sol.antisymmetric
 
 
 def test_solve_compatible_different_spins():

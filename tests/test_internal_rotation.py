@@ -170,9 +170,9 @@ def test_full_turn_flips_sign():
 
 
 def test_rotation_phase_is_minus_winding_times_angle():
-    assert rotation_factor(HALF, 1) == PhaseExpression.from_pi(-HALF)
+    assert rotation_factor(HALF, 1) == PhaseExpression(-HALF)
     got = rotation_factor(-HALF, Fraction(1, 3))
-    assert got == PhaseExpression.from_pi(Fraction(1, 6))
+    assert got == PhaseExpression(Fraction(1, 6))
 
 
 @given(st.sampled_from([HALF, -HALF]), st.fractions(min_value=0, max_value=8, max_denominator=8))

@@ -87,10 +87,10 @@ def test_surd_products_quotients_and_sums_match_sympy(a, b, q1, q2, r):
 @given(surds, rationals, surds, rationals)
 def test_coefficient_products_and_ratios_match_sympy(sa, pa, sb, pb):
     # signed surds times numeric phases e^{i pi p}
-    a = Coefficient.of(sa, PhaseExpression.from_pi(pa))
-    b = Coefficient.of(sb, PhaseExpression.from_pi(pb))
+    a = Coefficient.of(sa, PhaseExpression(pa))
+    b = Coefficient.of(sb, PhaseExpression(pb))
     for got, real, angle in (
-        (a.mul_phase(PhaseExpression.from_pi(pb)), surd(sa), rational(pa) + rational(pb)),
+        (a.mul_phase(PhaseExpression(pb)), surd(sa), rational(pa) + rational(pb)),
         (a.ratio(b), surd(sa) / surd(sb), rational(pa) - rational(pb)),
     ):
         # the sign of the real factor belongs in the phase, as e^{i pi}
