@@ -33,7 +33,6 @@ __all__ = [
     "polarized_momenta",
     "SpinSplit",
     "spin_split",
-    "total_momentum",
     "zeeman_energy",
     "zeeman_levels",
     "MomentIdentity",
@@ -124,12 +123,6 @@ def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.n
     return m_plus, m_minus
 
 
-def _exactify(value):
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
-
-
 @dataclass(frozen=True)
 class SpinSplit:
     m_plus: object
@@ -139,17 +132,9 @@ class SpinSplit:
 def spin_split(lz) -> SpinSplit:
     """Split one orbital expectation into the two polarized channels,
     M_+- = lz/2 +- 1/2, in hbar units. Exact when lz is rational."""
-    lz = _exactify(lz)
+    if isinstance(lz, int):
+        lz = Fraction(lz)
     return SpinSplit(m_plus=lz / 2 + _HALF, m_minus=lz / 2 - _HALF)
-
-
-def total_momentum(orbital_lz, sigma):
-    """Total projection orbital_lz/2 + sigma, in hbar units, for spin
-    sigma = +-1/2."""
-    sigma = Fraction(sigma)
-    if sigma not in (_HALF, -_HALF):
-        raise ValueError(f"sigma must be +1/2 or -1/2, got {sigma}")
-    return _exactify(orbital_lz) / 2 + sigma
 
 
 def _check_zeeman_labels(m_l, m_s) -> tuple[int, Fraction]:

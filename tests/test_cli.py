@@ -7,7 +7,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -28,7 +30,6 @@ COMMAND_OPTIONS = {
     "phases": ["n_max", "ensemble", "pairs", "seed"],
     "sum-rule": ["dims", "n_cut", "omega0", "hbar", "m", "seed"],
     "angular-momentum": ["dims", "n_cut", "omega0", "hbar", "m", "seed"],
-    "spin-split": ["lz", "seed"],
     "zeeman": ["field", "b_max", "b_points", "mu0", "seed"],
     "dichotomy": ["values", "seed"],
     "sz": ["winding", "points", "hbar", "seed"],
@@ -83,7 +84,7 @@ def test_reports_are_deterministic(capsys):
 
 def test_report_file_matches_stdout(capsys, tmp_path):
     path = tmp_path / "report.json"
-    code = main(["spin-split", "--lz", "1", "--report", str(path)])
+    code = main(["antiphase", "--n", "2", "--report", str(path)])
     out = capsys.readouterr().out
     assert code == 0
     assert path.read_text() == out
@@ -92,7 +93,7 @@ def test_report_file_matches_stdout(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv,option",
     [
-        (["spin-split", "--lz", "1"], "--report"),
+        (["antiphase", "--n", "2"], "--report"),
         (["zeeman"], "--csv"),
         (["field-sample", "--points", "4"], "--csv"),
     ],
@@ -105,63 +106,6 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, argv, option):
     assert captured.err.startswith("error: cannot write output: ")
     assert str(path) in captured.err
 
-
-SPIN_SPLIT_REPORT = """\
-{
-  "schema": 1,
-  "command": "spin-split",
-  "config": {
-    "lz": "1",
-    "seed": 7,
-    "tolerances": {}
-  },
-  "checks": [
-    {
-      "name": "m_plus",
-      "expected": "1",
-      "actual": "1",
-      "tolerance": 0.0,
-      "pass": true
-    },
-    {
-      "name": "m_minus",
-      "expected": "0",
-      "actual": "0",
-      "tolerance": 0.0,
-      "pass": true
-    },
-    {
-      "name": "sum_reconstructs_lz",
-      "expected": "1",
-      "actual": "1",
-      "tolerance": 0.0,
-      "pass": true
-    },
-    {
-      "name": "gap_is_hbar",
-      "expected": "1",
-      "actual": "1",
-      "tolerance": 0.0,
-      "pass": true
-    },
-    {
-      "name": "total_up",
-      "expected": "1",
-      "actual": "1",
-      "tolerance": 0.0,
-      "pass": true
-    },
-    {
-      "name": "total_down",
-      "expected": "0",
-      "actual": "0",
-      "tolerance": 0.0,
-      "pass": true
-    }
-  ],
-  "details": {
-    "lz": "1"
-  }"""
 
 ANTIPHASE_REPORT = """\
 {
@@ -199,7 +143,7 @@ ANTIPHASE_REPORT = """\
 
 @pytest.mark.parametrize(
     "argv,expected",
-    [(["spin-split", "--lz", "1"], SPIN_SPLIT_REPORT), (["antiphase", "--n", "2"], ANTIPHASE_REPORT)],
+    [(["antiphase", "--n", "2"], ANTIPHASE_REPORT)],
 )
 def test_exact_report_text_is_pinned(capsys, argv, expected):
     # key order, indentation and the config echo, all but the wall time
@@ -208,6 +152,35 @@ def test_exact_report_text_is_pinned(capsys, argv, expected):
     assert sep
     assert float(wall.removesuffix("\n}\n")) >= 0.0
     assert text == expected
+
+
+def test_readme_command_table_names_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | what it verifies |\n| --- | --- |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    assert [re.match(r"\| `([^`]+)` \|", row).group(1) for row in rows] == list(cli._EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv", [["antiphase", "--n", "2"], ["exchange-derive"]])
+def test_closed_stdout_exits_two(argv):
+    # a pipe whose read end is closed refuses every write at once
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "zpfspin.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_help_lists_every_command(capsys):
@@ -289,6 +262,23 @@ def test_zeeman_ramp_built_only_for_csv(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "mutate,failing",
+    [
+        (lambda table: dataclasses.replace(table, x=table.x * 1.01), ["levels_from_channels", "spin_gap_doubled"]),
+        (lambda table: dataclasses.replace(table, y=-table.y), ["levels_from_channels"]),
+    ],
+    ids=["x_scaled", "y_negated"],
+)
+def test_zeeman_levels_come_from_the_table(capsys, monkeypatch, mutate, failing):
+    # the six levels are measured from the table's polarized channels, so a
+    # wrong element shows in the checks, not only in the formula
+    monkeypatch.setattr(cli, "build_oscillator_table", lambda *a: mutate(build_oscillator_table(*a)))
+    code, body = run(capsys, ["zeeman"])
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == failing
+
+
 def test_zeeman_csv_ramp(capsys, tmp_path):
     path = tmp_path / "levels.csv"
     code = main(["zeeman", "--b-max", "1.0", "--b-points", "3", "--csv", str(path)])
@@ -344,7 +334,7 @@ def _settable(command) -> dict:
 def test_parser_offers_exactly_the_options_each_command_reads():
     for command, dests in COMMAND_OPTIONS.items():
         assert list(_settable(command)) == dests
-    assert sum(len(_settable(command)) for command in ALL_COMMANDS) == 56
+    assert sum(len(_settable(command)) for command in ALL_COMMANDS) == 54
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
@@ -387,7 +377,6 @@ OTHER_VALUES = {
     "dims": ("3", "2"),
     "n_cut": ("3", "4"),
     "omega0": ("2.0", "3.0"),
-    "lz": ("1", "1/2"),
     "field": ("2.0", "3.0"),
     "b_max": ("1.0", "3.0"),
     "b_points": ("3", "4"),
@@ -536,6 +525,8 @@ def test_malformed_tol_exits_two(capsys):
     "argv,config,declared",
     [
         *(([command, "--tol", "typo=1"], None, None) for command in ALL_COMMANDS),
+        # a check name is not a tolerance name: zeeman_gap bounds this check
+        (["zeeman", "--tol", "levels_from_channels=1"], None, None),
         (["phases"], "tol.sum_rule = 1e-10", "declared: none"),
         (["sum-rule", "--tol", "routes_agree=1"], None, "declared: sum_rule=1e-12"),
         (
@@ -991,13 +982,11 @@ EXACT_DIGESTS = [
         0,
         "3f80c6fe85ba34834d105b5fd4881069ed2d57734a26639c4cf9b991cd84e967",
     ),
-    ("spin-split", 0, "b7fe03fee669503c0629c32f4e69b916600c30414531624963349b5d4fd410a2"),
-    ("spin-split --lz=-5/3", 0, "bbe194a752579f8f239ad1a44349a2de4f8b0264ee0c2118a1e05ecab1053a83"),
-    ("zeeman", 0, "17595e78a6d44b364602c244672d3152c9275217ddb58b4ad5a1dba07ca2d109"),
+    ("zeeman", 0, "4f1e2946f8e41424eaeff42c7b2a99f9ef857b0a084479697771a801fa3eaebc"),
     (
         "zeeman --field=-2.5 --mu0 0.3",
         0,
-        "f3fefaf813addfac79e5129911851652d0d097b5405ce702fa65761437088718",
+        "69894579b8267b3ef1cc70a9256e8263d916af2fdcd7064623b0d8f3c98f7862",
     ),
 ]
 
@@ -1025,6 +1014,10 @@ def test_phases_draw_holds_only_the_read_columns(capsys):
 
 def _never_called(*args, **kwargs):
     raise AssertionError("work started before the size check")
+
+
+# stands for a --csv path under the test's tmp_path
+CSV_IN_TMP = "<tmp>/out.csv"
 
 
 @pytest.mark.parametrize(
@@ -1066,9 +1059,9 @@ def _never_called(*args, **kwargs):
             "(1076001360 bytes)",
         ),
         # 20000 points x 9824 modes pass the budget of 1e8 mode evaluations,
-        # although every array fits
+        # although every array fits; only the --csv rows evaluate every mode
         (
-            ["field-sample", "--n-max", "8", "--points", "20000"],
+            ["field-sample", "--n-max", "8", "--points", "20000", "--csv", CSV_IN_TMP],
             "sample_realization",
             "196480000 mode evaluations",
         ),
@@ -1093,7 +1086,10 @@ def _never_called(*args, **kwargs):
         ),
     ],
 )
-def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv, patched, estimate):
+def test_oversized_modes_runs_exit_two_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, patched, estimate
+):
+    argv = [str(tmp_path / "out.csv") if arg == CSV_IN_TMP else arg for arg in argv]
     monkeypatch.setattr(cli, patched, _never_called)
     start = time.perf_counter()
     assert main(argv) == 2
@@ -1101,6 +1097,13 @@ def test_oversized_modes_runs_exit_two_before_any_work(capsys, monkeypatch, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert estimate in captured.err
+
+
+def test_field_sample_without_csv_is_charged_for_its_checks_only(capsys):
+    # the refused --csv run above: its checks evaluate 1 + 1 + 2 modes a
+    # point, 80000 mode evaluations in all
+    assert main(["field-sample", "--n-max", "8", "--points", "20000"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -1133,6 +1136,9 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
         (["mode-observables", "--box", "1e100"], modes, "sample_fields"),
         (["mode-observables", "--box", "1e-100"], modes, "sample_fields"),
         (["mode-observables", "--hbar", "1e300", "--c", "1e10"], modes, "sample_fields"),
+        # the level scale 2 mu0 field overflows
+        (["zeeman", "--field", "1e308", "--mu0", "10"], cli, "build_oscillator_table"),
+        (["zeeman", "--field", "1e308"], cli, "build_oscillator_table"),
     ],
 )
 def test_out_of_range_scales_exit_two_before_any_work(capsys, monkeypatch, argv, owner, patched):

@@ -21,7 +21,6 @@ from zpfspin.spectral import (
     magnetic_moment_identity,
     polarized_momenta,
     spin_split,
-    total_momentum,
     trk_sum_rule,
     zeeman_energy,
     zeeman_levels,
@@ -185,15 +184,6 @@ def test_spin_split_is_exact():
         assert isinstance(split.m_plus, Fraction)
         assert split.m_plus + split.m_minus == lz
         assert split.m_plus - split.m_minus == 1
-        assert split.m_plus == total_momentum(lz, half)
-        assert split.m_minus == total_momentum(lz, -half)
-
-
-def test_total_momentum_validates_spin():
-    with pytest.raises(ValueError):
-        total_momentum(1, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        total_momentum(1, 0)
 
 
 # --- Zeeman weights -----------------------------------------------------------
