@@ -34,8 +34,7 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .constants import PhysicalConstants
 from .errors import ContradictionError, IncompleteBasisError, SizeLimitError, check_bytes, check_scales
 from .exchange import (
@@ -581,6 +580,12 @@ def _run_angular_momentum(cfg):
     return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(rows)}, None
 
 
+# The --csv ramp takes about 75 us a field value, six zeeman_levels rows
+# (--b-points 20000 and 50000, 2-vCPU x86-64), so this bound keeps it to
+# about 4 s.
+_RAMP_FIELDS_LIMIT = 50000
+
+
 @_experiment(
     "zeeman",
     "level shifts and the doubled spin weight",
@@ -592,6 +597,11 @@ def _run_angular_momentum(cfg):
     csv=True,
 )
 def _run_zeeman(cfg):
+    if cfg.csv and cfg.b_points > _RAMP_FIELDS_LIMIT:
+        raise SizeLimitError(
+            f"refusing a CSV ramp of {cfg.b_points} field values, over the limit "
+            f"of {_RAMP_FIELDS_LIMIT}"
+        )
     consts = PhysicalConstants(mu0=cfg.mu0)
     B = cfg.field
     gap = 2.0 * consts.mu0 * B

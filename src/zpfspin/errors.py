@@ -6,7 +6,7 @@ outside the box, a sigma that is not a half-integer, ...). The subclasses below
 mark failure modes that callers are expected to distinguish programmatically.
 """
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "ResolutionError",

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
+from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
 from .errors import ResolutionError, check_bytes
 from .phase_algebra import PhaseExpression

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
 from .errors import ResolutionError, SizeLimitError, check_bytes, check_scales
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
 from .errors import check_bytes, check_scales
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
 from .errors import IncompleteBasisError
 from .oscillator import MatrixElementTable
@@ -42,7 +41,7 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 # slot k ^ 1 of a state's neighbour in slot k leads back to the state
-_REVERSE = np.arange(4) ^ 1
+_REVERSE = [1, 0, 3, 2]
 
 
 def _gaps(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -1099,6 +1099,31 @@ def test_oversized_modes_runs_exit_two_before_any_work(
     assert estimate in captured.err
 
 
+def test_zeeman_csv_ramp_past_the_limit_exits_two(capsys, monkeypatch, tmp_path):
+    # about 75 us a field value: 50000 take about 4 s
+    path = tmp_path / "levels.csv"
+    monkeypatch.setattr(cli, "build_oscillator_table", _never_called)
+    assert main(["zeeman", "--b-points", "50001", "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "50001 field values, over the limit of 50000" in captured.err
+    assert not path.exists()
+
+
+def test_zeeman_csv_ramp_at_the_limit_runs(capsys, monkeypatch, tmp_path):
+    # rows stubbed out, so that the 50000 ramp values cost no levels
+    monkeypatch.setattr(cli, "zeeman_levels", lambda *a: [])
+    path = tmp_path / "levels.csv"
+    assert main(["zeeman", "--b-points", "50000", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text() == "B,m_l,m_s,energy\n"
+
+
+def test_zeeman_ramp_length_is_free_without_csv(capsys):
+    assert main(["zeeman", "--b-points", "1000000"]) == 0
+    capsys.readouterr()
+
+
 def test_field_sample_without_csv_is_charged_for_its_checks_only(capsys):
     # the refused --csv run above: its checks evaluate 1 + 1 + 2 modes a
     # point, 80000 mode evaluations in all
