@@ -29,9 +29,11 @@ import os
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from ._lazy import np
@@ -756,22 +758,17 @@ def _run_antiphase(cfg):
     return checks, details, None
 
 
-def _once_per_object(func):
-    """func, memoized by object identity.
+def _per_object(func, objects) -> list:
+    """[func(x) for x in objects], calling func once per distinct object.
 
     Exact labels and coefficients hash slowly (Fraction.__hash__), and the
-    terms of one expansion share a handful of such objects between them.
-    The memo is only valid while those objects are alive.
+    terms of one expansion share a handful of such objects between them, so
+    objects are told apart by identity, in maps that run in C.
     """
-    memo: dict = {}
-
-    def lookup(value):
-        key = id(value)
-        if key not in memo:
-            memo[key] = func(value)
-        return memo[key]
-
-    return lookup
+    objects = list(objects)
+    ids = list(map(id, objects))
+    memo = {key: func(obj) for key, obj in dict(zip(ids, objects)).items()}
+    return list(map(memo.__getitem__, ids))
 
 
 def _transpositions_flip_sign(labels, state) -> bool:
@@ -784,14 +781,20 @@ def _transpositions_flip_sign(labels, state) -> bool:
     bytes.translate, and coefficients become small integer class ids, so no
     exact number is hashed per pair.
     """
-    index_of = _once_per_object({label: i for i, label in enumerate(labels)}.__getitem__)
+    n = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
+    kets = chain.from_iterable(map(itemgetter(1), state.terms))
+    slots = bytes(_per_object(index.__getitem__, kets))
+    keys = [slots[start : start + n] for start in range(0, len(slots), n)]
     classes: dict = {}
-    class_of = _once_per_object(lambda c: classes.setdefault(c, len(classes)))
-    keys = [bytes(map(index_of, ket)) for _, ket in state.terms]
-    ids = [class_of(c) for c, _ in state.terms]
-    flipped = negate(state)
-    want = {key: class_of(c) for key, (c, _) in zip(keys, flipped.terms)}
-    for i, j in combinations(range(len(labels)), 2):
+
+    def class_of(c):
+        return classes.setdefault(c, len(classes))
+
+    ids = _per_object(class_of, map(itemgetter(0), state.terms))
+    flipped = _per_object(class_of, map(itemgetter(0), negate(state).terms))
+    want = dict(zip(keys, flipped))
+    for i, j in combinations(range(n), 2):
         table = bytes.maketrans(bytes((i, j)), bytes((j, i)))
         if dict(zip(map(bytes.translate, keys, repeat(table)), ids)) != want:
             return False
@@ -810,9 +813,12 @@ def _run_slater(cfg):
     distinct = len(set(labels)) == n
     expected_terms = math.factorial(n) if distinct else 0
     flips_ok = _transpositions_flip_sign(labels, state) if distinct else True
-    norm_sq = sum(
-        (c.magnitude.coeff ** 2) * c.magnitude.radicand for c, _ in state.terms
-    )
+    # the terms share a few magnitude objects: each is squared once, times
+    # the number of terms that hold it
+    magnitudes = list(map(attrgetter("magnitude"), map(itemgetter(0), state.terms)))
+    shared = dict(zip(map(id, magnitudes), magnitudes))
+    counts = Counter(map(id, magnitudes))
+    norm_sq = sum(counts[key] * m.coeff**2 * m.radicand for key, m in shared.items())
     repeated = antisymmetrize([labels[0], labels[0]])
     checks = [
         _exact("term_count", expected_terms, len(state.terms)),

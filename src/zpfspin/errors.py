@@ -32,8 +32,8 @@ class ContradictionError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """Requested object is past the supported size: n! terms, or more than
-    BYTES_LIMIT bytes of arrays."""
+    """Requested object is past the supported size: n! terms, a count of
+    steps past its stated limit, or more than BYTES_LIMIT bytes of arrays."""
 
 
 # Largest working set, in bytes, that one table, set of modes, ensemble,

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Mapping
 
 from .errors import ContradictionError, SizeLimitError
@@ -344,10 +344,19 @@ class AntiphaseResult:
     cross_check: bool | None
 
 
-def _pairwise_antiphase(assignment) -> bool:
-    # angles in units of pi, constraint: every pair differs by pi mod 2 pi
+# Largest particle count antiphase_feasible accepts. The propagation check
+# compares the anchor with every other angle before the first pair fails,
+# 2-4 us per angle on a 2-vCPU x86_64 VM, so this count takes about a
+# second.
+ANTIPHASE_N_LIMIT = 300_000
+
+
+def _pairwise_antiphase(assignment, half_turn=1) -> bool:
+    # angles in units of pi / half_turn, constraint: every pair differs by
+    # half_turn modulo a full turn
+    turn = 2 * half_turn
     return all(
-        (assignment[i] - assignment[j]) % 2 == 1
+        (assignment[i] - assignment[j]) % turn == half_turn
         for i in range(len(assignment))
         for j in range(i + 1, len(assignment))
     )
@@ -361,38 +370,41 @@ def antiphase_feasible(n: int) -> AntiphaseResult:
     the answer is yes only for n <= 2. Angles are Fractions in units of pi.
     For n <= 4 an exhaustive eighth-turn grid search double-checks the
     propagation answer; the grid is complete because any solution is
-    forced, up to the anchor, onto the two values it contains.
+    forced, up to the anchor, onto the two values it contains. The grid
+    holds the integers 0..7 in units of pi/4, where antiphase is 4. Raises
+    SizeLimitError, before any work, for n past ANTIPHASE_N_LIMIT.
     """
     if n < 1:
         raise ValueError("particle count must be at least 1")
-    candidate = tuple(Fraction(0) if i == 0 else Fraction(1) for i in range(n))
+    if n > ANTIPHASE_N_LIMIT:
+        raise SizeLimitError(
+            f"refusing n = {n}: the antiphase check takes n steps, "
+            f"over the limit of {ANTIPHASE_N_LIMIT}"
+        )
+    candidate = (Fraction(0),) + (Fraction(1),) * (n - 1)
     feasible = _pairwise_antiphase(candidate)
     witness = candidate if feasible else None
 
     cross = None
     if n <= 4:
-        grid = [Fraction(k, 4) for k in range(8)]
-        anchored = ((Fraction(0), *rest) for rest in product(grid, repeat=n - 1))
-        cross = any(map(_pairwise_antiphase, anchored)) == feasible
+        anchored = ((0, *rest) for rest in product(range(8), repeat=n - 1))
+        cross = any(_pairwise_antiphase(angles, 4) for angles in anchored) == feasible
     return AntiphaseResult(feasible=feasible, witness=witness, cross_check=cross)
 
 
 # --- n-particle antisymmetrizer ----------------------------------------------
 
 
-def _parity(perm) -> int:
-    """Parity of a permutation of range(n): n minus its cycle count, mod 2."""
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-    return (len(perm) - cycles) % 2
+def _lexicographic_parities(n: int) -> list:
+    """Parities of the permutations of range(n) in lexicographic order, the
+    order itertools.permutations yields them in. The block led by element i
+    moves i past the i smaller elements after it, so it holds the parities
+    of the (n-1)-block, each XOR (i mod 2)."""
+    parities = [0]
+    for m in range(2, n + 1):
+        flipped = [p ^ 1 for p in parities]
+        parities = (parities + flipped) * (m // 2) + (parities if m % 2 else [])
+    return parities
 
 
 def antisymmetrize(labels) -> MultiparticleState:
@@ -416,13 +428,15 @@ def antisymmetrize(labels) -> MultiparticleState:
     # permutations of the sorted labels come out in slot order; the sign of
     # each is its own parity composed with that of the sorting permutation
     order = sorted(range(n), key=labs.__getitem__)
-    base = _parity(order)
+    base = sum(a > b for a, b in combinations(order, 2)) % 2
     norm = Coefficient.of(Surd.inv_sqrt(math.factorial(n)))
     signed = (norm, norm.mul_phase(MINUS_ONE))
+    if base:
+        signed = signed[::-1]
     terms = tuple(
-        (signed[base ^ _parity(perm)], slots)
-        for perm, slots in zip(
-            permutations(range(n)), permutations([labs[i] for i in order])
+        zip(
+            map(signed.__getitem__, _lexicographic_parities(n)),
+            permutations([labs[i] for i in order]),
         )
     )
     return MultiparticleState(terms=terms, n=n)
@@ -530,24 +544,19 @@ def derive_antisymmetry(
     trace = [TraceStep("construct", _digest(params), h_psi, psi.relative_phase.format())]
 
     flipped = exchange_states(psi)
-    trace.append(
-        TraceStep("exchange_states", h_psi, state_hash(flipped.state), flipped.factor.format())
-    )
+    h_flipped = state_hash(flipped.state)
+    trace.append(TraceStep("exchange_states", h_psi, h_flipped, flipped.factor.format()))
 
     # solving exchanges the particles once, and refuses an exchange with no factor
     solution = solve_exchange_phase(psi, ordering)
     swapped = solution.exchange
-    trace.append(
-        TraceStep("exchange_particles", h_psi, state_hash(swapped.state), swapped.factor.format())
-    )
+    h_swapped = state_hash(swapped.state)
+    trace.append(TraceStep("exchange_particles", h_psi, h_swapped, swapped.factor.format()))
 
     resolved = apply_exchange_phase(psi, solution)
     trace.append(
         TraceStep(
-            "solve_exchange_phase",
-            state_hash(swapped.state),
-            state_hash(resolved),
-            solution.value.format(),
+            "solve_exchange_phase", h_swapped, state_hash(resolved), solution.value.format()
         )
     )
 
@@ -557,10 +566,7 @@ def derive_antisymmetry(
         raise ContradictionError("resolved states are not proportional")
     trace.append(
         TraceStep(
-            "apply_exchange_phase",
-            state_hash(flipped.state),
-            state_hash(resolved_swapped),
-            swap_factor.format(),
+            "apply_exchange_phase", h_flipped, state_hash(resolved_swapped), swap_factor.format()
         )
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 
 from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
@@ -43,6 +43,13 @@ class DichotomyResult:
     canonical: tuple | None
 
 
+def _unit_apart(a: Fraction, b: Fraction) -> bool:
+    """Whether a - b = +-1, without forming the difference: in lowest terms
+    that holds only for equal denominators and numerators one denominator
+    apart (which also makes a and b distinct)."""
+    return a.denominator == b.denominator and abs(a.numerator - b.numerator) == a.denominator
+
+
 def dichotomy_solve(candidates) -> DichotomyResult:
     """Feasibility of a finite family of winding values.
 
@@ -55,12 +62,13 @@ def dichotomy_solve(candidates) -> DichotomyResult:
     pair sums to zero) is reported separately; it is what narrows a feasible
     pair to the canonical (-1/2, +1/2). It is decided without a pair search:
     a pair sums to zero or not, and among three or more values every pair
-    sums to zero only when all of them are 0. Both take O(n) steps.
+    sums to zero only when all of them are 0. Both take O(n) steps. Each
+    pair is compared on the integers of its two lowest-terms fractions.
     """
-    values = [Fraction(v) for v in candidates]
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in candidates]
     if not values:
         raise ValueError("need at least one candidate value")
-    feasible = all(a != b and abs(a - b) == 1 for a, b in combinations(values, 2))
+    feasible = all(starmap(_unit_apart, combinations(values, 2)))
     if len(values) == 2:
         sign_opposed = values[0] == -values[1]
     else:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from zpfspin import cli, errors, modes, oscillator
+from zpfspin import cli, errors, exchange, modes, oscillator
 from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
 from zpfspin.oscillator import build_oscillator_table
 from zpfspin.phase_algebra import MINUS_ONE
@@ -1097,6 +1097,24 @@ def test_oversized_modes_runs_exit_two_before_any_work(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert estimate in captured.err
+
+
+def test_antiphase_past_the_limit_exits_two_before_any_work(capsys, monkeypatch):
+    limit = exchange.ANTIPHASE_N_LIMIT
+    monkeypatch.setattr(exchange, "_pairwise_antiphase", _never_called)
+    start = time.perf_counter()
+    assert main(["antiphase", "--n", str(limit + 1)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"refusing n = {limit + 1}" in captured.err
+
+
+def test_antiphase_at_the_limit_runs(capsys):
+    limit = exchange.ANTIPHASE_N_LIMIT
+    code, body = run(capsys, ["antiphase", "--n", str(limit)])
+    assert code == 0
+    assert body["details"] == {"n": limit, "witness": None}
 
 
 def test_zeeman_csv_ramp_past_the_limit_exits_two(capsys, monkeypatch, tmp_path):

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -237,6 +237,25 @@ def test_derivation_trace_is_linked():
 
 
 @pytest.mark.parametrize("ordering", ["phi2_greater", "phi1_greater", "tie"])
+def test_derivation_hashes_each_state_once(monkeypatch, ordering):
+    # the trace names five states: the input, both exchanges and both
+    # resolved states; the two exchanged ones are each input and output
+    hashed = []
+    real = exchange.state_hash
+
+    def counted(state):
+        hashed.append(state)
+        return real(state)
+
+    monkeypatch.setattr(exchange, "state_hash", counted)
+    rep = derive_antisymmetry(ordering=ordering)
+    assert len(hashed) == 5
+    assert len({id(state) for state in hashed}) == 5
+    monkeypatch.undo()
+    assert rep.trace == derive_antisymmetry(ordering=ordering).trace
+
+
+@pytest.mark.parametrize("ordering", ["phi2_greater", "phi1_greater", "tie"])
 def test_derivation_exchanges_the_particles_once(monkeypatch, ordering):
     # one particle exchange evaluates both angle-ordering branches
     calls = []
@@ -333,6 +352,44 @@ def test_antiphase_rejects_nonpositive():
         antiphase_feasible(0)
 
 
+def fraction_antiphase(angles):
+    """Every pair of angles, in units of pi, differs by pi mod 2 pi."""
+    return all((a - b) % 2 == 1 for a, b in combinations(angles, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_antiphase_grid_matches_fraction_grid(monkeypatch, n):
+    # the cross-check searches the integers 0..7 in units of pi/4; each
+    # verdict it reaches must be the one the Fraction(k, 4) grid gives
+    real = exchange._pairwise_antiphase
+    grid_verdicts = []
+
+    def spy(angles, *args):
+        verdict = real(angles, *args)
+        if not any(isinstance(a, Fraction) for a in angles):
+            grid_verdicts.append((angles, verdict))
+        return verdict
+
+    monkeypatch.setattr(exchange, "_pairwise_antiphase", spy)
+    assert antiphase_feasible(n).cross_check is True
+    assert grid_verdicts
+    for angles, verdict in grid_verdicts:
+        assert verdict == fraction_antiphase([Fraction(k, 4) for k in angles]), angles
+    # and over the whole anchored grid, past where the search stops
+    for rest in product(range(8), repeat=n - 1):
+        angles = (0, *rest)
+        assert real(angles, 4) == fraction_antiphase([Fraction(k, 4) for k in angles])
+
+
+def test_antiphase_past_the_limit_refused_before_any_work(monkeypatch):
+    def never(*args):
+        raise AssertionError("the pairwise check ran before the size check")
+
+    monkeypatch.setattr(exchange, "_pairwise_antiphase", never)
+    with pytest.raises(SizeLimitError, match=f"over the limit of {exchange.ANTIPHASE_N_LIMIT}"):
+        antiphase_feasible(exchange.ANTIPHASE_N_LIMIT + 1)
+
+
 # --- n-particle antisymmetrizer -----------------------------------------------
 
 
@@ -381,6 +438,23 @@ def test_repeated_label_cancels_exactly():
     state = antisymmetrize([("a", H), ("a", H), ("b", H)])
     assert state.is_zero
     assert state.terms == ()
+
+
+SCRAMBLED = ["q", "b", "x", "a", "m", "c", "z", "h"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_antisymmetrize_signs_match_inversion_count(n):
+    # unsorted labels, so each sign also carries the sorting permutation's
+    labels = [(SCRAMBLED[i], SPINS[(3 * i + 1) % 4]) for i in range(n)]
+    position = {label: i for i, label in enumerate(labels)}
+    magnitude = Surd.inv_sqrt(math.factorial(n))
+    state = antisymmetrize(labels)
+    assert len(state.terms) == math.factorial(n)
+    for coeff, ket in state.terms:
+        sign = inversion_sign([position[slot] for slot in ket])
+        assert coeff.phase == (ONE if sign == 1 else MINUS_ONE), ket
+        assert coeff.magnitude == magnitude
 
 
 @given(st.integers(min_value=1, max_value=5))

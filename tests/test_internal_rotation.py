@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zpfspin.constants import PhysicalConstants
@@ -114,6 +114,50 @@ def test_dichotomy_matches_exhaustive_oracle_on_cli_grid(size):
         feasible, sign_opposed = pairwise_oracle(values)
         assert (result.feasible, result.sign_opposed) == (feasible, sign_opposed), values
         assert result.canonical == ((-HALF, HALF) if feasible else None)
+
+
+# exact inputs of every accepted kind: Fractions of mixed signs and
+# denominators, ints, and the strings a user types
+MIXED_INPUTS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12).map(str),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-4, max_value=4).map(str),
+)
+
+
+@given(st.lists(MIXED_INPUTS, min_size=1, max_size=4))
+# numerators a denominator apart over different denominators: 1/2, 3/5
+@example(["1/2", Fraction(3, 5)])
+@example([Fraction(-1, 2), "1/2"])
+@example([1, "2"])
+@example(["-3/4", Fraction(1, 4)])
+def test_dichotomy_matches_fraction_subtraction(values):
+    exact = [Fraction(v) for v in values]
+    result = dichotomy_solve(values)
+    feasible, sign_opposed = pairwise_oracle(exact)
+    assert (result.feasible, result.sign_opposed) == (feasible, sign_opposed)
+    assert result.canonical == ((-HALF, HALF) if feasible else None)
+
+
+def first_primes(count):
+    limit = 1_400_000  # the 100000th prime is 1299709
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]][:count]
+
+
+def test_coprime_denominators_decided_without_a_common_denominator():
+    # the lcm of 10^5 distinct primes has about two million bits: a solver
+    # that brings the values over a common denominator takes tens of seconds
+    values = [Fraction(1, p) for p in first_primes(100_000)]
+    start = time.perf_counter()
+    result = dichotomy_solve(values)
+    assert time.perf_counter() - start < 1.0
+    assert (result.feasible, result.sign_opposed, result.canonical) == (False, False, None)
 
 
 # --- the generator ------------------------------------------------------------
