@@ -49,6 +49,7 @@ __all__ = [
     "entanglement_phase",
     "StateSwapResult",
     "exchange_states",
+    "ORDERINGS",
     "ParticleSwapResult",
     "exchange_particles",
     "ExchangePhaseSolution",
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 _UNIT = Surd(Fraction(1))
-_ORDERINGS = ("phi2_greater", "phi1_greater", "tie")
+ORDERINGS = ("phi2_greater", "phi1_greater", "tie")
 
 
 def _check_spin(s) -> Fraction:
@@ -241,8 +242,8 @@ def exchange_particles(psi: BipartiteState, ordering: str = "phi2_greater") -> P
     state is not a single multiple of the input (mixed integer/half-integer
     spins do this).
     """
-    if ordering not in _ORDERINGS:
-        raise ValueError(f"ordering must be one of {_ORDERINGS}, got {ordering!r}")
+    if ordering not in ORDERINGS:
+        raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     branch = "phi2_greater" if ordering == "tie" else ordering
     other = "phi1_greater" if branch == "phi2_greater" else "phi2_greater"
     chosen = _exchange_branch(psi, branch)
@@ -344,13 +345,6 @@ class AntiphaseResult:
     cross_check: bool | None
 
 
-# Largest particle count antiphase_feasible accepts. The propagation check
-# compares the anchor with every other angle before the first pair fails,
-# 2-4 us per angle on a 2-vCPU x86_64 VM, so this count takes about a
-# second.
-ANTIPHASE_N_LIMIT = 300_000
-
-
 def _pairwise_antiphase(assignment, half_turn=1) -> bool:
     # angles in units of pi / half_turn, constraint: every pair differs by
     # half_turn modulo a full turn
@@ -367,21 +361,17 @@ def antiphase_feasible(n: int) -> AntiphaseResult:
 
     Exact propagation: anchor the first angle at 0; every other angle is
     then forced to pi, and any third angle pair violates the constraint, so
-    the answer is yes only for n <= 2. Angles are Fractions in units of pi.
+    the answer is yes only for n <= 2. The candidate therefore holds the
+    first min(n, 3) angles: its pair (1, 2) already fails for n >= 3, and
+    for n <= 2 it is the whole witness. Angles are Fractions in units of pi.
     For n <= 4 an exhaustive eighth-turn grid search double-checks the
     propagation answer; the grid is complete because any solution is
     forced, up to the anchor, onto the two values it contains. The grid
-    holds the integers 0..7 in units of pi/4, where antiphase is 4. Raises
-    SizeLimitError, before any work, for n past ANTIPHASE_N_LIMIT.
+    holds the integers 0..7 in units of pi/4, where antiphase is 4.
     """
     if n < 1:
         raise ValueError("particle count must be at least 1")
-    if n > ANTIPHASE_N_LIMIT:
-        raise SizeLimitError(
-            f"refusing n = {n}: the antiphase check takes n steps, "
-            f"over the limit of {ANTIPHASE_N_LIMIT}"
-        )
-    candidate = (Fraction(0),) + (Fraction(1),) * (n - 1)
+    candidate = (Fraction(0),) + (Fraction(1),) * (min(n, 3) - 1)
     feasible = _pairwise_antiphase(candidate)
     witness = candidate if feasible else None
 

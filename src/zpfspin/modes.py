@@ -212,14 +212,16 @@ def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
     return k, omega, prefactor
 
 
-def check_mode_scales(L: float, n_max: int, constants: PhysicalConstants = NATURAL) -> None:
+def check_mode_scales(L: float, n_max: int, constants: PhysicalConstants = NATURAL) -> float:
     """Raise ValueError when the volume, a frequency or a carrier prefactor
-    of a mode with 0 < |n|_inf <= n_max is not a finite normal float.
+    of a mode with 0 < |n|_inf <= n_max is not a finite normal float;
+    return the largest frequency.
 
     Frequencies grow and prefactors shrink with |n|, so the shortest and the
     longest lattice vectors stand for every mode in between.
     """
-    _mode_scales(np.array([[0, 0, 1], [n_max] * 3], dtype=float), L, constants)
+    _, omega, _ = _mode_scales(np.array([[0, 0, 1], [n_max] * 3], dtype=float), L, constants)
+    return float(omega[1])
 
 
 def _draw_phases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,12 +8,12 @@ first checks that the table's shell cutoff actually contains that set for
 every row; a cutoff that would silently truncate a sum raises
 IncompleteBasisError instead of returning a wrong number.
 
-Sign conventions are pinned by operator oracles, not by notation. The direct
-L_z route below reproduces the diagonal of x p_y - y p_x built from the same
+Sign conventions are pinned by operator oracles, not by notation.
+lz_expectation reproduces the diagonal of x p_y - y p_x built from the same
 table, with the momenta transcribed as p_ab = i m w_ab x_ab (the package's
-only such transcription; the tests build their own). The polarized route
-weights the two circular coupling strengths taken as beta-alpha elements,
-which is the ordering that agrees with the operator eigenvalue m_l hbar.
+only such transcription; the tests build their own). The polarized route to
+L_z is the sum of the two polarized_momenta channels, the circular coupling
+strengths taken as beta-alpha elements, the ordering that agrees with it.
 """
 
 from __future__ import annotations
@@ -83,28 +83,20 @@ def trk_sum_rule(table: MatrixElementTable, rows) -> np.ndarray:
     return table.mass * np.sum(w * (np.abs(xplus) ** 2 + np.abs(xminus) ** 2), axis=1)
 
 
-def lz_expectation(table: MatrixElementTable, rows, method: str = "polarized") -> np.ndarray:
+def lz_expectation(table: MatrixElementTable, rows) -> np.ndarray:
     """Orbital angular momentum about z from the spectral table, for each
     state a = table.states[row] of `rows`.
 
-    method="direct" evaluates i m sum_b w_ba (x_ab y_ba - y_ab x_ba), the
-    spectral transcription of x p_y - y p_x, with each ab element read from
-    the neighbour's slot back to a; y = i Y is imaginary, Y the stored
-    coupling, so that is m sum_b w_ba (Y_ab x_ba - x_ab Y_ba).
-    method="polarized" evaluates m sum_b w_ba (|x+_ba|^2 - |x-_ba|^2), the
-    difference of the two circular coupling strengths. Both equal m_l hbar
+    Evaluates i m sum_b w_ba (x_ab y_ba - y_ab x_ba), the spectral
+    transcription of x p_y - y p_x, with each ab element read from the
+    neighbour's slot back to a; y = i Y is imaginary, Y the stored
+    coupling, so that is m sum_b w_ba (Y_ab x_ba - x_ab Y_ba). Equals m_l hbar
     on this basis.
     """
-    if method == "polarized":
-        rows, w = _gaps(table, rows)
-        xplus, xminus = table.circular(rows)
-        return table.mass * np.sum(w * (np.abs(xplus) ** 2 - np.abs(xminus) ** 2), axis=1)
-    if method == "direct":
-        rows, w = _gaps(table, rows)
-        back = _back(table, rows)
-        terms = table.y[back] * table.x[rows] - table.x[back] * table.y[rows]
-        return table.mass * np.sum(w * terms, axis=1)
-    raise ValueError(f"unknown method {method!r}; use 'polarized' or 'direct'")
+    rows, w = _gaps(table, rows)
+    back = _back(table, rows)
+    terms = table.y[back] * table.x[rows] - table.x[back] * table.y[rows]
+    return table.mass * np.sum(w * terms, axis=1)
 
 
 def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -112,8 +104,8 @@ def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.n
     state a = table.states[row] of `rows`.
 
     Returns (M_plus, M_minus) with M_plus = m sum_b w_ba |x+_ba|^2 and
-    M_minus = -m sum_b w_ba |x-_ba|^2; their sum is lz_expectation and their
-    difference is hbar by the oscillator-strength sum.
+    M_minus = -m sum_b w_ba |x-_ba|^2; their sum is the polarized route to
+    L_z and their difference is hbar by the oscillator-strength sum.
     """
     rows, w = _gaps(table, rows)
     xplus, xminus = table.circular(rows)

@@ -27,6 +27,7 @@ from zpfspin import (
     analytic_mode_observables,
     mode_observables,
     negate,
+    polarized_momenta,
     sample_zeta_ensemble,
     solve_exchange_phase,
     spin_split,
@@ -109,8 +110,9 @@ def test_criterion_04_angular_momentum_two_routes():
     m_ell = table.states[:, 0] - table.states[:, 1]
     complete = table.states.sum(axis=1) < table.n_cut
     rows = np.flatnonzero(complete & (np.abs(m_ell) <= 3))
-    pols = lz_expectation(table, rows, method="polarized")
-    directs = lz_expectation(table, rows, method="direct")
+    m_plus, m_minus = polarized_momenta(table, rows)
+    pols = m_plus + m_minus
+    directs = lz_expectation(table, rows)
     seen = set()
     for m, pol, direct in zip(m_ell[rows].tolist(), pols, directs):
         assert abs(pol - direct) <= 1e-12

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from zpfspin import cli, errors, exchange, modes, oscillator
+from zpfspin import cli, errors, modes, oscillator
 from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
 from zpfspin.oscillator import build_oscillator_table
 from zpfspin.phase_algebra import MINUS_ONE
@@ -279,6 +279,31 @@ def test_zeeman_levels_come_from_the_table(capsys, monkeypatch, mutate, failing)
     assert [c["name"] for c in body["checks"] if not c["pass"]] == failing
 
 
+@pytest.mark.parametrize(
+    "mutate,failing",
+    [
+        (
+            lambda m_plus, m_minus: (1.01 * m_plus, 1.01 * m_minus),
+            ["routes_agree", "operator_eigenvalue", "channel_gap_is_hbar"],
+        ),
+        (
+            lambda m_plus, m_minus: (m_plus, m_minus + 1e-9),
+            ["routes_agree", "operator_eigenvalue", "channel_gap_is_hbar"],
+        ),
+        (lambda m_plus, m_minus: (m_minus, m_plus), ["channel_gap_is_hbar"]),
+    ],
+    ids=["both_scaled", "minus_shifted", "swapped"],
+)
+def test_angular_momentum_pins_both_channels(capsys, monkeypatch, mutate, failing):
+    # the channel sum is checked against the operator route and m_l hbar,
+    # the channel gap against hbar; together they pin each channel
+    real = cli.polarized_momenta
+    monkeypatch.setattr(cli, "polarized_momenta", lambda *a: mutate(*real(*a)))
+    code, body = run(capsys, ["angular-momentum"])
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == failing
+
+
 def test_zeeman_csv_ramp(capsys, tmp_path):
     path = tmp_path / "levels.csv"
     code = main(["zeeman", "--b-max", "1.0", "--b-points", "3", "--csv", str(path)])
@@ -467,7 +492,7 @@ def test_benchmark_tracer_sees_one_span_per_table_and_quantity(capsys, monkeypat
     assert totals["oscillator.build_oscillator_table.calls"] == 3
     # per sum-rule table: the complete rows, then one top-shell row
     assert totals["spectral.trk_sum_rule.calls"] == 2 * 2
-    assert totals["spectral.lz_expectation.calls"] == 2  # polarized, direct
+    assert totals["spectral.lz_expectation.calls"] == 1
     assert totals["spectral.polarized_momenta.calls"] == 1
 
 
@@ -1099,22 +1124,18 @@ def test_oversized_modes_runs_exit_two_before_any_work(
     assert estimate in captured.err
 
 
-def test_antiphase_past_the_limit_exits_two_before_any_work(capsys, monkeypatch):
-    limit = exchange.ANTIPHASE_N_LIMIT
-    monkeypatch.setattr(exchange, "_pairwise_antiphase", _never_called)
+def test_antiphase_at_a_billion_particles_reports_as_at_five(capsys):
+    # three angles settle the verdict, so the particle count costs nothing;
+    # 5 is the smallest count past the eighth-turn grid cross-check
     start = time.perf_counter()
-    assert main(["antiphase", "--n", str(limit + 1)]) == 2
+    code, body = run(capsys, ["antiphase", "--n", "1000000000"])
     assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"refusing n = {limit + 1}" in captured.err
-
-
-def test_antiphase_at_the_limit_runs(capsys):
-    limit = exchange.ANTIPHASE_N_LIMIT
-    code, body = run(capsys, ["antiphase", "--n", str(limit)])
     assert code == 0
-    assert body["details"] == {"n": limit, "witness": None}
+    assert body["details"] == {"n": 1000000000, "witness": None}
+    _, five = run(capsys, ["antiphase", "--n", "5"])
+    for report in (body, five):
+        del report["config"]["n"], report["details"]["n"], report["wall_time_s"]
+    assert body == five
 
 
 def test_zeeman_csv_ramp_past_the_limit_exits_two(capsys, monkeypatch, tmp_path):
@@ -1182,12 +1203,35 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
         # the level scale 2 mu0 field overflows
         (["zeeman", "--field", "1e308", "--mu0", "10"], cli, "build_oscillator_table"),
         (["zeeman", "--field", "1e308"], cli, "build_oscillator_table"),
+        # the largest phase omega t of the fields overflows
+        (["field-sample", "--time", "1e308"], cli, "sample_realization"),
+        # the ramp's last level scale 2 mu0 b_max overflows
+        (["zeeman", "--b-max", "1e308", "--csv", CSV_IN_TMP], cli, "build_oscillator_table"),
     ],
 )
-def test_out_of_range_scales_exit_two_before_any_work(capsys, monkeypatch, argv, owner, patched):
+def test_out_of_range_scales_exit_two_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, owner, patched
+):
     # each value is finite on its own; a derived scale overflows or underflows
+    argv = [str(tmp_path / "out.csv") if arg == CSV_IN_TMP else arg for arg in argv]
     monkeypatch.setattr(owner, patched, _never_called)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "outside the range of normal floats" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-sample", "--time", "1e307"],
+        ["field-sample", "--time=-1e307"],
+        ["field-sample", "--time", "0"],
+        # no ramp is built without --csv, so its scale is not checked
+        ["zeeman", "--b-max", "1e308"],
+    ],
+)
+def test_scales_just_inside_the_range_run(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()

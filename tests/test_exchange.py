@@ -381,13 +381,23 @@ def test_integer_antiphase_grid_matches_fraction_grid(monkeypatch, n):
         assert real(angles, 4) == fraction_antiphase([Fraction(k, 4) for k in angles])
 
 
-def test_antiphase_past_the_limit_refused_before_any_work(monkeypatch):
-    def never(*args):
-        raise AssertionError("the pairwise check ran before the size check")
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10**9])
+def test_antiphase_propagation_sees_at_most_three_angles(monkeypatch, n):
+    # the pair (1, 2) of the anchored candidate settles n >= 3; only the
+    # eighth-turn grid of n <= 4 looks at more angles
+    real = exchange._pairwise_antiphase
+    seen = []
 
-    monkeypatch.setattr(exchange, "_pairwise_antiphase", never)
-    with pytest.raises(SizeLimitError, match=f"over the limit of {exchange.ANTIPHASE_N_LIMIT}"):
-        antiphase_feasible(exchange.ANTIPHASE_N_LIMIT + 1)
+    def spy(angles, *args):
+        seen.append((len(angles), args))
+        return real(angles, *args)
+
+    monkeypatch.setattr(exchange, "_pairwise_antiphase", spy)
+    assert antiphase_feasible(n).feasible == (n <= 2)
+    assert seen[0] == (min(n, 3), ())
+    assert all(size <= 3 for size, args in seen if not args)
+    if n > 4:
+        assert len(seen) == 1
 
 
 # --- n-particle antisymmetrizer -----------------------------------------------

@@ -72,8 +72,7 @@ def test_sum_rule_scales_quadratically_in_elements():
 
 QUANTITIES = {
     "trk_sum_rule": lambda table, rows: [trk_sum_rule(table, rows)],
-    "lz_polarized": lambda table, rows: [lz_expectation(table, rows, method="polarized")],
-    "lz_direct": lambda table, rows: [lz_expectation(table, rows, method="direct")],
+    "lz_direct": lambda table, rows: [lz_expectation(table, rows)],
     "polarized_momenta": lambda table, rows: list(polarized_momenta(table, rows)),
 }
 
@@ -125,8 +124,9 @@ def test_lz_routes_agree_and_hit_eigenvalue(dense):
     table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
     oracle = lz_matrix_oracle(table, *dense(table))
     rows = complete_rows(table)
-    pols = lz_expectation(table, rows, method="polarized")
-    directs = lz_expectation(table, rows, method="direct")
+    m_plus, m_minus = polarized_momenta(table, rows)
+    pols = m_plus + m_minus
+    directs = lz_expectation(table, rows)
     for i, pol, direct in zip(rows, pols, directs):
         label = table.states[i]
         target = int(label[0] - label[1]) * CONSTS.hbar
@@ -136,16 +136,11 @@ def test_lz_routes_agree_and_hit_eigenvalue(dense):
         assert abs(oracle[i, i].imag) < 1e-12
 
 
-def test_lz_unknown_method_rejected():
-    table = build_oscillator_table(2, OMEGA0, 3, CONSTS)
-    with pytest.raises(ValueError):
-        lz_expectation(table, [0], method="guess")
-
-
 def test_polarized_channels_split_lz():
     table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
     rows = complete_rows(table)
-    channels = zip(*polarized_momenta(table, rows), lz_expectation(table, rows, method="polarized"))
+    # the operator route shares no code with the channel sums
+    channels = zip(*polarized_momenta(table, rows), lz_expectation(table, rows))
     for m_plus, m_minus, lz in channels:
         assert m_plus + m_minus == pytest.approx(lz, abs=1e-12)
         # the two channels always sit a full hbar apart, so each one is
