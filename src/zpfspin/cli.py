@@ -69,7 +69,6 @@ from .spectral import (
     lz_expectation,
     polarized_momenta,
     trk_sum_rule,
-    zeeman_energy,
     zeeman_levels,
 )
 
@@ -360,10 +359,11 @@ def _run_mode_observables(cfg):
     first = observed[0]
     p_err = float(np.max(np.abs(first.P - ref_P)))
     j_err = float(np.max(np.abs(first.J - ref_J)))
+    # relative, as the other three checks are
     swap_err = max(
-        abs(observed[0].H - observed[1].H),
-        float(np.max(np.abs(observed[0].P - observed[1].P))),
-        float(np.max(np.abs(observed[0].J - observed[1].J))),
+        abs(observed[0].H - observed[1].H) / abs(ref_H),
+        float(np.max(np.abs(observed[0].P - observed[1].P))) / float(np.linalg.norm(ref_P)),
+        float(np.max(np.abs(observed[0].J - observed[1].J))) / float(np.linalg.norm(ref_J)),
     )
     checks = [
         _close("energy", ref_H, first.H, rel * abs(ref_H)),
@@ -578,17 +578,19 @@ def _run_angular_momentum(cfg):
     routes = np.abs(pol - lz_expectation(table, rows))
     eigen = np.abs(pol - target)
     split_gap = np.abs((m_plus - m_minus) - consts.hbar)
+    # each error is of the size of hbar, so each tolerance is in its units
+    hbar = consts.hbar
     checks = [
-        _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree")),
-        _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue")),
-        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree")),
+        _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree") * hbar),
+        _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue") * hbar),
+        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree") * hbar),
     ]
     return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(rows)}, None
 
 
-# The --csv ramp takes about 75 us a field value, six zeeman_levels rows
-# (--b-points 20000 and 50000, 2-vCPU x86-64), so this bound keeps it to
-# about 4 s.
+# The --csv ramp takes about 50 us a field value, six zeeman_levels rows
+# (--b-points 20000 and 50000, cold processes, 2-vCPU x86-64), so this
+# bound keeps it to about 3 s.
 _RAMP_FIELDS_LIMIT = 50000
 
 
@@ -622,8 +624,10 @@ def _run_zeeman(cfg):
     rows = np.flatnonzero(table.states.sum(axis=1) < 2)
     levels = gap * np.array(polarized_momenta(table, rows)) / consts.hbar
     m_ls = (table.states[rows, 0] - table.states[rows, 1]).tolist()
+    closed_form = zeeman_levels(B, consts)
+    energy = {(m_l, m_s): e for m_l, m_s, e in closed_form}
     half = Fraction(1, 2)
-    expected = [[zeeman_energy(B, m_l, m_s, consts) for m_l in m_ls] for m_s in (half, -half)]
+    expected = [[energy[m_l, m_s] for m_l in m_ls] for m_s in (half, -half)]
     tolerance = _tol(cfg, "zeeman_gap") * scale
     checks = [
         _close("levels_from_channels", 0.0, _worst(np.abs(levels - expected)), tolerance),
@@ -639,7 +643,7 @@ def _run_zeeman(cfg):
 
     details = {
         "field": B,
-        "levels": [[m_l, str(m_s), e] for m_l, m_s, e in zeeman_levels(B, consts)],
+        "levels": [[m_l, str(m_s), e] for m_l, m_s, e in closed_form],
     }
     return checks, details, (header, rows())
 
@@ -700,7 +704,7 @@ def _run_sz(cfg):
             "numeric_matches_symbolic",
             symbolic,
             numeric,
-            _tol(cfg, "sz_agreement"),
+            _tol(cfg, "sz_agreement") * consts.hbar,
         ),
         _exact("full_turn_is_minus_one", True, full_turn.is_minus_one),
         _exact("double_turn_is_identity", True, double_turn.is_one),

@@ -106,8 +106,8 @@ def apply_spin_z(
     deriv = (
         -np.roll(f, -2) + 8.0 * np.roll(f, -1) - 8.0 * np.roll(f, 1) + np.roll(f, 2)
     ) / (12.0 * h)
-    eigen = (-1j * constants.hbar * deriv / f).real
-    return float(np.mean(eigen))
+    # the mean is taken in units of hbar, so that no hbar-sized sum overflows
+    return constants.hbar * float(np.mean((-1j * deriv / f).real))
 
 
 def rotation_factor(winding, theta_over_pi) -> PhaseExpression:

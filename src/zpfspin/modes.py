@@ -453,8 +453,8 @@ def mode_observables(
     lattice = np.arange(grid // d)[:, np.newaxis] * np.array(step) % grid
     points = lattice * (L / grid)
     A, E, B = sample_fields(ZpfRealization(L, mode), points, t, constants)
-    c2 = constants.c**2
-    u = 0.5 * (np.sum(E * E, axis=-1) + c2 * np.sum(B * B, axis=-1))
+    # (c B)^2, not c^2 |B|^2: c^2 leaves the float range long before c B does
+    u = 0.5 * (np.sum(E * E, axis=-1) + np.sum(np.square(constants.c * B), axis=-1))
     H = float(np.mean(u) * V)
     P = np.mean(np.cross(E, B), axis=0) * V
     J = np.mean(np.cross(E, A), axis=0) * V

@@ -18,7 +18,6 @@ strengths taken as beta-alpha elements, the ordering that agrees with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._lazy import np
@@ -30,12 +29,7 @@ __all__ = [
     "trk_sum_rule",
     "lz_expectation",
     "polarized_momenta",
-    "SpinSplit",
-    "spin_split",
-    "zeeman_energy",
     "zeeman_levels",
-    "MomentIdentity",
-    "magnetic_moment_identity",
 ]
 
 _HALF = Fraction(1, 2)
@@ -114,78 +108,15 @@ def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.n
     return m_plus, m_minus
 
 
-@dataclass(frozen=True)
-class SpinSplit:
-    m_plus: object
-    m_minus: object
-
-
-def spin_split(lz) -> SpinSplit:
-    """Split one orbital expectation into the two polarized channels,
-    M_+- = lz/2 +- 1/2, in hbar units. Exact when lz is rational."""
-    if isinstance(lz, int):
-        lz = Fraction(lz)
-    return SpinSplit(m_plus=lz / 2 + _HALF, m_minus=lz / 2 - _HALF)
-
-
-def _check_zeeman_labels(m_l, m_s) -> tuple[int, Fraction]:
-    if int(m_l) != m_l:
-        raise ValueError("m_l must be an integer")
-    m_s = Fraction(m_s)
-    if m_s not in (_HALF, -_HALF):
-        raise ValueError(f"m_s must be +1/2 or -1/2, got {m_s}")
-    return int(m_l), m_s
-
-
-def zeeman_energy(B: float, m_l, m_s, constants: PhysicalConstants = NATURAL) -> float:
-    """First-order level shift mu0 * B * (m_l + 2 m_s).
+def zeeman_levels(B: float, constants: PhysicalConstants = NATURAL):
+    """The six (m_l, m_s) levels for m_l in {-1, 0, 1}, each at the
+    first-order shift mu0 * B * (m_l + 2 m_s).
 
     The doubled spin weight makes the m_s = +-1/2 pair straddle the orbital
     ladder exactly as a g-factor of two requires.
     """
-    m_l, m_s = _check_zeeman_labels(m_l, m_s)
-    return constants.mu0 * B * (m_l + int(2 * m_s))
-
-
-def zeeman_levels(B: float, constants: PhysicalConstants = NATURAL):
-    """The six (m_l, m_s) levels for m_l in {-1, 0, 1}."""
-    rows = []
-    for m_l in (-1, 0, 1):
-        for m_s in (_HALF, -_HALF):
-            rows.append((m_l, m_s, zeeman_energy(B, m_l, m_s, constants)))
-    return rows
-
-
-@dataclass(frozen=True)
-class MomentIdentity:
-    basis: tuple
-    moment_in_mu0: tuple
-    rescaled_total_in_mu0: tuple
-
-    @property
-    def holds(self) -> bool:
-        return self.moment_in_mu0 == self.rescaled_total_in_mu0
-
-
-def magnetic_moment_identity() -> MomentIdentity:
-    """Check mu_hat = -(2 mu0/hbar) M_hat entrywise on the six-level basis.
-
-    Both diagonals are computed in exact rational arithmetic (moments in mu0
-    units, angular momenta in hbar units): the moment operator gives
-    -(m_l + 2 m_s) while the rescaled total M_z = L_z/2 + S_z gives
-    -2 (m_l/2 + m_s). Equality is exact, not approximate.
-    """
-    basis = []
-    direct = []
-    rescaled = []
-    for m_l in (-1, 0, 1):
-        for m_s in (_HALF, -_HALF):
-            basis.append((m_l, m_s))
-            direct.append(Fraction(-(m_l + 2 * m_s)))
-            total = Fraction(m_l, 2) + m_s
-            rescaled.append(Fraction(-2) * total)
-    return MomentIdentity(
-        basis=tuple(basis),
-        moment_in_mu0=tuple(direct),
-        rescaled_total_in_mu0=tuple(rescaled),
-    )
+    return [
+        (m_l, m_s, constants.mu0 * B * (m_l + int(2 * m_s)))
+        for m_l in (-1, 0, 1)
+        for m_s in (_HALF, -_HALF)
+    ]

@@ -22,7 +22,6 @@ from zpfspin import (
     dichotomy_solve,
     exchange_states,
     lz_expectation,
-    magnetic_moment_identity,
     make_mode,
     analytic_mode_observables,
     mode_observables,
@@ -30,9 +29,8 @@ from zpfspin import (
     polarized_momenta,
     sample_zeta_ensemble,
     solve_exchange_phase,
-    spin_split,
     trk_sum_rule,
-    zeeman_energy,
+    zeeman_levels,
 )
 from zpfspin.cli import main
 from zpfspin.constants import NATURAL
@@ -123,23 +121,41 @@ def test_criterion_04_angular_momentum_two_routes():
 
 
 def test_criterion_05_spin_split_exact():
-    for lz in (-2, -1, 0, 1, 2):
-        split = spin_split(lz)
-        assert split.m_plus == Fraction(lz, 2) + HALF
-        assert split.m_minus == Fraction(lz, 2) - HALF
-        assert isinstance(split.m_plus, Fraction)
-    print("criterion 05 PASS: polarized split exact for lz in -2..2")
+    # the spin channels are measured from the table, not restated
+    table = build_oscillator_table(2, 1.0, 5, NATURAL)
+    m_ell = table.states[:, 0] - table.states[:, 1]
+    complete = table.states.sum(axis=1) < table.n_cut
+    rows = np.flatnonzero(complete & (np.abs(m_ell) <= 2))
+    m_plus, m_minus = polarized_momenta(table, rows)
+    seen = set()
+    for m, plus, minus in zip(m_ell[rows].tolist(), m_plus, m_minus):
+        assert abs(plus - (m + 1) / 2) <= 1e-12
+        assert abs(minus - (m - 1) / 2) <= 1e-12
+        seen.add(m)
+    assert seen == set(range(-2, 3))
+    print("criterion 05 PASS: table channels M+- = (m_l +- 1)/2 hbar for m_l in -2..2")
 
 
-def test_criterion_06_zeeman_weights():
-    ident = magnetic_moment_identity()
-    assert ident.holds
-    assert len(ident.basis) == 6
-    for m_l in (-1, 0, 1):
-        for m_s in (HALF, -HALF):
-            energy = zeeman_energy(1.0, m_l, m_s)
-            assert energy == float(m_l + 2 * m_s)
-    print("criterion 06 PASS: six-state level pattern and moment identity exact")
+def test_criterion_06_zeeman_weights(capsys):
+    levels = zeeman_levels(1.0, NATURAL)
+    assert [(m_l, m_s) for m_l, m_s, _ in levels] == [
+        (m_l, m_s) for m_l in (-1, 0, 1) for m_s in (HALF, -HALF)
+    ]
+    for m_l, m_s, energy in levels:
+        assert energy == float(m_l + 2 * m_s)
+    # the moment mu = -(2 mu0/hbar) M of each measured channel of shells 0
+    # and 1 carries the doubled spin weight: -2 M+- = -(m_l +- 1)
+    table = build_oscillator_table(2, 1.0, 2, NATURAL)
+    rows = np.flatnonzero(table.states.sum(axis=1) < 2)
+    m_ell = (table.states[rows, 0] - table.states[rows, 1]).tolist()
+    for sign, channel in zip((1, -1), polarized_momenta(table, rows)):
+        for m, value in zip(m_ell, channel):
+            moment, expected = -2 * value, -(m + sign)
+            assert abs(moment - expected) <= 1e-12
+    assert sorted(m_ell) == [-1, 0, 1]
+    assert main(["zeeman"]) == 0
+    capsys.readouterr()
+    print("criterion 06 PASS: six-state level pattern and measured moment identity")
 
 
 def test_criterion_07_dichotomy():

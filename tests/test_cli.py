@@ -280,26 +280,34 @@ def test_zeeman_levels_come_from_the_table(capsys, monkeypatch, mutate, failing)
 
 
 @pytest.mark.parametrize(
-    "mutate,failing",
+    "mutate,failing,hbar",
     [
         (
             lambda m_plus, m_minus: (1.01 * m_plus, 1.01 * m_minus),
             ["routes_agree", "operator_eigenvalue", "channel_gap_is_hbar"],
+            1.0,
         ),
         (
             lambda m_plus, m_minus: (m_plus, m_minus + 1e-9),
             ["routes_agree", "operator_eigenvalue", "channel_gap_is_hbar"],
+            1.0,
         ),
-        (lambda m_plus, m_minus: (m_minus, m_plus), ["channel_gap_is_hbar"]),
+        (lambda m_plus, m_minus: (m_minus, m_plus), ["channel_gap_is_hbar"], 1.0),
+        # the tolerances are in units of hbar, so a tiny hbar hides nothing
+        (
+            lambda m_plus, m_minus: (m_plus, m_minus + 1e-9 * 1e-30),
+            ["routes_agree", "operator_eigenvalue", "channel_gap_is_hbar"],
+            1e-30,
+        ),
     ],
-    ids=["both_scaled", "minus_shifted", "swapped"],
+    ids=["both_scaled", "minus_shifted", "swapped", "minus_shifted_at_tiny_hbar"],
 )
-def test_angular_momentum_pins_both_channels(capsys, monkeypatch, mutate, failing):
+def test_angular_momentum_pins_both_channels(capsys, monkeypatch, mutate, failing, hbar):
     # the channel sum is checked against the operator route and m_l hbar,
     # the channel gap against hbar; together they pin each channel
     real = cli.polarized_momenta
     monkeypatch.setattr(cli, "polarized_momenta", lambda *a: mutate(*real(*a)))
-    code, body = run(capsys, ["angular-momentum"])
+    code, body = run(capsys, ["angular-momentum", "--hbar", str(hbar)])
     assert code == 1
     assert [c["name"] for c in body["checks"] if not c["pass"]] == failing
 
@@ -1139,7 +1147,7 @@ def test_antiphase_at_a_billion_particles_reports_as_at_five(capsys):
 
 
 def test_zeeman_csv_ramp_past_the_limit_exits_two(capsys, monkeypatch, tmp_path):
-    # about 75 us a field value: 50000 take about 4 s
+    # about 50 us a field value: 50000 take about 3 s
     path = tmp_path / "levels.csv"
     monkeypatch.setattr(cli, "build_oscillator_table", _never_called)
     assert main(["zeeman", "--b-points", "50001", "--csv", str(path)]) == 2
@@ -1150,8 +1158,15 @@ def test_zeeman_csv_ramp_past_the_limit_exits_two(capsys, monkeypatch, tmp_path)
 
 
 def test_zeeman_csv_ramp_at_the_limit_runs(capsys, monkeypatch, tmp_path):
-    # rows stubbed out, so that the 50000 ramp values cost no levels
-    monkeypatch.setattr(cli, "zeeman_levels", lambda *a: [])
+    # the report's own levels come from the first call; the ramp's rows are
+    # stubbed out, so that the 50000 ramp values cost no levels
+    levels, calls = cli.zeeman_levels, []
+
+    def report_levels_only(*args):
+        calls.append(args)
+        return levels(*args) if len(calls) == 1 else []
+
+    monkeypatch.setattr(cli, "zeeman_levels", report_levels_only)
     path = tmp_path / "levels.csv"
     assert main(["zeeman", "--b-points", "50000", "--csv", str(path)]) == 0
     capsys.readouterr()
@@ -1235,3 +1250,40 @@ def test_out_of_range_scales_exit_two_before_any_work(
 def test_scales_just_inside_the_range_run(capsys, argv):
     assert main(argv) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sz and angular-momentum judge their errors in units of hbar
+        ["sz", "--hbar", "1e308"],
+        ["sz", "--hbar", "1e3"],
+        ["angular-momentum", "--hbar", "1e3"],
+        ["angular-momentum", "--dims", "3", "--n-cut", "20", "--hbar", "1e4"],
+        # mode-observables judges the phase swap relative to |H|, |P| and |J|
+        ["mode-observables", "--hbar", "1e6"],
+        ["mode-observables", "--box", "1e-3", "--n", "7,-3,5", "--grid", "64"],
+        # and squares c B, not c, so that c^2 may leave the float range
+        ["mode-observables", "--c", "1e160"],
+        ["mode-observables", "--c", "1e-160"],
+    ],
+)
+def test_tolerances_follow_the_scale_of_what_they_bound(capsys, argv):
+    code, body = run(capsys, argv)
+    assert code == 0
+    assert all(check["pass"] for check in body["checks"])
+
+
+def test_sz_at_a_tiny_hbar_still_fails_a_wrong_eigenvalue(capsys, monkeypatch):
+    spin_z = cli.apply_spin_z
+    monkeypatch.setattr(cli, "apply_spin_z", lambda *a, **k: spin_z(*a, **k) * (1 + 1e-6))
+    code, body = run(capsys, ["sz", "--hbar", "1e-30"])
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == ["numeric_matches_symbolic"]
+
+
+def test_mode_observables_keeps_the_magnetic_energy_at_a_tiny_c(capsys):
+    # n = (0, 0, 1) in a unit box: omega = 2 pi c, and H = hbar omega / 2
+    code, body = run(capsys, ["mode-observables", "--c", "1e-200"])
+    assert code == 0
+    assert body["details"]["quadrature"]["H"] == pytest.approx(math.pi * 1e-200, rel=1e-9)

@@ -1,4 +1,4 @@
-"""Spectral sums over oscillator matrix elements and exact splits.
+"""Spectral sums over oscillator matrix elements and the Zeeman levels.
 
 The angular-momentum checks run three routes that share no intermediate
 code: the polarized weight sums, the velocity-form cross terms, and a
@@ -18,11 +18,8 @@ from zpfspin.errors import IncompleteBasisError
 from zpfspin.oscillator import build_oscillator_table
 from zpfspin.spectral import (
     lz_expectation,
-    magnetic_moment_identity,
     polarized_momenta,
-    spin_split,
     trk_sum_rule,
-    zeeman_energy,
     zeeman_levels,
 )
 
@@ -165,35 +162,7 @@ def test_commutator_diagonal_inside_truncation(dense):
     assert abs(np.trace(comm)) < 1e-10
 
 
-# --- exact rational splits ----------------------------------------------------
-
-
-def test_spin_split_is_exact():
-    half = Fraction(1, 2)
-    zero = spin_split(0)
-    assert (zero.m_plus, zero.m_minus) == (half, -half)
-    one = spin_split(1)
-    assert (one.m_plus, one.m_minus) == (1, 0)
-    for lz in (-2, -1, 0, 1, 2, Fraction(3, 2)):
-        split = spin_split(lz)
-        assert isinstance(split.m_plus, Fraction)
-        assert split.m_plus + split.m_minus == lz
-        assert split.m_plus - split.m_minus == 1
-
-
 # --- Zeeman weights -----------------------------------------------------------
-
-
-def test_zeeman_energy_formula():
-    half = Fraction(1, 2)
-    consts = PhysicalConstants(hbar=1.0, c=1.0, m=1.0, mu0=0.25)
-    assert zeeman_energy(2.0, 1, half, consts) == 0.25 * 2.0 * 2
-    assert zeeman_energy(2.0, 1, -half, consts) == 0.0
-    assert zeeman_energy(1.0, -1, -half) == -2.0
-    with pytest.raises(ValueError):
-        zeeman_energy(1.0, Fraction(1, 2), half)
-    with pytest.raises(ValueError):
-        zeeman_energy(1.0, 0, Fraction(3, 2))
 
 
 def test_zeeman_levels_enumerate_basis():
@@ -211,16 +180,7 @@ def test_zeeman_levels_enumerate_basis():
     gap_spin = by_key[(0, Fraction(1, 2))] - by_key[(0, Fraction(-1, 2))]
     gap_orbital = by_key[(1, Fraction(1, 2))] - by_key[(0, Fraction(1, 2))]
     assert gap_spin == 2 * gap_orbital
-
-
-def test_moment_identity_exact_over_basis():
-    ident = magnetic_moment_identity()
-    assert ident.holds
-    assert len(ident.basis) == 6
-    for (m_l, m_s), moment, rescaled in zip(
-        ident.basis, ident.moment_in_mu0, ident.rescaled_total_in_mu0
-    ):
-        assert isinstance(moment, Fraction)
-        assert moment == -(m_l + 2 * m_s)
-        assert rescaled == -2 * (Fraction(m_l, 2) + m_s)
-        assert moment == rescaled
+    consts = PhysicalConstants(hbar=1.0, c=1.0, m=1.0, mu0=0.25)
+    quarter = {(m_l, m_s): e for m_l, m_s, e in zeeman_levels(2.0, consts)}
+    assert quarter[(1, Fraction(1, 2))] == 0.25 * 2.0 * 2
+    assert quarter[(1, Fraction(-1, 2))] == 0.0
