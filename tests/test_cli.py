@@ -13,12 +13,15 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from zpfspin import cli, errors, modes, oscillator
 from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
+from zpfspin.exchange import antisymmetrize, derive_antisymmetry, negate
 from zpfspin.oscillator import build_oscillator_table
 from zpfspin.phase_algebra import MINUS_ONE
 
@@ -277,6 +280,45 @@ def test_zeeman_levels_come_from_the_table(capsys, monkeypatch, mutate, failing)
     code, body = run(capsys, ["zeeman"])
     assert code == 1
     assert [c["name"] for c in body["checks"] if not c["pass"]] == failing
+
+
+def _x_scaled_table(*args):
+    table = build_oscillator_table(*args)
+    return dataclasses.replace(table, x=table.x * 1.01)
+
+
+@pytest.mark.parametrize(
+    "argv", [["zeeman", "--mu0", "1e-20"], ["zeeman", "--field", "1e-6"]], ids=["tiny_mu0", "tiny_field"]
+)
+def test_zeeman_checks_are_relative_to_the_gap(capsys, monkeypatch, argv):
+    # the tolerance scales with |2 mu0 B|, so a wrong table shows however
+    # small the levels are
+    code, body = run(capsys, argv)
+    assert code == 0
+    assert all(check["pass"] for check in body["checks"])
+    gap = 2.0 * body["config"]["mu0"] * body["config"]["field"]
+    assert {check["tolerance"] for check in body["checks"]} == {1e-12 * gap}
+    monkeypatch.setattr(cli, "build_oscillator_table", _x_scaled_table)
+    code, body = run(capsys, argv)
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == [
+        "levels_from_channels",
+        "spin_gap_doubled",
+    ]
+
+
+def test_zeeman_at_zero_field_compares_exactly(capsys):
+    code, body = run(capsys, ["zeeman", "--field", "0"])
+    assert code == 0
+    assert [(c["actual"], c["tolerance"], c["pass"]) for c in body["checks"]] == [(0.0, 0.0, True)] * 2
+
+
+def test_zeeman_subnormal_gap_exits_two_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_oscillator_table", _never_called)
+    assert main(["zeeman", "--mu0", "1e-310"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "its gap is 2e-310, outside the range of normal floats" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -701,6 +743,92 @@ def test_slater_detects_a_wrong_sign(capsys, monkeypatch):
     flips = next(c for c in body["checks"] if c["name"] == "transpositions_flip_sign")
     assert flips["actual"] is False
     assert not flips["pass"]
+
+
+def _all_pairs_flip_sign(labels, state) -> bool:
+    """Test-local oracle: relabel by every pair (i, j), not only adjacent ones."""
+    index = {label: i for i, label in enumerate(labels)}
+    keys = [tuple(map(index.__getitem__, ket)) for _, ket in state.terms]
+    # one object per coefficient value, so the dicts compare by identity
+    canonical: dict = {}
+    coeffs = [canonical.setdefault(coeff, coeff) for coeff, _ in state.terms]
+    want = dict(zip(keys, (canonical.setdefault(coeff, coeff) for coeff, _ in negate(state).terms)))
+    for i, j in combinations(range(len(labels)), 2):
+        swap = list(range(len(labels)))
+        swap[i], swap[j] = j, i
+        if dict(zip((tuple(map(swap.__getitem__, key)) for key in keys), coeffs)) != want:
+            return False
+    return True
+
+
+def _negate_one(terms, labels):
+    coeff, ket = terms[len(terms) // 2]
+    terms[len(terms) // 2] = (coeff.mul_phase(MINUS_ONE), ket)
+
+
+def _swap_two_kets(terms, labels):
+    # two terms of opposite sign trade kets; at n = 2 that is the whole
+    # state negated, which is still antisymmetric
+    k = next(k for k, (coeff, _) in enumerate(terms) if coeff != terms[0][0])
+    (c0, ket0), (ck, ketk) = terms[0], terms[k]
+    terms[0], terms[k] = (c0, ketk), (ck, ket0)
+
+
+def _drop_one(terms, labels):
+    del terms[len(terms) // 2]
+
+
+def _all_plus(terms, labels):
+    plus = next(coeff for coeff, ket in terms if ket == tuple(labels))
+    terms[:] = [(plus, ket) for _, ket in terms]
+
+
+@pytest.mark.parametrize("mutate", [None, _negate_one, _swap_two_kets, _drop_one, _all_plus])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_adjacent_swaps_decide_as_all_pairs(n, mutate):
+    # labels out of sorted order, so the sorting permutation's sign matters
+    labels = [(f"o{n - k}", Fraction(1 if k % 2 else -1, 2)) for k in range(n)]
+    state = antisymmetrize(labels)
+    if mutate is not None:
+        terms = list(state.terms)
+        mutate(terms, labels)
+        state = type(state)(terms=tuple(terms), n=n)
+    flips = cli._transpositions_flip_sign(labels, state)
+    assert flips == _all_pairs_flip_sign(labels, state)
+    assert flips is (mutate is None or (mutate is _swap_two_kets and n == 2))
+
+
+SPIN_PAIRS = [("1/2", "1/2"), ("1", "1"), ("1", "1/2")]
+
+
+@pytest.mark.parametrize("spins", SPIN_PAIRS, ids=["-".join(p) for p in SPIN_PAIRS])
+@pytest.mark.parametrize("ordering", ["phi2_greater", "phi1_greater", "tie"])
+def test_exchange_derive_derives_once(capsys, monkeypatch, ordering, spins):
+    calls = []
+    real = cli.derive_antisymmetry
+    monkeypatch.setattr(cli, "derive_antisymmetry", lambda *a, **k: calls.append(k) or real(*a, **k))
+    argv = ["exchange-derive", "--spin-a", spins[0], "--spin-b", spins[1], "--ordering", ordering]
+    code, body = run(capsys, argv)
+    assert len(calls) == 1
+    # a spin 1 with a spin 1/2 admits no exchange phase, and reports no probe
+    assert code == (1 if spins == ("1", "1/2") else 0)
+    if code == 0:
+        # the probe is solved, and reads as the derivation's solution would
+        probe = derive_antisymmetry(1, 1, ordering).solution.value.format()
+        assert body["details"]["probe_phase"] == probe == "0"
+
+
+def test_exchange_derive_fails_a_probe_at_pi(capsys, monkeypatch):
+    real = cli.solve_exchange_phase
+    monkeypatch.setattr(
+        cli,
+        "solve_exchange_phase",
+        lambda psi, ordering: dataclasses.replace(real(psi, ordering), value=MINUS_ONE),
+    )
+    code, body = run(capsys, ["exchange-derive"])
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == ["integer_spin_probe_symmetric"]
+    assert body["details"]["probe_phase"] == "1*pi"
 
 
 NON_FINITE_FLAGS = [
