@@ -40,7 +40,6 @@ _ALLOWED = (_HALF, -_HALF)
 class DichotomyResult:
     feasible: bool
     sign_opposed: bool
-    canonical: tuple | None
 
 
 def _unit_apart(a: Fraction, b: Fraction) -> bool:
@@ -74,8 +73,7 @@ def dichotomy_solve(candidates) -> DichotomyResult:
     else:
         # a single value has no pair to fail
         sign_opposed = len(values) == 1 or not any(values)
-    canonical = (-_HALF, _HALF) if feasible else None
-    return DichotomyResult(feasible=feasible, sign_opposed=sign_opposed, canonical=canonical)
+    return DichotomyResult(feasible=feasible, sign_opposed=sign_opposed)
 
 
 def apply_spin_z(

@@ -161,13 +161,13 @@ def test_criterion_06_zeeman_weights(capsys):
 def test_criterion_07_dichotomy():
     canonical = dichotomy_solve([HALF, -HALF])
     assert canonical.feasible
-    assert canonical.canonical == (-HALF, HALF)
+    assert canonical.sign_opposed
     grid = [Fraction(k, 6) for k in range(-12, 13)]
     assert all(
         not dichotomy_solve(triple).feasible for triple in combinations(grid, 3)
     )
     assert not dichotomy_solve([HALF, HALF]).feasible
-    print("criterion 07 PASS: no three-value set survives, canonical pair reported")
+    print("criterion 07 PASS: no three-value set survives, canonical pair feasible and sign-opposed")
 
 
 def test_criterion_08_exchange_derivation():

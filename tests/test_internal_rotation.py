@@ -29,20 +29,17 @@ def test_canonical_pair():
     result = dichotomy_solve([HALF, -HALF])
     assert result.feasible
     assert result.sign_opposed
-    assert result.canonical == (-HALF, HALF)
 
 
 def test_adjacent_but_not_opposed():
     result = dichotomy_solve([HALF, Fraction(3, 2)])
     assert result.feasible
     assert not result.sign_opposed
-    assert result.canonical == (-HALF, HALF)
 
 
 def test_repeated_value_is_infeasible():
     result = dichotomy_solve([HALF, HALF])
     assert not result.feasible
-    assert result.canonical is None
 
 
 def test_singleton_is_vacuously_feasible():
@@ -63,7 +60,6 @@ def test_three_or_more_values_never_feasible(values):
 def test_unit_gap_pairs_feasible(a):
     result = dichotomy_solve([a, a + 1])
     assert result.feasible
-    assert result.canonical == (-HALF, HALF)
     assert result.sign_opposed == (a == -HALF)
 
 
@@ -90,7 +86,7 @@ def test_repeated_zeros_decided_in_linear_time():
     start = time.perf_counter()
     result = dichotomy_solve([Fraction(0)] * 20000)
     assert time.perf_counter() - start < 1.0
-    assert (result.feasible, result.sign_opposed, result.canonical) == (False, True, None)
+    assert (result.feasible, result.sign_opposed) == (False, True)
 
 
 # the grid the `dichotomy` command searches for feasible triples
@@ -113,7 +109,6 @@ def test_dichotomy_matches_exhaustive_oracle_on_cli_grid(size):
         result = dichotomy_solve(values)
         feasible, sign_opposed = pairwise_oracle(values)
         assert (result.feasible, result.sign_opposed) == (feasible, sign_opposed), values
-        assert result.canonical == ((-HALF, HALF) if feasible else None)
 
 
 # exact inputs of every accepted kind: Fractions of mixed signs and
@@ -137,7 +132,6 @@ def test_dichotomy_matches_fraction_subtraction(values):
     result = dichotomy_solve(values)
     feasible, sign_opposed = pairwise_oracle(exact)
     assert (result.feasible, result.sign_opposed) == (feasible, sign_opposed)
-    assert result.canonical == ((-HALF, HALF) if feasible else None)
 
 
 def first_primes(count):
@@ -157,7 +151,7 @@ def test_coprime_denominators_decided_without_a_common_denominator():
     start = time.perf_counter()
     result = dichotomy_solve(values)
     assert time.perf_counter() - start < 1.0
-    assert (result.feasible, result.sign_opposed, result.canonical) == (False, False, None)
+    assert (result.feasible, result.sign_opposed) == (False, False)
 
 
 # --- the generator ------------------------------------------------------------
