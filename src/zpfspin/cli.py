@@ -11,7 +11,8 @@ the command reads plus tol.<name> overrides of the tolerances it declares.
 
 Each subcommand is declared once, by the @_experiment decorator on its
 runner, which lists the Options the runner reads (shared ones such as BOX or
-HBAR are module constants; --seed is on every command). The parser, its
+HBAR are module constants; --seed is on every command) and the cost of a run,
+which main refuses past errors.LIMITS before the runner starts. The parser, its
 --help, the config keys and the report's config (each option in declaration
 order, then the tolerance overrides) are derived from that list, so a flag
 or key the command does not read exits 2. Every value, the default text
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from ._lazy import np
 from .constants import PhysicalConstants
-from .errors import ContradictionError, IncompleteBasisError, SizeLimitError, check_bytes, check_scales
+from .errors import ContradictionError, IncompleteBasisError, check_scales, refuse
 from .exchange import (
     ORDERINGS,
     antiphase_feasible,
@@ -52,21 +53,21 @@ from .internal_rotation import apply_spin_z, dichotomy_solve, rotation_factor
 from .modes import (
     ZpfRealization,
     analytic_mode_observables,
-    check_ensemble_size,
-    check_field_size,
     check_mode_scales,
-    check_modes_size,
-    check_quadrature_size,
+    ensemble_cost,
+    field_cost,
     make_mode,
     mode_count,
     mode_observables,
+    modes_cost,
+    quadrature_cost,
     realization_totals,
     sample_fields,
     sample_realization,
     sample_zeta_ensemble,
     wave_vector,
 )
-from .oscillator import build_oscillator_table, check_table_size
+from .oscillator import build_oscillator_table, table_cost
 from .spectral import (
     lz_expectation,
     polarized_momenta,
@@ -177,6 +178,7 @@ class Experiment:
     options: tuple  # the Options its runner reads, then SEED
     tolerances: dict  # check tolerance -> default; each name belongs to one command
     csv: bool
+    cost: object  # cfg -> the (what, unit, amount) lines errors.refuse reads
 
     def declared(self) -> str:
         items = self.tolerances.items()
@@ -186,13 +188,15 @@ class Experiment:
 _EXPERIMENTS: dict = {}
 
 
-def _experiment(name: str, help: str, *options, tolerances=None, csv=False):
+def _experiment(name: str, help: str, *options, tolerances=None, csv=False, cost=lambda cfg: ()):
     """Register the decorated runner as subcommand `name`, with the options
-    it reads, its tolerance defaults and CSV support. The runner is returned
-    unchanged and looks up library functions as module globals."""
+    it reads, its tolerance defaults, CSV support and the errors.refuse cost
+    of a run, arithmetic on the resolved config in the order its library
+    calls refuse. The runner is returned unchanged and looks up library
+    functions as module globals."""
 
     def register(run):
-        _EXPERIMENTS[name] = Experiment(run, help, (*options, SEED), tolerances or {}, csv)
+        _EXPERIMENTS[name] = Experiment(run, help, (*options, SEED), tolerances or {}, csv, cost)
         return run
 
     return register
@@ -345,9 +349,9 @@ def _exact(name, expected, actual) -> Check:
     Option("--grid", "grid", int, "32", "per-axis quadrature resolution"),
     BOX, HBAR, C,
     tolerances={"observables": 1e-9, "phase_independence": 1e-12},
+    cost=lambda cfg: quadrature_cost(cfg.grid),
 )
 def _run_mode_observables(cfg):
-    check_quadrature_size(cfg.grid)
     n, gamma = cfg.n, cfg.gamma
     consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
@@ -387,10 +391,12 @@ def _relative(error, field) -> float:
     return float(np.max(np.abs(error)) / np.max(np.abs(field)))
 
 
-# sample_fields takes about 15 ns a point and mode (field-sample --n-max 8,
-# 1000 and 4000 points, 2-vCPU x86-64), so this budget bounds a run to a
-# few seconds.
-_FIELD_EVALUATIONS_LIMIT = 10**8
+def _field_sample_cost(cfg) -> list:
+    n_modes = mode_count(cfg.n_max)
+    # the checks evaluate 1 + 1 + 2 modes a point, the --csv rows all of them
+    evaluations = cfg.points * (4 + (n_modes if cfg.csv else 0))
+    what = f"the fields of {n_modes} modes at {cfg.points} points"
+    return field_cost(cfg.points, cfg.n_max) + [(what, "mode evaluations", evaluations)]
 
 
 @_experiment(
@@ -401,18 +407,9 @@ _FIELD_EVALUATIONS_LIMIT = 10**8
     BOX, N_MAX, HBAR, C,
     tolerances={"transversality": 1e-12, "field_circular": 1e-12, "field_linearity": 1e-12},
     csv=True,
+    cost=_field_sample_cost,
 )
 def _run_field_sample(cfg):
-    check_field_size(cfg.points, cfg.n_max)
-    n_modes = mode_count(cfg.n_max)
-    # the checks evaluate 1 + 1 + 2 modes a point, the --csv rows all of them
-    evaluations = cfg.points * (n_modes if cfg.csv else 4)
-    if evaluations > _FIELD_EVALUATIONS_LIMIT:
-        raise SizeLimitError(
-            f"refusing the fields of {n_modes} modes at {cfg.points} points: "
-            f"{evaluations} mode evaluations, over the limit of "
-            f"{_FIELD_EVALUATIONS_LIMIT}"
-        )
     consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     omega_max = check_mode_scales(cfg.L, cfg.n_max, consts)
     # the largest phase omega t, floored at 1 like zeeman's level scale
@@ -456,9 +453,11 @@ def _run_field_sample(cfg):
     return checks, details, (header, rows())
 
 
-@_experiment("totals", "whole-realization momentum and spin totals", BOX, N_MAX, HBAR, C)
+@_experiment(
+    "totals", "whole-realization momentum and spin totals", BOX, N_MAX, HBAR, C,
+    cost=lambda cfg: modes_cost(cfg.n_max),
+)
 def _run_totals(cfg):
-    check_modes_size(cfg.n_max)
     consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
     check_mode_scales(cfg.L, cfg.n_max, consts)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
@@ -478,12 +477,17 @@ def _run_totals(cfg):
     return checks, details, None
 
 
-# Each pair averages over every realization, about 35 ns a pair and row
-# (--ensemble 20000 and 200000, 2-vCPU x86-64), and costs about 26-37 us
-# more whatever the ensemble, as much as 1000 rows do. Charged at least that
-# many rows a pair, the pair means fit this budget in a few seconds.
-_PAIR_ROWS_LIMIT = 10**8
-_PAIR_MIN_ROWS = 1000
+def _phases_cost(cfg) -> list:
+    what = f"{cfg.pairs} mode pairs"
+    # a pair holds about 1.4 KB at peak (tracemalloc), its 114-byte report
+    # entry included, reads at most two columns and is charged 1000 rows or more
+    columns = min(2 * cfg.pairs, mode_count(cfg.n_max))
+    rows = cfg.pairs * max(cfg.ensemble, 1000)
+    return [
+        (what, "bytes", 1400 * cfg.pairs),
+        *ensemble_cost(cfg.n_max, cfg.ensemble, columns),
+        (f"{what} over {cfg.ensemble} realizations", "pair rows", rows),
+    ]
 
 
 @_experiment(
@@ -492,20 +496,10 @@ _PAIR_MIN_ROWS = 1000
     N_MAX,
     Option("--ensemble", "ensemble", _at_least(1), "1000", "realization count"),
     Option("--pairs", "pairs", _at_least(1), "10", "mode pairs to test"),
+    cost=_phases_cost,
 )
 def _run_phases(cfg):
-    # one pair holds about 1.4 KB at peak (tracemalloc), its report entry
-    # (114 bytes of JSON) included
-    check_bytes(f"{cfg.pairs} mode pairs", 1400 * cfg.pairs)
     n_modes = mode_count(cfg.n_max)
-    # at most two distinct columns a pair
-    check_ensemble_size(cfg.n_max, cfg.ensemble, min(2 * cfg.pairs, n_modes))
-    pair_rows = cfg.pairs * max(cfg.ensemble, _PAIR_MIN_ROWS)
-    if pair_rows > _PAIR_ROWS_LIMIT:
-        raise SizeLimitError(
-            f"refusing {cfg.pairs} mode pairs over {cfg.ensemble} realizations: "
-            f"{pair_rows} pair rows, over the limit of {_PAIR_ROWS_LIMIT}"
-        )
     # the pairs come first, so that the draw keeps only their columns
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
     pairs = np.array([rng.choice(n_modes, size=2, replace=False) for _ in range(cfg.pairs)])
@@ -537,11 +531,10 @@ def _worst(errors) -> float:
     Option("--dims", "dims", _dims, "2,3", "dimensions to run, e.g. 2 or 2,3"),
     N_CUT, OMEGA0, HBAR, M,
     tolerances={"sum_rule": 1e-12},
+    cost=lambda cfg: [line for dims in cfg.dims for line in table_cost(dims, cfg.n_cut)],
 )
 def _run_sum_rule(cfg):
     consts = PhysicalConstants(hbar=cfg.hbar, m=cfg.m)
-    for dims in cfg.dims:
-        check_table_size(dims, cfg.n_cut)
     checks = []
     per_dims = {}
     for dims in cfg.dims:
@@ -568,6 +561,7 @@ def _run_sum_rule(cfg):
     Option("--dims", "dims", _dim, "2", "dimension, 2 or 3"),
     N_CUT, OMEGA0, HBAR, M,
     tolerances={"routes_agree": 1e-12, "operator_eigenvalue": 1e-12},
+    cost=lambda cfg: table_cost(cfg.dims, cfg.n_cut),
 )
 def _run_angular_momentum(cfg):
     consts = PhysicalConstants(hbar=cfg.hbar, m=cfg.m)
@@ -589,12 +583,6 @@ def _run_angular_momentum(cfg):
     return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(rows)}, None
 
 
-# The --csv ramp takes about 50 us a field value, six zeeman_levels rows
-# (--b-points 20000 and 50000, cold processes, 2-vCPU x86-64), so this
-# bound keeps it to about 3 s.
-_RAMP_FIELDS_LIMIT = 50000
-
-
 @_experiment(
     "zeeman",
     "level shifts and the doubled spin weight",
@@ -604,13 +592,9 @@ _RAMP_FIELDS_LIMIT = 50000
     MU0,
     tolerances={"zeeman_gap": 1e-12},
     csv=True,
+    cost=lambda cfg: [("a CSV ramp", "field values", cfg.b_points)] if cfg.csv else [],
 )
 def _run_zeeman(cfg):
-    if cfg.csv and cfg.b_points > _RAMP_FIELDS_LIMIT:
-        raise SizeLimitError(
-            f"refusing a CSV ramp of {cfg.b_points} field values, over the limit "
-            f"of {_RAMP_FIELDS_LIMIT}"
-        )
     consts = PhysicalConstants(mu0=cfg.mu0)
     B = cfg.field
     gap = 2.0 * consts.mu0 * B
@@ -867,6 +851,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = _resolve(args, experiment)
+        refuse(experiment.cost(cfg))
         checks, details, csv_data = experiment.run(cfg)
         config = {option.dest: getattr(cfg, option.dest) for option in experiment.options}
         config["tolerances"] = dict(sorted(cfg.tolerances.items()))

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the size limit behind
-SizeLimitError, and the check of derived physical scales.
+"""Exception types shared across the package, the limits behind
+SizeLimitError with the one check against them, and the check of derived
+physical scales.
 
 Plain ValueError is raised for malformed inputs (zero wave vector, a point
 outside the box, a sigma that is not a half-integer, ...). The subclasses below
@@ -13,8 +14,9 @@ __all__ = [
     "IncompleteBasisError",
     "ContradictionError",
     "SizeLimitError",
+    "LIMITS",
     "BYTES_LIMIT",
-    "check_bytes",
+    "refuse",
     "check_scales",
 ]
 
@@ -32,25 +34,46 @@ class ContradictionError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """Requested object is past the supported size: n! terms, a count of
-    steps past its stated limit, or more than BYTES_LIMIT bytes of arrays."""
+    """Requested object is past one of LIMITS: bytes of arrays, or a count
+    of work units such as zeta draws or particles."""
 
 
-# Largest working set, in bytes, that one table, set of modes, ensemble,
-# field sample or quadrature may allocate. A quadrature holds one point per
-# lattice phase, at most grid of them, so its estimate grows linearly in grid.
-BYTES_LIMIT = 1 << 30
+# The limit of each unit a run is refused past before any work starts; the
+# times are measured on a 2-vCPU x86-64 host.
+LIMITS = {
+    # the arrays of one table, set of modes, ensemble, field sample or
+    # quadrature (which holds one point per lattice phase, at most grid)
+    "bytes": 1 << 30,
+    # realizations x M of an ensemble: a 1 GiB zeta matrix, about 2 s of Philox
+    "zeta draws": 1 << 27,
+    # a pair mean reads every realization, about 35 ns a row, and costs
+    # 26-37 us more, as much as 1000 rows: a pair is charged at least 1000
+    "pair rows": 10**8,
+    # sample_fields takes about 15 ns a point and mode: about 1.5 s
+    "mode evaluations": 10**8,
+    # the zeeman --csv ramp takes about 50 us a field value: about 3 s
+    "field values": 50000,
+    # the antisymmetrizer's n! terms: slater with 8 labels takes about 0.5 s
+    "particles": 8,
+}
+BYTES_LIMIT = LIMITS["bytes"]
 
 
-def check_bytes(what: str, estimate: int) -> None:
-    """Raise SizeLimitError when `what` would need more than BYTES_LIMIT
-    bytes; callers run this before allocating anything."""
-    if estimate > BYTES_LIMIT:
-        # the bytes show why an estimate that rounds to the limit is over it
-        raise SizeLimitError(
-            f"refusing {what}: it needs {estimate / 2**30:.1f} GiB ({estimate} bytes), "
-            f"over the {BYTES_LIMIT / 2**30:.0f} GiB limit ({BYTES_LIMIT} bytes)"
-        )
+def refuse(cost) -> None:
+    """Raise SizeLimitError at the first (what, unit, amount) line of `cost`
+    whose amount passes LIMITS[unit]; callers run this before allocating
+    anything, and it is plain arithmetic, so it loads no numpy."""
+    for what, unit, amount in cost:
+        limit = LIMITS[unit]
+        if amount <= limit:
+            continue
+        if unit == "bytes":
+            # the bytes show why an estimate that rounds to the limit is over it
+            raise SizeLimitError(
+                f"refusing {what}: it needs {amount / 2**30:.1f} GiB ({amount} bytes), "
+                f"over the {limit / 2**30:.0f} GiB limit ({limit} bytes)"
+            )
+        raise SizeLimitError(f"refusing {what}: {amount} {unit}, over the limit of {limit}")
 
 
 def check_scales(what: str, **scales) -> None:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Mapping
 
-from .errors import ContradictionError, SizeLimitError
+from .errors import ContradictionError, refuse
 from .phase_algebra import (
     MINUS_ONE,
     Coefficient,
@@ -401,25 +401,29 @@ def antisymmetrize(labels) -> MultiparticleState:
     """Signed sum over all slot assignments, normalized by 1/sqrt(n!).
 
     Signs follow transposition parity. A repeated single-particle label
-    gives the zero state, since each term would cancel exactly against the
-    one with the two equal labels swapped; that is the algebraic face of
-    the exclusion rule, not an error, and it is found by a duplicate check
-    before any term is built. Distinct labels give n! distinct kets, ordered
-    by their slots; the kets share the n normalized label tuples.
+    gives the zero state, the algebraic face of the exclusion rule, not an
+    error: each term cancels against the term with the slots of two equal
+    labels swapped, the same ket at the opposite parity. One such pair is
+    built and summed by _collect, never the n! terms. Distinct labels give
+    n! distinct kets, ordered by their slots; the kets share the n
+    normalized label tuples.
     """
     labs = [(str(o), _check_spin(s)) for o, s in labels]
     n = len(labs)
     if n < 1:
         raise ValueError("need at least one single-particle state")
-    if n > 8:
-        raise SizeLimitError(f"refusing n = {n}: the expansion has n! terms")
+    refuse([(f"an expansion of {n}! terms", "particles", n)])
+    norm = Coefficient.of(Surd.inv_sqrt(math.factorial(n)))
     if len(set(labs)) < n:
-        return MultiparticleState(terms=(), n=n)
+        i, j = next((i, j) for i, j in combinations(range(n), 2) if labs[i] == labs[j])
+        swapped = list(labs)
+        swapped[i], swapped[j] = labs[j], labs[i]
+        pair = [(norm, tuple(labs)), (norm.mul_phase(MINUS_ONE), tuple(swapped))]
+        return MultiparticleState(terms=_collect(pair), n=n)
     # permutations of the sorted labels come out in slot order; the sign of
     # each is its own parity composed with that of the sorting permutation
     order = sorted(range(n), key=labs.__getitem__)
     base = sum(a > b for a, b in combinations(order, 2)) % 2
-    norm = Coefficient.of(Surd.inv_sqrt(math.factorial(n)))
     signed = (norm, norm.mul_phase(MINUS_ONE))
     if base:
         signed = signed[::-1]

@@ -22,7 +22,7 @@ from itertools import combinations, starmap
 
 from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
-from .errors import ResolutionError, check_bytes
+from .errors import ResolutionError, refuse
 from .phase_algebra import PhaseExpression
 
 __all__ = [
@@ -87,7 +87,7 @@ def apply_spin_z(
     stalls near 1e-6 at practical grids and cannot certify 1e-8). The
     stencil wraps periodically, which is legitimate only because the grid
     spans the full 4 pi period. Raises SizeLimitError, before allocating,
-    for a grid past errors.BYTES_LIMIT.
+    for a grid past the byte limit of errors.LIMITS.
     """
     w = Fraction(winding)
     if w not in _ALLOWED:
@@ -96,7 +96,7 @@ def apply_spin_z(
         raise ResolutionError(f"the derivative stencil needs at least 16 grid points, got {grid}")
     # the samples, their four shifted copies and the stencil's partial sums
     # hold about 72 bytes per point (tracemalloc)
-    check_bytes(f"a spin grid of {grid} points", 72 * grid)
+    refuse([(f"a spin grid of {grid} points", "bytes", 72 * grid)])
     w = float(w)
     theta = np.linspace(0.0, 4.0 * np.pi, grid, endpoint=False)
     h = 4.0 * np.pi / grid

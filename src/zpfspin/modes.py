@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
-from .errors import ResolutionError, SizeLimitError, check_bytes, check_scales
+from .errors import ResolutionError, check_scales, refuse
 
 __all__ = [
     "Modes",
@@ -40,14 +40,14 @@ __all__ = [
     "mode_keys",
     "sample_realization",
     "sample_zeta_ensemble",
-    "check_ensemble_size",
-    "check_modes_size",
+    "ensemble_cost",
+    "modes_cost",
     "sample_fields",
-    "check_field_size",
+    "field_cost",
     "check_mode_scales",
     "resolution_floor",
     "mode_observables",
-    "check_quadrature_size",
+    "quadrature_cost",
     "analytic_mode_observables",
     "realization_totals",
 ]
@@ -59,10 +59,6 @@ _BLOCK_DOUBLES = 1 << 20
 # Uniforms the ensemble draw holds at once (512 KiB), unless one row of 2M
 # is longer; a larger buffer adds resident memory and saves no time.
 _DRAW_DOUBLES = 1 << 16
-
-# Most zeta draws, realizations x M, that an ensemble may take: as many as
-# a 1 GiB zeta matrix holds, about 2 s of Philox.
-_DRAW_LIMIT = 1 << 27
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +236,11 @@ def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     zetas of all modes come first in the stream, then the phis;
     np.random.Philox(s).advance(i * M // 2), M being the mode count, gives
     realization i of sample_zeta_ensemble(n_max, count, s). Raises
-    SizeLimitError, before any mode array is built, past errors.BYTES_LIMIT.
+    SizeLimitError, before any mode array is built, past modes_cost.
     """
     if not L > 0:
         raise ValueError("box size must be positive")
-    check_modes_size(n_max)
+    refuse(modes_cost(n_max))
     n, gamma = mode_keys(n_max)
     rng = np.random.default_rng(seed)
     zetas, phis = _draw_phases(rng, len(gamma))
@@ -267,12 +263,12 @@ def sample_zeta_ensemble(n_max: int, count: int, seed: int, columns):
     copied out. They are scaled by 2 pi after the copy, bit for bit the
     values rng.uniform(0, 2 pi) gives. Returns (mode_keys(n_max), zetas) with
     zetas of shape (count, len(columns)), each column contiguous in memory.
-    Raises SizeLimitError, before any mode array is built, where
-    check_ensemble_size does.
+    Raises SizeLimitError, before any mode array is built, past
+    ensemble_cost.
     """
     if count < 1:
         raise ValueError("ensemble size must be at least 1")
-    check_ensemble_size(n_max, count, len(columns))
+    refuse(ensemble_cost(n_max, count, len(columns)))
     keys = mode_keys(n_max)
     m = len(keys[1])
     columns = np.asarray(columns, dtype=np.intp)
@@ -297,29 +293,23 @@ def sample_zeta_ensemble(n_max: int, count: int, seed: int, columns):
 _BYTES_PER_MODE = 760
 
 
-def check_modes_size(n_max: int) -> None:
-    """Raise SizeLimitError when the modes with 0 < |n|_inf <= n_max would
-    pass errors.BYTES_LIMIT. Runs before mode_keys, so nothing is
-    allocated."""
+def modes_cost(n_max: int) -> list:
+    """The errors.refuse cost of the modes with 0 < |n|_inf <= n_max, in
+    bytes; plain arithmetic, so nothing is allocated."""
     modes = mode_count(n_max)
-    check_bytes(f"a realization of {modes} modes", _BYTES_PER_MODE * modes)
+    return [(f"a realization of {modes} modes", "bytes", _BYTES_PER_MODE * modes)]
 
 
-def check_ensemble_size(n_max: int, count: int, columns: int) -> None:
-    """Raise SizeLimitError when an ensemble of `count` realizations of the
-    modes with 0 < |n|_inf <= n_max would pass a limit: the modes, or the
-    `columns` kept zeta columns (8 bytes a column and realization), past
-    errors.BYTES_LIMIT, or its count x M zeta draws past _DRAW_LIMIT, since
-    every draw is made whichever columns are kept. Runs before mode_keys,
-    so nothing is allocated."""
-    check_modes_size(n_max)
-    check_bytes(f"{columns} zeta columns of {count} realizations", 8 * count * columns)
+def ensemble_cost(n_max: int, count: int, columns: int) -> list:
+    """The errors.refuse cost of an ensemble of `count` realizations of the
+    modes with 0 < |n|_inf <= n_max: the modes, the `columns` kept zeta
+    columns (8 bytes a column and realization), and its count x M zeta
+    draws, since every draw is made whichever columns are kept."""
     modes = mode_count(n_max)
-    if count * modes > _DRAW_LIMIT:
-        raise SizeLimitError(
-            f"refusing an ensemble of {count} realizations of {modes} modes: "
-            f"{count * modes} zeta draws, over the limit of {_DRAW_LIMIT}"
-        )
+    return modes_cost(n_max) + [
+        (f"{columns} zeta columns of {count} realizations", "bytes", 8 * count * columns),
+        (f"an ensemble of {count} realizations of {modes} modes", "zeta draws", count * modes),
+    ]
 
 
 def _check_in_box(points: np.ndarray, L: float):
@@ -373,16 +363,13 @@ def sample_fields(
 _FIELD_BYTES_PER_POINT = 445
 
 
-def check_field_size(points: int, n_max: int) -> None:
-    """Raise SizeLimitError when sampling the fields of the modes with
-    0 < |n|_inf <= n_max at `points` points and checking them, as
-    field-sample does, would pass errors.BYTES_LIMIT: one estimate for the
-    points and the modes together. Runs before mode_keys."""
+def field_cost(points: int, n_max: int) -> list:
+    """The errors.refuse cost of sampling and checking the fields of the
+    modes with 0 < |n|_inf <= n_max at `points` points, as field-sample
+    does: one byte estimate for the points and the modes together."""
     modes = mode_count(n_max)
-    check_bytes(
-        f"the fields of {modes} modes at {points} points",
-        _FIELD_BYTES_PER_POINT * points + _BYTES_PER_MODE * modes,
-    )
+    nbytes = _FIELD_BYTES_PER_POINT * points + _BYTES_PER_MODE * modes
+    return [(f"the fields of {modes} modes at {points} points", "bytes", nbytes)]
 
 
 def resolution_floor(n) -> int:
@@ -439,7 +426,7 @@ def mode_observables(
         raise ValueError(f"mode_observables takes one mode, got {len(mode)}")
     n = tuple(mode.n[0].tolist())
     grid = int(grid)
-    check_quadrature_size(grid)
+    refuse(quadrature_cost(grid))
     floor = resolution_floor(n)
     if grid < floor:
         raise ResolutionError(f"grid {grid} is below the resolution floor {floor} for n={n}")
@@ -468,13 +455,11 @@ def mode_observables(
 _QUADRATURE_BYTES_PER_PHASE = 232
 
 
-def check_quadrature_size(grid: int) -> None:
-    """Raise SizeLimitError when mode_observables at `grid` points per axis
-    would pass errors.BYTES_LIMIT. It holds grid / d <= grid lattice phases."""
-    check_bytes(
-        f"a quadrature over up to {grid} lattice phases",
-        _QUADRATURE_BYTES_PER_PHASE * grid,
-    )
+def quadrature_cost(grid: int) -> list:
+    """The errors.refuse cost of mode_observables at `grid` points per
+    axis, which holds grid / d <= grid lattice phases."""
+    nbytes = _QUADRATURE_BYTES_PER_PHASE * grid
+    return [(f"a quadrature over up to {grid} lattice phases", "bytes", nbytes)]
 
 
 def analytic_mode_observables(

@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 
 from ._lazy import np
 from .constants import NATURAL, PhysicalConstants
-from .errors import check_bytes, check_scales
+from .errors import check_scales, refuse
 
 __all__ = [
     "MatrixElementTable",
     "build_oscillator_table",
-    "check_table_size",
+    "table_cost",
     "circular_components",
 ]
 
@@ -92,11 +92,12 @@ def _state_labels(dims: int, n_cut: int) -> np.ndarray:
 _BYTES_PER_STATE = 440
 
 
-def check_table_size(dims: int, n_cut: int) -> None:
-    """Raise SizeLimitError when building a dims-d table at n_cut and
-    summing over all its states would exceed errors.BYTES_LIMIT."""
+def table_cost(dims: int, n_cut: int) -> list:
+    """The errors.refuse cost of building a dims-d table at n_cut and
+    summing over all its states, in bytes."""
     size = math.comb(n_cut + dims, dims)
-    check_bytes(f"a {dims}-d table at n_cut = {n_cut} ({size} states)", _BYTES_PER_STATE * size)
+    what = f"a {dims}-d table at n_cut = {n_cut} ({size} states)"
+    return [(what, "bytes", _BYTES_PER_STATE * size)]
 
 
 def _length_scale(omega0: float, constants: PhysicalConstants) -> float:
@@ -122,9 +123,8 @@ def build_oscillator_table(
 ) -> MatrixElementTable:
     """Tabulate every state with shell <= n_cut and its position elements.
 
-    Raises SizeLimitError, before allocating anything, when the table and
-    its spectral sums would exceed errors.BYTES_LIMIT, and ValueError when
-    the length scale overflows or underflows.
+    Raises SizeLimitError, before allocating anything, past table_cost,
+    and ValueError when the length scale overflows or underflows.
     """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")
@@ -133,7 +133,7 @@ def build_oscillator_table(
     if int(n_cut) != n_cut or n_cut < 1:
         raise ValueError("n_cut must be a positive integer")
     n_cut = int(n_cut)
-    check_table_size(dims, n_cut)
+    refuse(table_cost(dims, n_cut))
     l0 = _length_scale(omega0, constants)
     states = _state_labels(dims, n_cut)
     size = len(states)

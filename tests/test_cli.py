@@ -575,6 +575,52 @@ def test_benchmark_tracer_counts_the_modes_layer(capsys, monkeypatch):
     assert totals["modes.analytic_mode_observables.calls"] == 2 + 1
 
 
+def test_declared_costs_match_the_traced_work(capsys, monkeypatch, tmp_path):
+    # the cost main refuses from counts the work the run then does: every
+    # benchmark argv at seeds 1-3, and one field-sample run with --csv
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    spans = _perfbench_module(monkeypatch, "spans")
+    argvs = [
+        list(case.argv)
+        for workload in workloads.WORKLOADS
+        for seed in range(1, 4)
+        for case in workloads.build_mix(workload, seed)
+    ]
+    csv_path = str(tmp_path / "out.csv")
+    argvs.append(["field-sample", "--n-max", "2", "--points", "16", "--csv", csv_path])
+    compared = []
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for argv in argvs:
+            cfg = resolved(argv)
+            declared = dict.fromkeys(errors.LIMITS, 0)
+            for _, unit, amount in cli._EXPERIMENTS[cfg.command].cost(cfg):
+                declared[unit] += amount
+            main(argv)
+            _, counts = tracer.take()
+            if declared["mode evaluations"]:
+                assert declared["mode evaluations"] == counts["modes.field_mode_points"], argv
+                compared.append(("mode evaluations", bool(cfg.csv)))
+            if declared["zeta draws"]:
+                rows = counts["modes.ensemble_rows"]
+                assert declared["zeta draws"] == rows * modes.mode_count(cfg.n_max), argv
+                compared.append(("zeta draws", False))
+            if cfg.command in ("sum-rule", "angular-momentum"):
+                # the declared lines are the tables alone, 440 bytes a state
+                assert declared["bytes"] == 440 * counts["oscillator.table_states"], argv
+                compared.append(("bytes", False))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert set(compared) == {
+        ("mode evaluations", False),
+        ("mode evaluations", True),
+        ("zeta draws", False),
+        ("bytes", False),
+    }
+
+
 def test_benchmark_cases_pass_their_oracle(capsys, monkeypatch):
     # every seed-1 case of every workload exits 0 and satisfies the
     # benchmark's report oracle, so its pass_ratio stays 1
@@ -1209,12 +1255,13 @@ CSV_IN_TMP = "<tmp>/out.csv"
             "sample_realization",
             "(1076001360 bytes)",
         ),
-        # 20000 points x 9824 modes pass the budget of 1e8 mode evaluations,
-        # although every array fits; only the --csv rows evaluate every mode
+        # 20000 points x (9824 + 4) modes pass the budget of 1e8 mode
+        # evaluations, although every array fits: the --csv rows evaluate
+        # every mode, the checks 1 + 1 + 2 more
         (
             ["field-sample", "--n-max", "8", "--points", "20000", "--csv", CSV_IN_TMP],
             "sample_realization",
-            "196480000 mode evaluations",
+            "196560000 mode evaluations",
         ),
         # 1e6 realizations x 1409936 modes pass the budget of 2^27 zeta
         # draws, although the modes and the two kept columns fit

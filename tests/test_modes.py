@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from zpfspin import modes
 from zpfspin.constants import NATURAL, PhysicalConstants
-from zpfspin.errors import ResolutionError, SizeLimitError
+from zpfspin.errors import ResolutionError, SizeLimitError, refuse
 from zpfspin.modes import (
     ModeObservables,
     Modes,
@@ -497,9 +497,9 @@ def test_zeta_draw_budget_refused_before_mode_keys(monkeypatch):
     with pytest.raises(SizeLimitError, match="1409936000000 zeta draws"):
         sample_zeta_ensemble(44, 1_000_000, 9, [0, 1])
     # 2^27 draws are 2581110.15 realizations of 52 modes
-    modes.check_ensemble_size(1, 2_581_110, 2)
+    refuse(modes.ensemble_cost(1, 2_581_110, 2))
     with pytest.raises(SizeLimitError, match="134217772 zeta draws"):
-        modes.check_ensemble_size(1, 2_581_111, 2)
+        refuse(modes.ensemble_cost(1, 2_581_111, 2))
 
 
 def test_oversized_ensemble_and_grid_refused_before_allocation():

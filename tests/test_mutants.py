@@ -56,6 +56,13 @@ def _pair_only(change):
     return _after(lambda totals, realization, *a: change(totals) if len(realization.modes) == 2 else totals)
 
 
+def _collect_keeping_zeros(pairs):
+    acc = {}
+    for coeff, ket in pairs:
+        acc[ket] = acc[ket] + coeff if ket in acc else coeff
+    return tuple(sorted(((c, k) for k, c in acc.items()), key=lambda item: item[1]))
+
+
 MODE_OBSERVABLES = ("mode-observables",)
 FIELD_SAMPLE = ("field-sample",)
 PHASES = ("phases", "--ensemble", "200", "--pairs", "3")
@@ -252,9 +259,10 @@ MUTANTS = [
         "norm_squared", ("slater",), Surd, "inv_sqrt",
         lambda real: classmethod(lambda cls, n: cls(Fraction(1, n))), ("norm_squared",),
     ),
+    # the two equal labels' terms summed, but their exact zero kept as a term
     Mutant(
-        "repeated_label_vanishes", ("slater",), exchange.MultiparticleState, "is_zero",
-        lambda real: property(lambda self: False), ("repeated_label_vanishes",),
+        "repeated_label_vanishes", ("slater",), exchange, "_collect",
+        lambda real: _collect_keeping_zeros, ("repeated_label_vanishes",),
     ),
 ]
 

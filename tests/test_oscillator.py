@@ -17,8 +17,8 @@ import pytest
 from numpy.polynomial.hermite import hermgauss, hermval
 
 from zpfspin.constants import NATURAL, PhysicalConstants
-from zpfspin.errors import IncompleteBasisError, SizeLimitError
-from zpfspin.oscillator import build_oscillator_table, check_table_size, circular_components
+from zpfspin.errors import IncompleteBasisError, SizeLimitError, refuse
+from zpfspin.oscillator import build_oscillator_table, circular_components, table_cost
 from zpfspin.spectral import trk_sum_rule
 
 CONSTS = PhysicalConstants(hbar=0.7, c=1.0, m=2.3, mu0=1.0)
@@ -262,9 +262,9 @@ def test_oversized_table_refused_before_allocation():
 @pytest.mark.parametrize("dims,largest", [(2, 2207), (3, 242)])
 def test_table_size_cap(dims, largest):
     # 440 bytes for each of the C(n_cut + dims, dims) states
-    check_table_size(dims, largest)
+    refuse(table_cost(dims, largest))
     with pytest.raises(SizeLimitError, match=f"{dims}-d table at n_cut = {largest + 1}"):
-        check_table_size(dims, largest + 1)
+        refuse(table_cost(dims, largest + 1))
 
 
 @pytest.mark.parametrize(
