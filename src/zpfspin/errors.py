@@ -15,7 +15,6 @@ __all__ = [
     "ContradictionError",
     "SizeLimitError",
     "LIMITS",
-    "BYTES_LIMIT",
     "refuse",
     "check_scales",
 ]
@@ -44,7 +43,7 @@ LIMITS = {
     # the arrays of one table, set of modes, ensemble, field sample or
     # quadrature (which holds one point per lattice phase, at most grid)
     "bytes": 1 << 30,
-    # realizations x M of an ensemble: a 1 GiB zeta matrix, about 2 s of Philox
+    # realizations x M of an ensemble: a 1 GiB zeta matrix, 2.2-2.4 s of Philox
     "zeta draws": 1 << 27,
     # a pair mean reads every realization, about 35 ns a row, and costs
     # 26-37 us more, as much as 1000 rows: a pair is charged at least 1000
@@ -56,7 +55,6 @@ LIMITS = {
     # the antisymmetrizer's n! terms: slater with 8 labels takes about 0.5 s
     "particles": 8,
 }
-BYTES_LIMIT = LIMITS["bytes"]
 
 
 def refuse(cost) -> None:

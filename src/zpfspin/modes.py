@@ -56,8 +56,8 @@ __all__ = [
 # (8 MiB); larger requests are worked through in blocks.
 _BLOCK_DOUBLES = 1 << 20
 
-# Uniforms the ensemble draw holds at once (512 KiB), unless one row of 2M
-# is longer; a larger buffer adds resident memory and saves no time.
+# 64-bit words the ensemble draws at once (512 KiB), unless one row of 2M
+# is longer; a larger block adds resident memory and saves no time.
 _DRAW_DOUBLES = 1 << 16
 
 
@@ -257,11 +257,11 @@ def sample_zeta_ensemble(n_max: int, count: int, seed: int, columns):
     M is even and Philox yields four 64-bit words per counter, so a block is
     M/2 counters, and row i holds exactly those columns of the zeta block of
     sample_realization(L, n_max, np.random.Philox(seed).advance(i * M // 2)).
-    The stream is drawn a block of rows at a time into one reused buffer of
-    _DRAW_DOUBLES uniforms (or one row, if a row is longer), and only
-    `columns`, mode indices in [0, M) in any order and with repeats, are
-    copied out. They are scaled by 2 pi after the copy, bit for bit the
-    values rng.uniform(0, 2 pi) gives. Returns (mode_keys(n_max), zetas) with
+    The stream is drawn as raw 64-bit words w, a block of _DRAW_DOUBLES (or
+    one row, if longer) at a time; only `columns`, mode indices in [0, M) in
+    any order and with repeats, keep their w >> 11, scaled once by 2 pi
+    2^-53, as rng.uniform(0, 2 pi) rounds 2 pi (w >> 11) 2^-53 (a power of
+    two scales exactly). Returns (mode_keys(n_max), zetas) with
     zetas of shape (count, len(columns)), each column contiguous in memory.
     Raises SizeLimitError, before any mode array is built, past
     ensemble_cost.
@@ -274,22 +274,22 @@ def sample_zeta_ensemble(n_max: int, count: int, seed: int, columns):
     columns = np.asarray(columns, dtype=np.intp)
     if columns.ndim != 1 or np.any((columns < 0) | (columns >= m)):
         raise ValueError(f"columns must be a sequence of mode indices in [0, {m})")
-    rng = np.random.Generator(np.random.Philox(seed))
-    buffer = np.empty((max(1, _DRAW_DOUBLES // (2 * m)), 2 * m))
+    bits = np.random.Philox(seed)
+    rows = max(1, _DRAW_DOUBLES // (2 * m))
     kept = np.empty((len(columns), count))
-    for start in range(0, count, len(buffer)):
-        block = buffer[: count - start]
-        rng.random(out=block)
-        kept[:, start : start + len(block)] = block[:, columns].T
-    kept *= 2.0 * np.pi
+    for start in range(0, count, rows):
+        block = min(rows, count - start)
+        words = bits.random_raw(block * 2 * m).reshape(block, 2 * m)[:, columns]
+        kept[:, start : start + block] = (words >> 11).T
+    kept *= 2.0 * np.pi / 2**53
     return keys, kept.T
 
 
 # Peak bytes per mode that a run holds besides its kept zeta columns, the
 # largest over the runs that draw modes (tracemalloc at n_max 8 to 12): a
 # field-sample run 745, mostly the field weights of sample_fields; totals
-# 312; an ensemble draw 48 from n_max 12 on, the mode keys and a draw buffer
-# of one row (below that the buffer is its fixed 512 KiB).
+# 312; an ensemble draw 48 from n_max 10 on, the mode keys and a draw block
+# of one row (below that a block is up to 512 KiB).
 _BYTES_PER_MODE = 760
 
 
@@ -303,12 +303,14 @@ def modes_cost(n_max: int) -> list:
 def ensemble_cost(n_max: int, count: int, columns: int) -> list:
     """The errors.refuse cost of an ensemble of `count` realizations of the
     modes with 0 < |n|_inf <= n_max: the modes, the `columns` kept zeta
-    columns (8 bytes a column and realization), and its count x M zeta
-    draws, since every draw is made whichever columns are kept."""
+    columns and a block of drawn rows with its copy of them (8 bytes a
+    value), and its count x M zeta draws, made whichever columns are kept."""
     modes = mode_count(n_max)
+    rows = min(count, max(1, _DRAW_DOUBLES // (2 * modes)))
     return modes_cost(n_max) + [
         (f"{columns} zeta columns of {count} realizations", "bytes", 8 * count * columns),
         (f"an ensemble of {count} realizations of {modes} modes", "zeta draws", count * modes),
+        (f"a draw block of {rows} realizations", "bytes", 8 * rows * (2 * modes + columns)),
     ]
 
 

@@ -1209,6 +1209,36 @@ def test_phases_draw_holds_only_the_read_columns(capsys):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the two phases argv of the mode-fields benchmark workload
+        "phases --n-max=1 --ensemble=20000",
+        "phases --n-max=2 --ensemble=2000",
+        "phases --n-max 4 --ensemble 20000",
+        # a row of 2M words is longer than a draw block
+        "phases --n-max 13 --ensemble 3",
+    ],
+)
+def test_phases_declares_at_least_its_peak_bytes(capsys, argv):
+    # the bytes main refuses from cover what the run holds at once: the
+    # modes, the pairs, the kept columns and the block of rows being drawn
+    argv = argv.split()
+    cost = cli._EXPERIMENTS["phases"].cost(resolved(argv))
+    declared = sum(amount for _, unit, amount in cost if unit == "bytes")
+    # a first run loads the lazily imported numpy modules, which no size
+    # estimate counts
+    assert main(["phases", "--ensemble", "1", "--pairs", "1"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= declared
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("work started before the size check")
 
@@ -1363,7 +1393,7 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
     assert captured.out == ""
     assert "it needs 1.0 GiB" in captured.err
     needed, limit = (int(v) for v in re.findall(r"\((\d+) bytes\)", captured.err))
-    assert limit == errors.BYTES_LIMIT < needed
+    assert limit == errors.LIMITS["bytes"] < needed
 
 
 @pytest.mark.parametrize(

@@ -480,6 +480,24 @@ def test_streamed_zeta_columns_match_the_whole_draw(n_max):
     assert np.array_equal(zetas, whole[:, :m][:, columns])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_zeta_columns_match_the_whole_draw_at_block_edges(data):
+    # one to three blocks of rows and one more, the last block full, partial
+    # or a single row, and any columns with repeats, against rng.uniform over
+    # the whole ensemble, bit for bit
+    n_max = data.draw(st.sampled_from([1, 2]))
+    m = len(mode_keys(n_max)[1])
+    rows = modes._DRAW_DOUBLES // (2 * m)
+    edges = [blocks * rows + extra for blocks in (1, 2, 3) for extra in (-1, 0, 1)]
+    count = data.draw(st.one_of(st.sampled_from(edges), st.integers(1, 3 * rows + 1)))
+    columns = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    whole = np.random.Generator(np.random.Philox(seed)).uniform(0.0, 2.0 * np.pi, (count, 2 * m))
+    _, zetas = sample_zeta_ensemble(n_max, count, seed, columns)
+    assert np.array_equal(zetas, whole[:, :m][:, columns])
+
+
 def test_columns_outside_the_zeta_block_refused():
     # columns M .. 2M - 1 of a row are phis; a negative index would reach them
     for columns in ([52], [-1], [[0, 1]]):
