@@ -55,7 +55,6 @@ from .modes import (
     analytic_mode_observables,
     check_mode_scales,
     ensemble_cost,
-    field_cost,
     make_mode,
     mode_count,
     mode_observables,
@@ -310,31 +309,15 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-@dataclass
-class Check:
-    name: str
-    expected: object
-    actual: object
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+def _close(name, expected, actual, tolerance) -> dict:
+    tolerance = float(tolerance)
+    ok = abs(float(actual) - float(expected)) <= tolerance
+    return {"name": name, "expected": expected, "actual": actual, "tolerance": tolerance, "pass": ok}
 
 
-def _close(name, expected, actual, tolerance) -> Check:
-    ok = abs(float(actual) - float(expected)) <= float(tolerance)
-    return Check(name, expected, actual, float(tolerance), ok)
-
-
-def _exact(name, expected, actual) -> Check:
-    return Check(name, expected, actual, 0.0, expected == actual)
+def _exact(name, expected, actual) -> dict:
+    ok = expected == actual
+    return {"name": name, "expected": expected, "actual": actual, "tolerance": 0.0, "pass": ok}
 
 
 # --- subcommand runners -------------------------------------------------------
@@ -393,10 +376,17 @@ def _relative(error, field) -> float:
 
 def _field_sample_cost(cfg) -> list:
     n_modes = mode_count(cfg.n_max)
+    what = f"the fields of {n_modes} modes at {cfg.points} points"
+    # one byte estimate for the points and the modes together: a run holds
+    # 445 bytes a point, the points, the fields of the whole realization, of
+    # two single modes and of their sum, and the differences the checks take
+    # (the largest peak over points that tracemalloc measures at n_max 1 to 4
+    # and 1e5 or 2e5 points; larger runs need less per point, as the
+    # fixed-size blocks of sample_fields spread out)
+    [(_, _, mode_bytes)] = modes_cost(cfg.n_max)
     # the checks evaluate 1 + 1 + 2 modes a point, the --csv rows all of them
     evaluations = cfg.points * (4 + (n_modes if cfg.csv else 0))
-    what = f"the fields of {n_modes} modes at {cfg.points} points"
-    return field_cost(cfg.points, cfg.n_max) + [(what, "mode evaluations", evaluations)]
+    return [(what, "bytes", 445 * cfg.points + mode_bytes), (what, "mode evaluations", evaluations)]
 
 
 @_experiment(
@@ -411,12 +401,7 @@ def _field_sample_cost(cfg) -> list:
 )
 def _run_field_sample(cfg):
     consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
-    omega_max = check_mode_scales(cfg.L, cfg.n_max, consts)
-    # the largest phase omega t, floored at 1 like zeeman's level scale
-    check_scales(
-        f"a time of {cfg.time:g} at frequencies up to {omega_max:g}",
-        phase=max(omega_max * abs(cfg.time), 1.0),
-    )
+    check_mode_scales(cfg.L, cfg.n_max, consts, cfg.time)
     real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
     s_vals = np.linspace(0.0, 1.0, cfg.points, endpoint=False)
     points = s_vals[:, None] * np.array([cfg.L, cfg.L, cfg.L])
@@ -859,7 +844,7 @@ def main(argv=None) -> int:
             "schema": 1,
             "command": args.command,
             "config": config,
-            "checks": [c.to_dict() for c in checks],
+            "checks": checks,
             "details": details or {},
             "wall_time_s": time.perf_counter() - start,
         }
@@ -883,7 +868,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    return 0 if all(c.passed for c in checks) else 1
+    return 0 if all(check["pass"] for check in checks) else 1
 
 
 def entry():

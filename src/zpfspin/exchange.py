@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Mapping
@@ -477,14 +477,6 @@ class TraceStep:
     output_hash: str
     phase: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "operation": self.operation,
-            "input_hash": self.input_hash,
-            "output_hash": self.output_hash,
-            "phase": self.phase,
-        }
-
 
 @dataclass(frozen=True)
 class DerivationReport:
@@ -511,7 +503,7 @@ class DerivationReport:
             "resolved_swapped": state_to_dict(self.resolved_swapped),
             "swap_factor": self.swap_factor.format(),
             "matches_antisymmetrizer": self.matches_antisymmetrizer,
-            "trace": [step.to_dict() for step in self.trace],
+            "trace": [asdict(step) for step in self.trace],
         }
 
 

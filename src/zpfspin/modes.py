@@ -43,7 +43,6 @@ __all__ = [
     "ensemble_cost",
     "modes_cost",
     "sample_fields",
-    "field_cost",
     "check_mode_scales",
     "resolution_floor",
     "mode_observables",
@@ -208,16 +207,22 @@ def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
     return k, omega, prefactor
 
 
-def check_mode_scales(L: float, n_max: int, constants: PhysicalConstants = NATURAL) -> float:
+def check_mode_scales(
+    L: float, n_max: int, constants: PhysicalConstants = NATURAL, t: float = 0.0
+) -> None:
     """Raise ValueError when the volume, a frequency or a carrier prefactor
-    of a mode with 0 < |n|_inf <= n_max is not a finite normal float;
-    return the largest frequency.
+    of a mode with 0 < |n|_inf <= n_max, or the largest phase omega t at
+    time t (floored at 1), is not a finite normal float.
 
     Frequencies grow and prefactors shrink with |n|, so the shortest and the
     longest lattice vectors stand for every mode in between.
     """
     _, omega, _ = _mode_scales(np.array([[0, 0, 1], [n_max] * 3], dtype=float), L, constants)
-    return float(omega[1])
+    omega_max = float(omega[1])
+    check_scales(
+        f"a time of {t:g} at frequencies up to {omega_max:g}",
+        phase=max(omega_max * abs(t), 1.0),
+    )
 
 
 def _draw_phases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -357,23 +362,6 @@ def sample_fields(
     return fields[..., 0:3], fields[..., 3:6], fields[..., 6:9]
 
 
-# Peak bytes per point of a field-sample run, which holds the points, the
-# fields of the whole realization, of two single modes and of their sum, and
-# the differences its checks take (445, the largest peak over points that
-# tracemalloc measures at n_max 1 to 4 and 1e5 or 2e5 points; larger runs
-# need less per point, as the fixed-size blocks of sample_fields spread out).
-_FIELD_BYTES_PER_POINT = 445
-
-
-def field_cost(points: int, n_max: int) -> list:
-    """The errors.refuse cost of sampling and checking the fields of the
-    modes with 0 < |n|_inf <= n_max at `points` points, as field-sample
-    does: one byte estimate for the points and the modes together."""
-    modes = mode_count(n_max)
-    nbytes = _FIELD_BYTES_PER_POINT * points + _BYTES_PER_MODE * modes
-    return [(f"the fields of {modes} modes at {points} points", "bytes", nbytes)]
-
-
 def resolution_floor(n) -> int:
     """Minimum per-axis grid points for reliable quadrature of mode n."""
     return 4 * max(max(abs(int(c)) for c in n), 1)
@@ -455,12 +443,16 @@ def mode_observables(
 # cross products (tracemalloc measures 218 at grid 4096, 216 at 65536 and
 # 208 at 2^20 with d = 1).
 _QUADRATURE_BYTES_PER_PHASE = 232
+# Peak bytes of a mode-observables run past 232 a phase, whatever its grid:
+# its modes, small arrays and report (tracemalloc, at most 20 KB, at grid 4
+# to 64; from grid 1024 on a run peaks below 232 a phase).
+_QUADRATURE_BYTES_PER_RUN = 32 << 10
 
 
 def quadrature_cost(grid: int) -> list:
     """The errors.refuse cost of mode_observables at `grid` points per
     axis, which holds grid / d <= grid lattice phases."""
-    nbytes = _QUADRATURE_BYTES_PER_PHASE * grid
+    nbytes = _QUADRATURE_BYTES_PER_PHASE * grid + _QUADRATURE_BYTES_PER_RUN
     return [(f"a quadrature over up to {grid} lattice phases", "bytes", nbytes)]
 
 

@@ -90,6 +90,12 @@ def _state_labels(dims: int, n_cut: int) -> np.ndarray:
 # build's label and index cubes, up to 2 (2-d) or 6 (3-d) entries per
 # state, peak lower, at about 195.
 _BYTES_PER_STATE = 440
+# Peak bytes of a table run past 440 a state, whatever its size: the run's
+# small objects and its report, and sum temporaries that grow with the
+# table up to 2-d n_cut 90, 171 KB over (tracemalloc, 2-d n_cut 1 to 160
+# and 3-d 1 to 40; 3-d at most 98 KB, at n_cut 28). From 2-d n_cut 100 on
+# a run peaks at 444 a state or less.
+_BYTES_PER_TABLE = 192 << 10
 
 
 def table_cost(dims: int, n_cut: int) -> list:
@@ -97,7 +103,7 @@ def table_cost(dims: int, n_cut: int) -> list:
     summing over all its states, in bytes."""
     size = math.comb(n_cut + dims, dims)
     what = f"a {dims}-d table at n_cut = {n_cut} ({size} states)"
-    return [(what, "bytes", _BYTES_PER_STATE * size)]
+    return [(what, "bytes", _BYTES_PER_STATE * size + _BYTES_PER_TABLE)]
 
 
 def _length_scale(omega0: float, constants: PhysicalConstants) -> float:

@@ -72,7 +72,7 @@ def test_every_command_reports_and_passes(capsys, command):
     assert list(body["config"]) == [*COMMAND_OPTIONS[command], "tolerances"]
     assert body["checks"]
     for check in body["checks"]:
-        assert set(check) == {"name", "expected", "actual", "tolerance", "pass"}
+        assert list(check) == ["name", "expected", "actual", "tolerance", "pass"]
         assert check["pass"] is True
     assert isinstance(body["wall_time_s"], float)
 
@@ -598,7 +598,7 @@ def test_declared_costs_match_the_traced_work(capsys, monkeypatch, tmp_path):
             for _, unit, amount in cli._EXPERIMENTS[cfg.command].cost(cfg):
                 declared[unit] += amount
             main(argv)
-            _, counts = tracer.take()
+            traced, counts = tracer.take()
             if declared["mode evaluations"]:
                 assert declared["mode evaluations"] == counts["modes.field_mode_points"], argv
                 compared.append(("mode evaluations", bool(cfg.csv)))
@@ -608,7 +608,10 @@ def test_declared_costs_match_the_traced_work(capsys, monkeypatch, tmp_path):
                 compared.append(("zeta draws", False))
             if cfg.command in ("sum-rule", "angular-momentum"):
                 # the declared lines are the tables alone, 440 bytes a state
-                assert declared["bytes"] == 440 * counts["oscillator.table_states"], argv
+                # and 192 KiB a table
+                tables = spans.aggregate(traced)["oscillator.build_oscillator_table.calls"]
+                states = counts["oscillator.table_states"]
+                assert declared["bytes"] == 440 * states + (192 << 10) * tables, argv
                 compared.append(("bytes", False))
     finally:
         tracer.uninstall()
@@ -996,11 +999,11 @@ def test_nan_errors_fail_their_checks(monkeypatch, runner, args):
 
     monkeypatch.setattr(cli, "build_oscillator_table", nan_table)
     checks, _, _ = runner(resolved(args))
-    numeric = [c for c in checks if c.tolerance > 0]
+    numeric = [c for c in checks if c["tolerance"] > 0]
     assert numeric
     for check in numeric:
-        assert math.isnan(check.actual)
-        assert not check.passed
+        assert math.isnan(check["actual"])
+        assert not check["pass"]
 
 
 def test_oversized_table_exits_two_at_once(capsys):
@@ -1209,6 +1212,23 @@ def test_phases_draw_holds_only_the_read_columns(capsys):
     assert peak < 10 * 2**20
 
 
+def _declared_bytes(argv) -> int:
+    cfg = resolved(argv)
+    cost = cli._EXPERIMENTS[cfg.command].cost(cfg)
+    return sum(amount for _, unit, amount in cost if unit == "bytes")
+
+
+def _benchmark_argv(seed: int) -> list:
+    """Every argv of the benchmark mixes at `seed`, each as one string."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        workloads = _perfbench_module(monkeypatch, "workloads")
+        return [
+            " ".join(case.argv)
+            for workload in workloads.WORKLOADS
+            for case in workloads.build_mix(workload, seed)
+        ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1218,17 +1238,20 @@ def test_phases_draw_holds_only_the_read_columns(capsys):
         "phases --n-max 4 --ensemble 20000",
         # a row of 2M words is longer than a draw block
         "phases --n-max 13 --ensemble 3",
+        # every seed-1 benchmark run that declares bytes: tables,
+        # quadratures, field samples, realizations and ensembles
+        *[argv for argv in _benchmark_argv(1) if _declared_bytes(argv.split())],
     ],
 )
 def test_phases_declares_at_least_its_peak_bytes(capsys, argv):
-    # the bytes main refuses from cover what the run holds at once: the
-    # modes, the pairs, the kept columns and the block of rows being drawn
+    # the bytes main refuses from cover what the run holds at once; for
+    # phases the modes, the pairs, the kept columns and the block of rows
+    # being drawn
     argv = argv.split()
-    cost = cli._EXPERIMENTS["phases"].cost(resolved(argv))
-    declared = sum(amount for _, unit, amount in cost if unit == "bytes")
+    declared = _declared_bytes(argv)
     # a first run loads the lazily imported numpy modules, which no size
     # estimate counts
-    assert main(["phases", "--ensemble", "1", "--pairs", "1"]) == 0
+    assert main(argv) == 0
     tracemalloc.start()
     try:
         assert main(argv) == 0

@@ -413,6 +413,18 @@ def test_out_of_range_box_refused_for_realizations(box):
         sample_fields(real, np.zeros((1, 3)), 0.0, NATURAL)
 
 
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_mode_scales_refuse_a_phase_past_the_floats(t):
+    # omega_max = 2 pi sqrt(3) at n_max 1 in a unit box, so omega t overflows
+    with pytest.raises(ValueError, match="its phase is inf"):
+        modes.check_mode_scales(1.0, 1, NATURAL, t)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e307, -1e307])
+def test_mode_scales_accept_a_phase_within_the_floats(t):
+    assert modes.check_mode_scales(1.0, 1, NATURAL, t) is None
+
+
 def test_resolution_floor_enforced():
     assert resolution_floor((0, 0, 1)) == 4
     assert resolution_floor((2, -3, 1)) == 12
