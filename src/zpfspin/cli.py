@@ -471,6 +471,11 @@ def _phases_cost(cfg) -> list:
     return [
         (what, "bytes", 1400 * cfg.pairs),
         *ensemble_cost(cfg.n_max, cfg.ensemble, columns),
+        # one pair mean's temporaries, charged together although at most 32
+        # bytes a realization are held at once (tracemalloc): the difference
+        # of two columns (8 bytes), its product with 1j and its exponential
+        # (16 each)
+        (f"a pair mean over {cfg.ensemble} realizations", "bytes", 40 * cfg.ensemble),
         (f"{what} over {cfg.ensemble} realizations", "pair rows", rows),
     ]
 

@@ -223,7 +223,7 @@ def _exchange_branch(psi: BipartiteState, branch: str) -> BipartiteState:
         if not residual.is_numeric:
             raise ContradictionError("angle relabeling left a symbolic residue")
         pairs.append((coeff.transform_phase(_swap_zeta_particles).mul_phase(residual), new_ket))
-    return replace(psi, terms=_collect(pairs), first=psi.second, second=psi.first)
+    return BipartiteState(_collect(pairs), psi.relative_phase, psi.second, psi.first)
 
 
 @dataclass(frozen=True)

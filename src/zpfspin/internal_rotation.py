@@ -42,6 +42,15 @@ class DichotomyResult:
     sign_opposed: bool
 
 
+# the four possible verdicts, shared by every call: a frozen result cannot be
+# changed by one caller under another, and dataclasses.replace builds anew
+_VERDICTS = {
+    (feasible, sign_opposed): DichotomyResult(feasible, sign_opposed)
+    for feasible in (False, True)
+    for sign_opposed in (False, True)
+}
+
+
 def _unit_apart(a: Fraction, b: Fraction) -> bool:
     """Whether a - b = +-1, without forming the difference: in lowest terms
     that holds only for equal denominators and numerators one denominator
@@ -63,6 +72,7 @@ def dichotomy_solve(candidates) -> DichotomyResult:
     a pair sums to zero or not, and among three or more values every pair
     sums to zero only when all of them are 0. Both take O(n) steps. Each
     pair is compared on the integers of its two lowest-terms fractions.
+    The result is one of four shared, frozen verdicts.
     """
     values = [v if isinstance(v, Fraction) else Fraction(v) for v in candidates]
     if not values:
@@ -73,7 +83,7 @@ def dichotomy_solve(candidates) -> DichotomyResult:
     else:
         # a single value has no pair to fail
         sign_opposed = len(values) == 1 or not any(values)
-    return DichotomyResult(feasible=feasible, sign_opposed=sign_opposed)
+    return _VERDICTS[feasible, sign_opposed]
 
 
 def apply_spin_z(

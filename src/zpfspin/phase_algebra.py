@@ -77,12 +77,15 @@ class PhaseExpression:
     __slots__ = ("pi_part", "coeffs")
 
     def __init__(self, pi_part=0, coeffs: Mapping | None = None):
-        self.pi_part = _as_fraction(pi_part)
+        # a value of type Fraction is taken as it is: the products and sums
+        # of the methods below hand back Fractions already
+        self.pi_part = pi_part if type(pi_part) is Fraction else _as_fraction(pi_part)
         clean = {}
         if coeffs:
             for sym, c in coeffs.items():
-                c = _as_fraction(c)
-                if c != 0:
+                if type(c) is not Fraction:
+                    c = _as_fraction(c)
+                if c:
                     clean[sym] = c
         self.coeffs = clean
 
@@ -94,7 +97,8 @@ class PhaseExpression:
     def __mul__(self, other: "PhaseExpression") -> "PhaseExpression":
         merged = dict(self.coeffs)
         for sym, c in other.coeffs.items():
-            merged[sym] = merged.get(sym, Fraction(0)) + c
+            mine = merged.get(sym)
+            merged[sym] = c if mine is None else mine + c
         return PhaseExpression(self.pi_part + other.pi_part, merged)
 
     def inverse(self) -> "PhaseExpression":
@@ -108,20 +112,28 @@ class PhaseExpression:
         for sym, c in self.coeffs.items():
             repl = mapping.get(sym)
             if repl is None:
-                coeffs[sym] = coeffs.get(sym, Fraction(0)) + c
+                mine = coeffs.get(sym)
+                coeffs[sym] = c if mine is None else mine + c
                 continue
-            pi += c * repl.pi_part
+            if repl.pi_part:
+                pi += c * repl.pi_part
             for s2, c2 in repl.coeffs.items():
-                coeffs[s2] = coeffs.get(s2, Fraction(0)) + c * c2
+                mine = coeffs.get(s2)
+                coeffs[s2] = c * c2 if mine is None else mine + c * c2
         return PhaseExpression(pi, coeffs)
+
+    # pi_part is in lowest terms, so it is an integer exactly when its
+    # denominator is 1, and its numerator's parity is then its value mod 2
 
     @property
     def is_one(self) -> bool:
-        return not self.coeffs and self.pi_part % 2 == 0
+        q = self.pi_part
+        return not self.coeffs and q.denominator == 1 and q.numerator % 2 == 0
 
     @property
     def is_minus_one(self) -> bool:
-        return not self.coeffs and self.pi_part % 2 == 1
+        q = self.pi_part
+        return not self.coeffs and q.denominator == 1 and q.numerator % 2 == 1
 
     @property
     def is_numeric(self) -> bool:

@@ -1235,6 +1235,11 @@ def _benchmark_argv(seed: int) -> list:
         # the two phases argv of the mode-fields benchmark workload
         "phases --n-max=1 --ensemble=20000",
         "phases --n-max=2 --ensemble=2000",
+        # the seed-2 argv, whose ten pairs read 20 distinct columns: the
+        # temporaries of a pair mean come on top of all of them
+        "phases --n-max=1 --ensemble=20000 --seed=1785675398",
+        # one pair: its two columns are small beside those temporaries
+        "phases --n-max=1 --ensemble=200000 --pairs=1",
         "phases --n-max 4 --ensemble 20000",
         # a row of 2M words is longer than a draw block
         "phases --n-max 13 --ensemble 3",

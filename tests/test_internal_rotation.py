@@ -1,6 +1,7 @@
 """Winding constraint on internal phase rotation, and the generator itself."""
 
 import time
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from zpfspin.constants import PhysicalConstants
 from zpfspin.errors import ResolutionError, SizeLimitError
 from zpfspin.internal_rotation import (
+    DichotomyResult,
     apply_spin_z,
     dichotomy_solve,
     rotation_factor,
@@ -109,6 +111,23 @@ def test_dichotomy_matches_exhaustive_oracle_on_cli_grid(size):
         result = dichotomy_solve(values)
         feasible, sign_opposed = pairwise_oracle(values)
         assert (result.feasible, result.sign_opposed) == (feasible, sign_opposed), values
+
+
+def test_shared_verdicts_cannot_be_changed_by_a_caller():
+    for triple in combinations(CLI_GRID, 3):
+        result = dichotomy_solve(triple)
+        assert type(result) is DichotomyResult
+        with pytest.raises(FrozenInstanceError):
+            result.feasible = True
+    # replace builds a new result: the verdicts later calls return stay
+    canonical = dichotomy_solve([HALF, -HALF])
+    repeated = dichotomy_solve([HALF, HALF])
+    replace(canonical, feasible=False, sign_opposed=False)
+    replace(repeated, feasible=True, sign_opposed=False)
+    again = dichotomy_solve([-HALF, HALF])
+    assert (again.feasible, again.sign_opposed) == (True, True)
+    again = dichotomy_solve([HALF, HALF])
+    assert (again.feasible, again.sign_opposed) == (False, False)
 
 
 # exact inputs of every accepted kind: Fractions of mixed signs and

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zpfspin.phase_algebra import (
@@ -92,6 +92,65 @@ def test_two_pi_collapses_to_identity():
     assert PhaseExpression(Fraction(7, 2)) == PhaseExpression(Fraction(3, 2))
     assert PhaseExpression(1).is_minus_one
     assert PhaseExpression(-1).is_minus_one
+
+
+# pi parts of every kind: even and odd integers of either sign, and fractions
+pi_parts = st.one_of(st.integers(min_value=-7, max_value=7), rationals)
+
+
+@given(pi_parts, st.dictionaries(st.sampled_from(SYMS), rationals, max_size=2))
+@example(Fraction(3, 2), {})
+@example(Fraction(-1, 2), {})
+@example(-3, {})
+@example(-4, {})
+@example(1, {SYMS[0]: Fraction(1, 2)})
+@example(2, {SYMS[0]: 0})
+def test_unit_flags_agree_with_pi_part_mod_2(q, coeffs):
+    # the flags read the integers of the lowest-terms pi part; the
+    # remainder mod 2 is the reference
+    expr = PhaseExpression(q, coeffs)
+    numeric = not any(coeffs.values())
+    assert expr.is_one == (numeric and Fraction(q) % 2 == 0)
+    assert expr.is_minus_one == (numeric and Fraction(q) % 2 == 1)
+
+
+def _cancelling(a):
+    """A substitution of a's first symbol that cancels every other symbol
+    of a, as the exchange solver's pinning does."""
+    syms = sorted(a.coeffs, key=format_symbol)
+    if not syms:
+        return {}
+    first, c0 = syms[0], a.coeffs[syms[0]]
+    return {first: PhaseExpression(1, {s: -a.coeffs[s] / c0 for s in syms[1:]})}
+
+
+@given(phases(), phases(), st.dictionaries(st.sampled_from(SYMS), phases(), max_size=2))
+def test_results_are_stored_as_built_from_scratch(a, b, mapping):
+    results = [
+        a * b,
+        a * a.inverse(),
+        a.inverse(),
+        a.substitute(mapping),
+        a.substitute(_cancelling(a)),
+    ]
+    for r in results:
+        assert type(r.pi_part) is Fraction
+        assert all(type(c) is Fraction and c != 0 for c in r.coeffs.values())
+        rebuilt = PhaseExpression(r.pi_part, dict(r.coeffs))
+        assert r == rebuilt
+        assert hash(r) == hash(rebuilt)
+        assert r.format() == rebuilt.format()
+
+
+def test_int_coefficients_are_stored_as_fractions():
+    expr = PhaseExpression(3, {SYMS[0]: 2, SYMS[1]: 0})
+    assert type(expr.pi_part) is Fraction
+    assert expr.coeffs == {SYMS[0]: Fraction(2)}
+    assert type(expr.coeffs[SYMS[0]]) is Fraction
+    with pytest.raises(TypeError):
+        PhaseExpression(0.5)
+    with pytest.raises(TypeError):
+        PhaseExpression(0, {SYMS[0]: 0.5})
 
 
 # --- substitution -------------------------------------------------------------
