@@ -82,9 +82,10 @@ def check_scales(what: str, **scales) -> None:
     are refused instead of turning into NaN or failed verdicts."""
     for name, value in scales.items():
         value = np.asarray(value, dtype=float)
-        bad = ~(np.isfinite(value) & (np.abs(value) >= np.finfo(float).tiny))
-        if np.any(bad):
+        normal = np.isfinite(value) & (np.abs(value) >= np.finfo(float).tiny)
+        # the method, not np.all: a run checks a dozen scales, most of them 0-d
+        if not normal.all():
             raise ValueError(
-                f"refusing {what}: its {name} is {float(value[bad][0])!r}, "
+                f"refusing {what}: its {name} is {float(value[~normal][0])!r}, "
                 "outside the range of normal floats"
             )

@@ -320,19 +320,8 @@ def apply_exchange_phase(psi: BipartiteState, solution: ExchangePhaseSolution) -
 
 
 def negate(state):
-    """The same state with every coefficient's sign flipped.
-
-    Terms that share one coefficient object share its negation too; an
-    antisymmetrized state has only two coefficient objects among n! terms.
-    """
-    flipped: dict = {}
-    terms = []
-    for c, k in state.terms:
-        neg = flipped.get(id(c))
-        if neg is None:
-            neg = flipped[id(c)] = c.mul_phase(MINUS_ONE)
-        terms.append((neg, k))
-    return replace(state, terms=tuple(terms))
+    """The same state with every coefficient's sign flipped."""
+    return replace(state, terms=tuple((c.mul_phase(MINUS_ONE), k) for c, k in state.terms))
 
 
 # --- antiphase feasibility ----------------------------------------------------

@@ -182,27 +182,21 @@ def mode_keys(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(n, 2, axis=0), np.tile([1, -1], len(n))
 
 
-def _mode_arrays(modes: Modes, L: float, constants: PhysicalConstants):
-    """Polarizations eps (M, 3), wave vectors k (M, 3), frequencies omega (M,)
-    and carrier prefactors sqrt(hbar / (V omega)) (M,) of M modes."""
-    n = modes.n.astype(float)
-    e1, e2, _ = _triads(n)
-    eps = _polarizations(e1, e2, modes.gamma)
-    k, omega, prefactor = _mode_scales(n, L, constants)
-    return eps, k, omega, prefactor
-
-
 def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
     """Wave vectors k (M, 3), frequencies omega (M,) and carrier prefactors
     (M,) of lattice vectors n (M, 3). Raises ValueError when the volume
-    V = L^3, a frequency or a prefactor is not a finite normal float."""
+    V = L^3, a frequency, a prefactor or its radicand hbar / (V omega) is
+    not a finite normal float (a subnormal radicand has lost digits that
+    its square root does not show)."""
     with np.errstate(all="ignore"):
         k = wave_vector(n, L)
         volume = np.float64(L) ** 3
         omega = constants.c * np.sqrt(_row_dots(k, k))[:, 0]
-        prefactor = np.sqrt(constants.hbar / (volume * omega))
+        radicand = constants.hbar / (volume * omega)
+        prefactor = np.sqrt(radicand)
     check_scales(
-        f"modes in a box of edge {L:g}", volume=volume, omega=omega, prefactor=prefactor
+        f"modes in a box of edge {L:g}",
+        volume=volume, omega=omega, prefactor=prefactor, radicand=radicand,
     )
     return k, omega, prefactor
 
@@ -210,12 +204,14 @@ def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
 def check_mode_scales(
     L: float, n_max: int, constants: PhysicalConstants = NATURAL, t: float = 0.0
 ) -> None:
-    """Raise ValueError when the volume, a frequency or a carrier prefactor
-    of a mode with 0 < |n|_inf <= n_max, or the largest phase omega t at
-    time t (floored at 1), is not a finite normal float.
+    """Raise ValueError when the volume, a frequency, a carrier prefactor or
+    its radicand hbar / (V omega) of a mode with 0 < |n|_inf <= n_max, or
+    the largest phase omega t at time t (floored at 1), is not a finite
+    normal float.
 
-    Frequencies grow and prefactors shrink with |n|, so the shortest and the
-    longest lattice vectors stand for every mode in between.
+    Frequencies grow and prefactors and radicands shrink with |n|, so the
+    shortest and the longest lattice vectors stand for every mode in
+    between.
     """
     _, omega, _ = _mode_scales(np.array([[0, 0, 1], [n_max] * 3], dtype=float), L, constants)
     omega_max = float(omega[1])
@@ -319,11 +315,6 @@ def ensemble_cost(n_max: int, count: int, columns: int) -> list:
     ]
 
 
-def _check_in_box(points: np.ndarray, L: float):
-    if np.any(points < 0.0) or np.any(points >= L):
-        raise ValueError("evaluation points must lie in [0, L)^3")
-
-
 def sample_fields(
     real: ZpfRealization, points, t: float, constants: PhysicalConstants = NATURAL
 ):
@@ -339,11 +330,15 @@ def sample_fields(
     points = np.asarray(points, dtype=float)
     if points.shape[-1] != 3:
         raise ValueError("points must have a trailing axis of length 3")
-    _check_in_box(points, real.L)
+    if np.any(points < 0.0) or np.any(points >= real.L):
+        raise ValueError("evaluation points must lie in [0, L)^3")
     flat = points.reshape(-1, 3)
     fields = np.zeros((len(flat), 9))
     if len(real.modes):
-        eps, k, omega, prefactor = _mode_arrays(real.modes, real.L, constants)
+        n = real.modes.n.astype(float)
+        e1, e2, _ = _triads(n)
+        eps = _polarizations(e1, e2, real.modes.gamma)
+        k, omega, prefactor = _mode_scales(n, real.L, constants)
         amplitude = real.modes.amplitude
         w_a = (prefactor * (-1j) * amplitude)[:, np.newaxis] * eps
         w_e = 1j * omega[:, np.newaxis] * w_a
@@ -424,8 +419,15 @@ def mode_observables(
     V = np.float64(L) ** 3
     with np.errstate(all="ignore"):
         density = constants.hbar * omega / V
-    # the integrands are of the size of the energy density hbar omega / V
-    check_scales(f"a quadrature in a box of edge {L:g}", energy_density=density)
+        momentum_density = density / constants.c
+        spin_density = constants.hbar / V
+    # the integrands are of the size of the energy density hbar omega / V,
+    # E x B of the momentum density hbar omega / (c V) and E x A of the spin
+    # density hbar / V
+    check_scales(
+        f"a quadrature in a box of edge {L:g}",
+        energy_density=density, momentum_density=momentum_density, spin_density=spin_density,
+    )
     d, step = _phase_step(n, grid)
     lattice = np.arange(grid // d)[:, np.newaxis] * np.array(step) % grid
     points = lattice * (L / grid)
@@ -460,13 +462,18 @@ def analytic_mode_observables(
     modes: Modes, L: float, constants: PhysicalConstants = NATURAL
 ) -> ModeObservables:
     """Closed-form observables of each of M modes under the module's field
-    convention: H (M,), P (M, 3) and J (M, 3)."""
+    convention: H (M,), P (M, 3) and J (M, 3). Raises ValueError when an
+    energy hbar omega / 2 or a momentum hbar omega / (2c) is not a finite
+    normal float (an infinite |P| times a zero component of khat is NaN)."""
     k = wave_vector(modes.n, L)
     norm = np.sqrt(_row_dots(k, k))
     khat = k / norm
     omega = constants.c * norm[:, 0]
-    H = constants.hbar * omega / 2.0
-    P = (constants.hbar * omega / (2.0 * constants.c))[:, np.newaxis] * khat
+    with np.errstate(all="ignore"):
+        H = constants.hbar * omega / 2.0
+        momentum = constants.hbar * omega / (2.0 * constants.c)
+    check_scales(f"modes in a box of edge {L:g}", energy=H, momentum=momentum)
+    P = momentum[:, np.newaxis] * khat
     J = (modes.gamma * (constants.hbar / 2.0))[:, np.newaxis] * khat
     return ModeObservables(H=H, P=P, J=J)
 

@@ -58,7 +58,6 @@ class MatrixElementTable:
     dataclasses.replace.
     """
 
-    dims: int
     n_cut: int
     mass: float
     states: np.ndarray
@@ -166,7 +165,6 @@ def build_oscillator_table(
     for arr in (states, omega_array, neighbours, x, y):
         arr.setflags(write=False)
     return MatrixElementTable(
-        dims=dims,
         n_cut=n_cut,
         mass=constants.m,
         states=states,

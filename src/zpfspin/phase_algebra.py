@@ -275,16 +275,12 @@ class Coefficient:
         return self.magnitude.is_zero
 
     def mul_phase(self, phase: PhaseExpression) -> "Coefficient":
-        if self.is_zero:
-            return self
         return Coefficient.of(self.magnitude, self.phase * phase)
 
     def ratio(self, other: "Coefficient") -> "Coefficient":
         """self / other; other must be nonzero."""
         if other.is_zero:
             raise ZeroDivisionError("ratio against a zero coefficient")
-        if self.is_zero:
-            return self
         return Coefficient.of(
             self.magnitude / other.magnitude, self.phase * other.phase.inverse()
         )
@@ -302,8 +298,6 @@ class Coefficient:
         raise ValueError("cannot add coefficients with incommensurate phases")
 
     def transform_phase(self, func) -> "Coefficient":
-        if self.is_zero:
-            return self
         return Coefficient.of(self.magnitude, func(self.phase))
 
     def to_dict(self) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from zpfspin import cli, errors, modes, oscillator
+from zpfspin import cli, errors, exchange, modes, oscillator
 from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
 from zpfspin.exchange import antisymmetrize, derive_antisymmetry, negate
 from zpfspin.oscillator import build_oscillator_table
@@ -852,6 +852,15 @@ def test_adjacent_swaps_decide_as_all_pairs(n, mutate):
     assert flips is (mutate is None or (mutate is _swap_two_kets and n == 2))
 
 
+def test_slater_negates_its_coefficients_not_its_expansion(capsys, monkeypatch):
+    # the 720 terms share two coefficients: the sign check negates those
+    monkeypatch.setattr(exchange, "negate", _never_called)
+    monkeypatch.setattr(cli, "negate", _never_called, raising=False)
+    code, body = run(capsys, ["slater", "--labels", "a:1/2,b:-1/2,c:1/2,d:-1/2,e:3/2,f:-3/2"])
+    assert code == 0
+    assert all(check["pass"] for check in body["checks"])
+
+
 SPIN_PAIRS = [("1/2", "1/2"), ("1", "1"), ("1", "1/2")]
 
 
@@ -1445,6 +1454,16 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
         (["field-sample", "--time", "1e308"], cli, "sample_realization"),
         # the ramp's last level scale 2 mu0 b_max overflows
         (["zeeman", "--b-max", "1e308", "--csv", CSV_IN_TMP], cli, "build_oscillator_table"),
+        # the quadrature's E x B is of the size hbar omega / (c V)
+        (
+            ["mode-observables", "--box=1e-100", "--c=1e-100", "--n=2,-1,1", "--gamma=-1", "--grid=8"],
+            modes,
+            "sample_fields",
+        ),
+        (["mode-observables", "--box=1e100", "--c=1e100"], modes, "sample_fields"),
+        # the carrier radicand hbar / (V omega) is subnormal
+        (["mode-observables", "--hbar=1e-160", "--c=1e160", "--grid=8"], modes, "sample_fields"),
+        (["field-sample", "--hbar=1e-160", "--c=1e160", "--points", "4"], cli, "sample_realization"),
     ],
 )
 def test_out_of_range_scales_exit_two_before_any_work(
@@ -1458,6 +1477,25 @@ def test_out_of_range_scales_exit_two_before_any_work(
     assert captured.out == ""
     assert "outside the range of normal floats" in captured.err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an energy hbar omega / 2 or a momentum hbar omega / (2c) overflows
+        ["totals", "--c", "1e300", "--hbar", "1e10"],
+        ["totals", "--hbar", "1e300", "--c", "1e200", "--n-max", "2"],
+        # or underflows
+        ["totals", "--n-max", "1", "--hbar", "1e-300", "--c", "1e-300"],
+        ["totals", "--n-max", "1", "--hbar", "1e-150", "--c", "1e-250"],
+    ],
+)
+def test_totals_refuses_mode_energies_outside_the_floats(capsys, argv):
+    # the energies are derived from the drawn modes, so the refusal follows the draw
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside the range of normal floats" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -1489,6 +1527,8 @@ def test_scales_just_inside_the_range_run(capsys, argv):
         # and squares c B, not c, so that c^2 may leave the float range
         ["mode-observables", "--c", "1e160"],
         ["mode-observables", "--c", "1e-160"],
+        # and takes |P| and |J| without their squares underflowing
+        ["mode-observables", "--hbar", "1e-200"],
     ],
 )
 def test_tolerances_follow_the_scale_of_what_they_bound(capsys, argv):
