@@ -121,7 +121,12 @@ def _name_value(text: str) -> tuple:
 
 # inf and nan would turn the checks into NaN verdicts instead of a usage error
 _finite_float = _checked("a finite number", float, math.isfinite)
-_positive = _checked("a positive finite number", float, lambda value: 0 < value < math.inf)
+# a subnormal constant has lost digits, and hbar/2 or a quotient by it leaves the floats
+_positive = _checked(
+    f"a positive finite number of at least {sys.float_info.min!r}",
+    float,
+    lambda value: sys.float_info.min <= value < math.inf,
+)
 # one type for --tol and tol.<name> keys: a negative tolerance would fail
 # every check it bounds, turning bad input into exit 1
 _tolerance_value = _checked("a finite number of at least 0", float, lambda value: 0 <= value < math.inf)

@@ -67,7 +67,6 @@ __all__ = [
     "derive_antisymmetry",
 ]
 
-_UNIT = Surd(Fraction(1))
 ORDERINGS = ("phi2_greater", "phi1_greater", "tie")
 
 
@@ -155,23 +154,22 @@ def make_bipartite(orbital_a, spin_a, orbital_b, spin_b) -> BipartiteState:
 
 
 def _proportionality(new_terms, ref_terms):
-    """The unit phase f with new = f * ref, or None if no single f exists."""
+    """The unit phase f with new = f * ref, or None if no single f exists; magnitudes
+    are canonical surds, so each pair must be equal, and nothing is divided."""
     if len(new_terms) != len(ref_terms):
         return None
     by_ket = {ket: coeff for coeff, ket in ref_terms}
-    ratio = None
+    factor = None
     for coeff, ket in new_terms:
         base = by_ket.get(ket)
-        if base is None:
+        if base is None or coeff.magnitude != base.magnitude:
             return None
-        r = coeff.ratio(base)
-        if r.magnitude != _UNIT:
+        f = coeff.phase * base.phase.inverse()
+        if factor is None:
+            factor = f
+        elif factor != f:
             return None
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return None if ratio is None else ratio.phase
+    return factor
 
 
 @dataclass(frozen=True)
@@ -207,11 +205,9 @@ def _phi_substitution(branch: str) -> dict:
 
 
 def _swap_zeta_particles(expr: PhaseExpression) -> PhaseExpression:
-    mapping = {}
-    for sym in expr.coeffs:
-        if isinstance(sym, tuple) and sym and sym[0] == "zeta":
-            mapping[sym] = PhaseExpression.from_symbol(("zeta", {1: 2, 2: 1}[sym[1]], sym[2]))
-    return expr.substitute(mapping)
+    # swapping the particle tags 1 and 2 maps distinct symbols to distinct symbols
+    swapped = {("zeta", 3 - s[1], s[2]) if s[0] == "zeta" else s: c for s, c in expr.coeffs.items()}
+    return PhaseExpression(expr.pi_part, swapped)
 
 
 def _exchange_branch(psi: BipartiteState, branch: str) -> BipartiteState:

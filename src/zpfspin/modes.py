@@ -185,18 +185,20 @@ def mode_keys(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
     """Wave vectors k (M, 3), frequencies omega (M,) and carrier prefactors
     (M,) of lattice vectors n (M, 3). Raises ValueError when the volume
-    V = L^3, a frequency, a prefactor or its radicand hbar / (V omega) is
-    not a finite normal float (a subnormal radicand has lost digits that
-    its square root does not show)."""
+    V = L^3, a frequency, a prefactor, its radicand hbar / (V omega) or the
+    denominator V omega is not a finite normal float (a subnormal radicand
+    or denominator has lost digits that the square root does not show)."""
     with np.errstate(all="ignore"):
         k = wave_vector(n, L)
         volume = np.float64(L) ** 3
         omega = constants.c * np.sqrt(_row_dots(k, k))[:, 0]
-        radicand = constants.hbar / (volume * omega)
+        volume_omega = volume * omega
+        radicand = constants.hbar / volume_omega
         prefactor = np.sqrt(radicand)
     check_scales(
         f"modes in a box of edge {L:g}",
         volume=volume, omega=omega, prefactor=prefactor, radicand=radicand,
+        volume_omega=volume_omega,
     )
     return k, omega, prefactor
 
@@ -204,14 +206,14 @@ def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
 def check_mode_scales(
     L: float, n_max: int, constants: PhysicalConstants = NATURAL, t: float = 0.0
 ) -> None:
-    """Raise ValueError when the volume, a frequency, a carrier prefactor or
-    its radicand hbar / (V omega) of a mode with 0 < |n|_inf <= n_max, or
-    the largest phase omega t at time t (floored at 1), is not a finite
-    normal float.
+    """Raise ValueError when the volume, a frequency, a carrier prefactor,
+    its radicand hbar / (V omega) or the denominator V omega of a mode with
+    0 < |n|_inf <= n_max, or the largest phase omega t at time t (floored at
+    1), is not a finite normal float.
 
-    Frequencies grow and prefactors and radicands shrink with |n|, so the
-    shortest and the longest lattice vectors stand for every mode in
-    between.
+    Frequencies and V omega grow and prefactors and radicands shrink with
+    |n|, so the shortest and the longest lattice vectors stand for every
+    mode in between.
     """
     _, omega, _ = _mode_scales(np.array([[0, 0, 1], [n_max] * 3], dtype=float), L, constants)
     omega_max = float(omega[1])
@@ -487,7 +489,9 @@ def realization_totals(
     adjacently (n with -n, gamma with -gamma), so totals over sets closed
     under those reflections vanish exactly in floating point, not just to
     rounding: by canon = max(n, -n), then n == canon first, then gamma = +1
-    first, one after another from zero.
+    first, one after another from zero. Raises ValueError when the total
+    energy of a nonempty set is not a finite normal float: each mode's
+    energy is checked, but their sum can overflow.
     """
     modes = real.modes
     obs = analytic_mode_observables(modes, real.L, constants)
@@ -495,5 +499,8 @@ def realization_totals(
     canon = modes.n * np.sign(first)[:, np.newaxis]
     order = np.lexsort((-modes.gamma, first < 0, canon[:, 2], canon[:, 1], canon[:, 0]))
     rows = np.concatenate([obs.H[:, np.newaxis], obs.P, obs.J], axis=1)[order]
-    total = np.add.accumulate(np.concatenate([np.zeros((1, 7)), rows]))[-1]
+    with np.errstate(over="ignore"):
+        total = np.add.accumulate(np.concatenate([np.zeros((1, 7)), rows]))[-1]
+    if len(modes):
+        check_scales(f"{len(modes)} modes in a box of edge {real.L:g}", total_energy=total[0])
     return ModeObservables(H=float(total[0]), P=total[1:4], J=total[4:7])

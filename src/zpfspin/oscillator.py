@@ -107,15 +107,17 @@ def table_cost(dims: int, n_cut: int) -> list:
 
 def _length_scale(omega0: float, constants: PhysicalConstants) -> float:
     """l0 = sqrt(hbar / (2 m omega0)). Raises ValueError when l0, the
-    strength l0^2 / 2 of the matrix-element prefactor l0 / sqrt2, or the
-    weight omega0 l0^2 / 2 that sets the size of every spectral-sum term is
-    not a finite normal float."""
+    strength l0^2 / 2 of the matrix-element prefactor l0 / sqrt2, the
+    weight omega0 l0^2 / 2 that sets the size of every spectral-sum term,
+    or the denominator 2 m omega0 is not a finite normal float."""
     with np.errstate(all="ignore"):
-        l0 = np.sqrt(np.float64(constants.hbar) / (2.0 * constants.m * omega0))
+        two_m_omega0 = 2.0 * constants.m * omega0
+        l0 = np.sqrt(np.float64(constants.hbar) / two_m_omega0)
         strength = (l0 / math.sqrt(2.0)) ** 2
         weight = omega0 * strength
     check_scales(
-        f"an oscillator of frequency {omega0:g}", l0=l0, strength=strength, weight=weight
+        f"an oscillator of frequency {omega0:g}",
+        l0=l0, strength=strength, weight=weight, two_m_omega0=two_m_omega0,
     )
     return float(l0)
 

@@ -222,14 +222,6 @@ class Surd:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def __truediv__(self, other: "Surd") -> "Surd":
-        if other.is_zero:
-            raise ZeroDivisionError("surd division by zero")
-        return Surd(
-            self.coeff / (other.coeff * other.radicand),
-            self.radicand * other.radicand,
-        )
-
     def __add__(self, other: "Surd") -> "Surd":
         if self.is_zero:
             return other
@@ -276,14 +268,6 @@ class Coefficient:
 
     def mul_phase(self, phase: PhaseExpression) -> "Coefficient":
         return Coefficient.of(self.magnitude, self.phase * phase)
-
-    def ratio(self, other: "Coefficient") -> "Coefficient":
-        """self / other; other must be nonzero."""
-        if other.is_zero:
-            raise ZeroDivisionError("ratio against a zero coefficient")
-        return Coefficient.of(
-            self.magnitude / other.magnitude, self.phase * other.phase.inverse()
-        )
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
         if self.is_zero:

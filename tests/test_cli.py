@@ -315,7 +315,10 @@ def test_zeeman_at_zero_field_compares_exactly(capsys):
 
 def test_zeeman_subnormal_gap_exits_two_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_oscillator_table", _never_called)
-    for argv, gap in [(["--mu0", "1e-310"], "2e-310"), (["--field", "1e308", "--mu0", "10"], "inf")]:
+    for argv, gap in [
+        (["--mu0", "1e-300", "--field", "1e-10"], "2e-310"),
+        (["--field", "1e308", "--mu0", "10"], "inf"),
+    ]:
         assert main(["zeeman", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -960,13 +963,31 @@ def test_constants_take_effect_without_a_switch(capsys):
 
 @pytest.mark.parametrize("flag", ["--box", "--hbar", "--c", "--m", "--mu0", "--omega0"])
 def test_underflowing_flag_exits_two(capsys, flag):
-    # 1e-400 parses to 0.0, which each of these flags' types refuses; each
-    # flag goes to a command that reads it
+    # 1e-400 parses to 0.0 and 5e-324 to a subnormal, which each of these
+    # flags' types refuses; each flag goes to a command that reads it
     command = {"--box": "totals", "--c": "totals", "--mu0": "zeeman"}.get(flag, "sum-rule")
-    assert main([command, f"{flag}=1e-400"]) == 2
+    for value in ("1e-400", "5e-324"):
+        assert main([command, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # hbar / 2 rounds to 0, and phase_independence divides by |J|
+        ["mode-observables", "--n=0,4,5", "--gamma=-1", "--box=1e-20", "--hbar=5e-324"],
+        ["angular-momentum", "--dims=3", "--n-cut=2", "--omega0=5e-324", "--hbar=0.5", "--m=1e150"],
+        ["field-sample", "--points=16", "--box=3", "--hbar=5e-324", "--c=2.2e-308"],
+    ],
+)
+def test_subnormal_constants_exit_two_at_parse(capsys, argv):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "positive" in captured.err
+    assert "error: argument" in captured.err
+    assert "of at least 2.2250738585072014e-308, got '5e-324'" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -1442,7 +1463,11 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
         (["field-sample", "--box", "1e-300", "--points", "4"], cli, "sample_realization"),
         (["totals", "--box", "1e300"], cli, "sample_realization"),
         (["sum-rule", "--n-cut", "2", "--hbar", "1e300", "--m", "1e-300"], oscillator, "_state_labels"),
-        (["angular-momentum", "--n-cut", "3", "--omega0", "1e-320"], oscillator, "_state_labels"),
+        (
+            ["angular-momentum", "--n-cut", "3", "--omega0", "1e-300", "--m", "1e-20"],
+            oscillator,
+            "_state_labels",
+        ),
         # the quadrature squares the fields, so hbar omega / V must fit as well
         (["mode-observables", "--box", "1e100"], modes, "sample_fields"),
         (["mode-observables", "--box", "1e-100"], modes, "sample_fields"),
@@ -1464,6 +1489,19 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
         # the carrier radicand hbar / (V omega) is subnormal
         (["mode-observables", "--hbar=1e-160", "--c=1e160", "--grid=8"], modes, "sample_fields"),
         (["field-sample", "--hbar=1e-160", "--c=1e160", "--points", "4"], cli, "sample_realization"),
+        # the denominator V omega of the carrier radicand is subnormal
+        (["mode-observables", "--box=1e-50", "--c=1e-216", "--hbar=1e-9", "--grid=8"], modes, "sample_fields"),
+        # the denominator 2 m omega0 of l0^2 is subnormal
+        (
+            ["sum-rule", "--dims=3", "--n-cut=2", "--omega0=1e-300", "--hbar=1e-20", "--m=1e-20"],
+            oscillator,
+            "_state_labels",
+        ),
+        (
+            ["angular-momentum", "--dims=3", "--n-cut=1", "--omega0=1e-300", "--hbar=1e-20", "--m=1e-20"],
+            oscillator,
+            "_state_labels",
+        ),
     ],
 )
 def test_out_of_range_scales_exit_two_before_any_work(
@@ -1488,6 +1526,8 @@ def test_out_of_range_scales_exit_two_before_any_work(
         # or underflows
         ["totals", "--n-max", "1", "--hbar", "1e-300", "--c", "1e-300"],
         ["totals", "--n-max", "1", "--hbar", "1e-150", "--c", "1e-250"],
+        # each energy is normal, their sum over the modes overflows
+        ["totals", "--box=1e-3", "--n-max=2", "--hbar=1e300", "--c=1e3"],
     ],
 )
 def test_totals_refuses_mode_energies_outside_the_floats(capsys, argv):
@@ -1496,6 +1536,8 @@ def test_totals_refuses_mode_energies_outside_the_floats(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "outside the range of normal floats" in captured.err
+    # no numpy warning joins the error line
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,15 @@ from zpfspin import (
     state_hash,
     state_to_dict,
 )
-from zpfspin.phase_algebra import MINUS_ONE, ONE, Coefficient, PhaseExpression, Surd, phi_symbol
+from zpfspin.phase_algebra import (
+    MINUS_ONE,
+    ONE,
+    Coefficient,
+    PhaseExpression,
+    Surd,
+    phi_symbol,
+    zeta_symbol,
+)
 
 H = Fraction(1, 2)
 
@@ -144,6 +152,45 @@ def test_mixed_spins_break_branch_agreement():
 def test_unknown_ordering_rejected():
     with pytest.raises(ValueError):
         exchange_particles(fermion(), "sideways")
+
+
+# --- proportionality ----------------------------------------------------------
+
+_spins = st.sampled_from([Fraction(k, 2) for k in range(-3, 4)])
+_exchanged_states = st.one_of(
+    st.builds(make_bipartite, st.just("alpha"), _spins, st.just("beta"), _spins),
+    st.lists(st.tuples(st.sampled_from("abcd"), _spins), min_size=2, max_size=4, unique=True).map(
+        antisymmetrize
+    ),
+)
+_exponents = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+_unit_phases = st.builds(
+    PhaseExpression,
+    _exponents,
+    st.dictionaries(st.sampled_from([phi_symbol(1), zeta_symbol(1, "a", "b")[0]]), _exponents),
+)
+
+
+@given(_exchanged_states, _unit_phases, st.data())
+def test_proportionality_is_one_unit_phase_per_term(state, f, data):
+    ref = state.terms
+    new = data.draw(st.permutations([(c.mul_phase(f), k) for c, k in ref]))
+    assert exchange._proportionality(new, ref) == f
+    i = data.draw(st.integers(min_value=0, max_value=len(new) - 1))
+    coeff, ket = new[i]
+
+    def replaced(term):
+        return new[:i] + [term] + new[i + 1 :]
+
+    # every magnitude here is 1/sqrt(n!) with n >= 2, so a magnitude of 1
+    # differs from it with the same phase f
+    for changed in (
+        replaced((Coefficient(Surd(1), coeff.phase), ket)),
+        replaced((coeff.mul_phase(MINUS_ONE), ket)),
+        replaced((coeff, (("gamma", H),) * len(ket))),
+        new[:i] + new[i + 1 :],
+    ):
+        assert exchange._proportionality(changed, ref) is None
 
 
 # --- solving for the exchange phase -------------------------------------------

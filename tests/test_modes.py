@@ -396,6 +396,8 @@ def test_quadrature_holds_one_point_per_phase(monkeypatch):
         (1e100, NATURAL),
         (1e-100, NATURAL),
         (1.0, PhysicalConstants(hbar=1e300, c=1e10)),
+        # V omega is subnormal, the radicand hbar / (V omega) is not
+        (1e-50, PhysicalConstants(hbar=1e-9, c=1e-216)),
     ],
 )
 def test_out_of_range_scales_refused(box, consts):

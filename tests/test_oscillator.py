@@ -274,6 +274,7 @@ def test_table_size_cap(dims, largest):
         (1e-320, 1.0, 1.0),  # l0 overflows through a subnormal frequency
         (1.0, 1e-300, 1e20),  # the squared prefactor is subnormal
         (1e20, 1e300, 1e-10),  # omega0 l0^2 overflows
+        (1e-300, 1e-20, 1e-20),  # 2 m omega0 is subnormal, l0 is not
     ],
 )
 def test_out_of_range_length_scale_refused(omega0, hbar, m):

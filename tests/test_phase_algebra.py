@@ -248,12 +248,9 @@ def test_surd_arithmetic():
     a = Surd(Fraction(3), 2)
     b = Surd(Fraction(1, 2), 2)
     assert val(a + b) == pytest.approx(3.5 * math.sqrt(2))
-    assert val(a / b) == pytest.approx(6.0)
     assert val(-a) == pytest.approx(-3 * math.sqrt(2))
     with pytest.raises(ValueError):
         a + Surd(Fraction(1), 3)
-    with pytest.raises(ZeroDivisionError):
-        a / Surd(Fraction(0))
 
 
 def test_surd_zero_absorbs():
@@ -273,19 +270,11 @@ def test_coefficient_folds_sign_into_phase():
     assert val(neg) == pytest.approx(-math.sqrt(2))
 
 
-def test_coefficient_products_and_ratios():
+def test_coefficient_products():
     half = Coefficient.of(Surd.inv_sqrt(2))
     phase = PhaseExpression.from_symbol(phi_symbol(1))
     a = half.mul_phase(phase)
-    b = half.mul_phase(phase.inverse())
     assert val(a) == pytest.approx(val(half) * val(phase))
-    ratio = a.ratio(b)
-    assert ratio.magnitude.coeff == 1
-    assert ratio.phase == phase * phase
-    zero = Coefficient.of(Surd(Fraction(0)))
-    assert zero.ratio(a).is_zero
-    with pytest.raises(ZeroDivisionError):
-        a.ratio(zero)
 
 
 def test_coefficient_addition_cancels_opposite_phases():
