@@ -183,7 +183,7 @@ def exchange_states(psi: BipartiteState) -> StateSwapResult:
 
     Rebuilds the state from the swapped construction and verifies it is
     proportional to the input; the factor is the inverse of the input's
-    relative phase, reported from the term-by-term ratio rather than
+    relative phase, read off the terms by _proportionality rather than
     assumed.
     """
     oa, sa = psi.first
@@ -196,12 +196,11 @@ def exchange_states(psi: BipartiteState) -> StateSwapResult:
 
 
 def _phi_substitution(branch: str) -> dict:
-    # strict rotation of both particles in the same sense; the particle
-    # crossing the cut accumulates a full turn
-    p1, p2 = phi_symbol(1), phi_symbol(2)
-    if branch == "phi2_greater":
-        return {p1: PhaseExpression.from_symbol(p2), p2: PhaseExpression(2, {p1: Fraction(1)})}
-    return {p2: PhaseExpression.from_symbol(p1), p1: PhaseExpression(2, {p2: Fraction(1)})}
+    # strict rotation of both particles in the same sense: the lower angle
+    # takes the upper's place, and the upper, crossing the cut, accumulates a
+    # full turn on top of the lower's
+    low, high = map(phi_symbol, (1, 2) if branch == "phi2_greater" else (2, 1))
+    return {low: PhaseExpression.from_symbol(high), high: PhaseExpression(2, {low: Fraction(1)})}
 
 
 def _swap_zeta_particles(expr: PhaseExpression) -> PhaseExpression:
@@ -511,36 +510,26 @@ def derive_antisymmetry(
         "ordering": ordering,
     }
     psi = make_bipartite("alpha", spin_a, "beta", spin_b)
-    h_psi = state_hash(psi)
-    trace = [TraceStep("construct", _digest(params), h_psi, psi.relative_phase.format())]
-
     flipped = exchange_states(psi)
-    h_flipped = state_hash(flipped.state)
-    trace.append(TraceStep("exchange_states", h_psi, h_flipped, flipped.factor.format()))
-
     # solving exchanges the particles once, and refuses an exchange with no factor
     solution = solve_exchange_phase(psi, ordering)
     swapped = solution.exchange
-    h_swapped = state_hash(swapped.state)
-    trace.append(TraceStep("exchange_particles", h_psi, h_swapped, swapped.factor.format()))
-
     resolved = apply_exchange_phase(psi, solution)
-    trace.append(
-        TraceStep(
-            "solve_exchange_phase", h_swapped, state_hash(resolved), solution.value.format()
-        )
-    )
-
     resolved_swapped = apply_exchange_phase(flipped.state, solution)
     swap_factor = _proportionality(resolved_swapped.terms, resolved.terms)
     if swap_factor is None:
         raise ContradictionError("resolved states are not proportional")
-    trace.append(
-        TraceStep(
-            "apply_exchange_phase", h_flipped, state_hash(resolved_swapped), swap_factor.format()
-        )
-    )
 
+    h_psi, h_flipped, h_swapped, h_resolved, h_resolved_swapped = map(
+        state_hash, (psi, flipped.state, swapped.state, resolved, resolved_swapped)
+    )
+    trace = (
+        TraceStep("construct", _digest(params), h_psi, psi.relative_phase.format()),
+        TraceStep("exchange_states", h_psi, h_flipped, flipped.factor.format()),
+        TraceStep("exchange_particles", h_psi, h_swapped, swapped.factor.format()),
+        TraceStep("solve_exchange_phase", h_swapped, h_resolved, solution.value.format()),
+        TraceStep("apply_exchange_phase", h_flipped, h_resolved_swapped, swap_factor.format()),
+    )
     pair = antisymmetrize([psi.first, psi.second])
     return DerivationReport(
         initial=psi,
@@ -549,5 +538,5 @@ def derive_antisymmetry(
         resolved_swapped=resolved_swapped,
         swap_factor=swap_factor,
         matches_antisymmetrizer=solution.value.is_minus_one and pair.terms == resolved.terms,
-        trace=tuple(trace),
+        trace=trace,
     )

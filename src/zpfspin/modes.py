@@ -223,13 +223,6 @@ def check_mode_scales(
     )
 
 
-def _draw_phases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    # zeta block first, then phi block; the ensemble sampler relies on this order
-    zetas = rng.uniform(0.0, 2.0 * np.pi, count)
-    phis = rng.uniform(0.0, 2.0 * np.pi, count)
-    return zetas, phis
-
-
 def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     """Draw one realization: i.i.d. uniform zeta and phi for every mode.
 
@@ -246,7 +239,9 @@ def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     refuse(modes_cost(n_max))
     n, gamma = mode_keys(n_max)
     rng = np.random.default_rng(seed)
-    zetas, phis = _draw_phases(rng, len(gamma))
+    # zeta block first, then phi block; the ensemble sampler relies on this order
+    zetas = rng.uniform(0.0, 2.0 * np.pi, len(gamma))
+    phis = rng.uniform(0.0, 2.0 * np.pi, len(gamma))
     return ZpfRealization(L=float(L), modes=Modes(n, gamma, zetas, phis))
 
 
@@ -419,19 +414,26 @@ def mode_observables(
         raise ResolutionError(f"grid {grid} is below the resolution floor {floor} for n={n}")
     _, omega, _ = _mode_scales(mode.n.astype(float), L, constants)
     V = np.float64(L) ** 3
+    d, step = _phase_step(n, grid)
+    phases = grid // d
     with np.errstate(all="ignore"):
         density = constants.hbar * omega / V
         momentum_density = density / constants.c
         spin_density = constants.hbar / V
+        # each mean first sums its grid / d integrands, each about half its
+        # density (halved first: density * phases would overflow too early)
+        energy_sum = density / 2 * phases
+        momentum_sum = momentum_density / 2 * phases
+        spin_sum = spin_density / 2 * phases
     # the integrands are of the size of the energy density hbar omega / V,
     # E x B of the momentum density hbar omega / (c V) and E x A of the spin
     # density hbar / V
     check_scales(
         f"a quadrature in a box of edge {L:g}",
         energy_density=density, momentum_density=momentum_density, spin_density=spin_density,
+        energy_sum=energy_sum, momentum_sum=momentum_sum, spin_sum=spin_sum,
     )
-    d, step = _phase_step(n, grid)
-    lattice = np.arange(grid // d)[:, np.newaxis] * np.array(step) % grid
+    lattice = np.arange(phases)[:, np.newaxis] * np.array(step) % grid
     points = lattice * (L / grid)
     A, E, B = sample_fields(ZpfRealization(L, mode), points, t, constants)
     # (c B)^2, not c^2 |B|^2: c^2 leaves the float range long before c B does

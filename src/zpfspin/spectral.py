@@ -38,10 +38,12 @@ _HALF = Fraction(1, 2)
 _REVERSE = [1, 0, 3, 2]
 
 
-def _gaps(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, w) with w[k, slot] = w_b - w_a for each state a = rows[k] and
-    its neighbour b in that slot, and 0 where the slot holds no neighbour,
-    once the cutoff is known to hold every state coupled to each of them.
+def _gaps(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(rows, w, back) with w[k, slot] = w_b - w_a for each state a = rows[k]
+    and its neighbour b in that slot, and 0 where the slot holds no
+    neighbour, once the cutoff is known to hold every state coupled to each
+    of them; back indexes element ab for each element ba of `rows`, the slot
+    of each neighbour b that leads back to a.
 
     Each term of a sum is weighted by its own w_ba, never by a difference
     of row sums, which cancels badly.
@@ -56,13 +58,7 @@ def _gaps(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray]:
         )
     neighbours = table.neighbours[rows]
     w = table.omega_array[neighbours] - table.omega_array[rows, None]
-    return rows, np.where(neighbours >= 0, w, 0.0)
-
-
-def _back(table: MatrixElementTable, rows) -> tuple:
-    """The index of element ab for each element ba of `rows`: the slot of
-    each neighbour b that leads back to a."""
-    return table.neighbours[rows], _REVERSE
+    return rows, np.where(neighbours >= 0, w, 0.0), (neighbours, _REVERSE)
 
 
 def trk_sum_rule(table: MatrixElementTable, rows) -> np.ndarray:
@@ -72,8 +68,8 @@ def trk_sum_rule(table: MatrixElementTable, rows) -> np.ndarray:
     Equals hbar for every state whose coupled shells sit inside the cutoff,
     independent of which circular component ordering is used.
     """
-    rows, w = _gaps(table, rows)
-    xplus, xminus = table.circular(_back(table, rows))
+    _, w, back = _gaps(table, rows)
+    xplus, xminus = table.circular(back)
     return table.mass * np.sum(w * (np.abs(xplus) ** 2 + np.abs(xminus) ** 2), axis=1)
 
 
@@ -87,8 +83,7 @@ def lz_expectation(table: MatrixElementTable, rows) -> np.ndarray:
     coupling, so that is m sum_b w_ba (Y_ab x_ba - x_ab Y_ba). Equals m_l hbar
     on this basis.
     """
-    rows, w = _gaps(table, rows)
-    back = _back(table, rows)
+    rows, w, back = _gaps(table, rows)
     terms = table.y[back] * table.x[rows] - table.x[back] * table.y[rows]
     return table.mass * np.sum(w * terms, axis=1)
 
@@ -101,7 +96,7 @@ def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.n
     M_minus = -m sum_b w_ba |x-_ba|^2; their sum is the polarized route to
     L_z and their difference is hbar by the oscillator-strength sum.
     """
-    rows, w = _gaps(table, rows)
+    rows, w, _ = _gaps(table, rows)
     xplus, xminus = table.circular(rows)
     m_plus = table.mass * np.sum(w * np.abs(xplus) ** 2, axis=1)
     m_minus = -table.mass * np.sum(w * np.abs(xminus) ** 2, axis=1)

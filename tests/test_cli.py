@@ -451,7 +451,7 @@ OTHER_VALUES = {
     ("antiphase", "n"): ("4", "5"),
     "gamma": ("-1", "1"),
     "points": ("5", "6"),
-    ("sz", "points"): ("32", "64"),
+    ("sz", "points"): ("512", "2048"),
     "time": ("0.5", "1.5"),
     "dims": ("3", "2"),
     "n_cut": ("3", "4"),
@@ -1066,8 +1066,8 @@ def test_oversized_sz_grid_exits_two_before_allocating(capsys):
     assert "1.3 GiB" in captured.err
     assert peak < 1 << 20
     # below the stencil's floor the flag itself is refused
-    assert main(["sz", "--points", "15"]) == 2
-    assert "an integer of at least 16" in capsys.readouterr().err
+    assert main(["sz", "--points", "255"]) == 2
+    assert "an integer of at least 256" in capsys.readouterr().err
 
 
 # SHA-256 of each phases report with wall_time_s popped, keyed by
@@ -1502,6 +1502,16 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
             oscillator,
             "_state_labels",
         ),
+        # every density is normal, a quadrature mean's sum over the grid overflows
+        (["mode-observables", "--n", "1,0,0", "--grid", "64", "--hbar", "1e306"], modes, "sample_fields"),
+        (
+            [
+                "mode-observables", "--n=9,0,-2", "--grid=40", "--box=2.0721280731427327e-44",
+                "--hbar=3.7914882472790263e+130", "--c=0.015417942960903782",
+            ],
+            modes,
+            "sample_fields",
+        ),
     ],
 )
 def test_out_of_range_scales_exit_two_before_any_work(
@@ -1548,6 +1558,8 @@ def test_totals_refuses_mode_energies_outside_the_floats(capsys, argv):
         ["field-sample", "--time", "0"],
         # no ramp is built without --csv, so its scale is not checked
         ["zeeman", "--b-max", "1e308"],
+        # the energy sum over the 64 lattice phases stays finite
+        ["mode-observables", "--n", "1,0,0", "--grid", "64", "--hbar", "8.9e305"],
     ],
 )
 def test_scales_just_inside_the_range_run(capsys, argv):
@@ -1561,6 +1573,9 @@ def test_scales_just_inside_the_range_run(capsys, argv):
         # sz and angular-momentum judge their errors in units of hbar
         ["sz", "--hbar", "1e308"],
         ["sz", "--hbar", "1e3"],
+        # at its point floor the stencil's error, 6.0e-9 hbar, is inside sz_agreement
+        ["sz", "--points", "256"],
+        ["sz", "--points", "256", "--winding=-1/2"],
         ["angular-momentum", "--hbar", "1e3"],
         ["angular-momentum", "--dims", "3", "--n-cut", "20", "--hbar", "1e4"],
         # mode-observables judges the phase swap relative to |H|, |P| and |J|
@@ -1585,6 +1600,24 @@ def test_sz_at_a_tiny_hbar_still_fails_a_wrong_eigenvalue(capsys, monkeypatch):
     code, body = run(capsys, ["sz", "--hbar", "1e-30"])
     assert code == 1
     assert [c["name"] for c in body["checks"] if not c["pass"]] == ["numeric_matches_symbolic"]
+
+
+def test_mode_observables_phase_independence_fails_on_a_nan(capsys, monkeypatch):
+    # a NaN that is not the first of the three relative differences
+    observables = cli.mode_observables
+    calls = []
+
+    def second_p_nan(*args, **kwargs):
+        obs = observables(*args, **kwargs)
+        calls.append(obs)
+        if len(calls) == 2:
+            obs.P[1] = math.nan
+        return obs
+
+    monkeypatch.setattr(cli, "mode_observables", second_p_nan)
+    code, body = run(capsys, ["mode-observables"])
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == ["phase_independence"]
 
 
 def test_mode_observables_keeps_the_magnetic_energy_at_a_tiny_c(capsys):

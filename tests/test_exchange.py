@@ -302,6 +302,16 @@ def test_derivation_hashes_each_state_once(monkeypatch, ordering):
     assert rep.trace == derive_antisymmetry(ordering=ordering).trace
 
 
+def test_contradicting_derivation_hashes_no_state(monkeypatch):
+    # the trace is written from the finished derivation, so a contradiction
+    # raises before any state is hashed
+    hashed = []
+    monkeypatch.setattr(exchange, "state_hash", hashed.append)
+    with pytest.raises(ContradictionError):
+        derive_antisymmetry(spin_a=1, spin_b=Fraction(1, 2))
+    assert hashed == []
+
+
 @pytest.mark.parametrize("ordering", ["phi2_greater", "phi1_greater", "tie"])
 def test_derivation_exchanges_the_particles_once(monkeypatch, ordering):
     # one particle exchange evaluates both angle-ordering branches
