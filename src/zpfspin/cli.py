@@ -299,9 +299,15 @@ def _resolve(args, experiment: Experiment):
     return args
 
 
-def _tol(cfg, name: str) -> float:
-    """The override of tolerance `name`, else the default its command declares."""
-    return cfg.tolerances.get(name, _EXPERIMENTS[cfg.command].tolerances[name])
+def _tol(cfg, name: str, scale=1.0) -> float:
+    """The bound of a check: the override of tolerance `name`, else the
+    default its command declares, times `scale`, the size of what it bounds.
+    An infinite bound would pass any error, so it is refused."""
+    value = cfg.tolerances.get(name, _EXPERIMENTS[cfg.command].tolerances[name])
+    bound = value * float(scale)
+    if not math.isfinite(bound):
+        raise ConfigError(f"tolerance {name}={value:g} times its scale {float(scale):g} is {bound!r}")
+    return bound
 
 
 def _json_default(value):
@@ -315,9 +321,14 @@ def _json_default(value):
 
 
 def _close(name, expected, actual, tolerance) -> dict:
-    tolerance = float(tolerance)
     ok = abs(float(actual) - float(expected)) <= tolerance
     return {"name": name, "expected": expected, "actual": actual, "tolerance": tolerance, "pass": ok}
+
+
+def _worst(errors) -> float:
+    """Largest of the errors, NaN if any of them is NaN (the builtin max
+    drops a NaN that is not its first argument)."""
+    return float(np.max(errors, initial=0.0))
 
 
 def _exact(name, expected, actual) -> dict:
@@ -348,7 +359,6 @@ def _run_mode_observables(cfg):
     observed = [mode_observables(mode, cfg.L, cfg.grid, consts) for mode in pair]
     analytic = analytic_mode_observables(pair[0], cfg.L, consts)
     ref_H, ref_P, ref_J = analytic.H[0], analytic.P[0], analytic.J[0]
-    rel = _tol(cfg, "observables")
     first = observed[0]
     p_err = float(np.max(np.abs(first.P - ref_P)))
     j_err = float(np.max(np.abs(first.J - ref_J)))
@@ -360,9 +370,9 @@ def _run_mode_observables(cfg):
         float(np.max(np.abs(observed[0].J - observed[1].J))) / j_norm,
     ])
     checks = [
-        _close("energy", ref_H, first.H, rel * abs(ref_H)),
-        _close("momentum_error", 0.0, p_err, rel * p_norm),
-        _close("angular_momentum_error", 0.0, j_err, rel * j_norm),
+        _close("energy", ref_H, first.H, _tol(cfg, "observables", abs(ref_H))),
+        _close("momentum_error", 0.0, p_err, _tol(cfg, "observables", p_norm)),
+        _close("angular_momentum_error", 0.0, j_err, _tol(cfg, "observables", j_norm)),
         _close("phase_independence", 0.0, swap_err, _tol(cfg, "phase_independence")),
     ]
     details = {
@@ -427,30 +437,32 @@ def _run_field_sample(cfg):
     A1, E1, B1 = fields(real.modes[:1])
     k = wave_vector(real.modes.n[0], cfg.L)
     khat = k / np.linalg.norm(k)
-    transversal = max(_relative(A1 @ khat, A1), _relative(E1 @ khat, E1))
+    transversal = _worst([_relative(A1 @ khat, A1), _relative(E1 @ khat, E1)])
     circular = _relative(B1 - real.modes.gamma[0] * np.linalg.norm(k) * A1, B1)
     A2, E2, B2 = fields(real.modes[1:2])
     Ab, Eb, Bb = fields(real.modes[:2])
-    linear = max(
+    linear = _worst([
         _relative(Ab - (A1 + A2), Ab),
         _relative(Eb - (E1 + E2), Eb),
         _relative(Bb - (B1 + B2), Bb),
-    )
+    ])
     checks = [
         _close("transversality", 0.0, transversal, _tol(cfg, "transversality")),
         _close("b_tracks_a", 0.0, circular, _tol(cfg, "field_circular")),
         _close("linearity", 0.0, linear, _tol(cfg, "field_linearity")),
     ]
-    header = ["s", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez", "Bx", "By", "Bz"]
-
-    def rows():
-        # the whole realization's fields are built only when --csv reads them
-        A, E, B = fields(real.modes)
-        for i, s in enumerate(s_vals):
-            yield [float(s), *points[i].tolist(), *A[i].tolist(), *E[i].tolist(), *B[i].tolist()]
-
     details = {"modes": len(real.modes), "points": cfg.points, "time": cfg.time}
-    return checks, details, (header, rows())
+    if not cfg.csv:
+        return checks, details, None
+    # the whole realization's fields are built only for --csv, and before the
+    # file is opened, so fields refused as they are summed leave no file
+    A, E, B = fields(real.modes)
+    header = ["s", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez", "Bx", "By", "Bz"]
+    rows = (
+        [float(s), *points[i].tolist(), *A[i].tolist(), *E[i].tolist(), *B[i].tolist()]
+        for i, s in enumerate(s_vals)
+    )
+    return checks, details, (header, rows)
 
 
 @_experiment(
@@ -511,23 +523,15 @@ def _run_phases(cfg):
     columns, rows = np.unique(pairs, return_inverse=True)
     _, zetas = sample_zeta_ensemble(cfg.n_max, cfg.ensemble, cfg.seed, columns)
     zetas = zetas.T  # one contiguous row of realizations per column
-    worst = 0.0
     pair_stats = []
     for (a, b), (i, j) in zip(pairs.tolist(), rows.reshape(-1, 2)):
         mean = np.mean(np.exp(1j * (zetas[i] - zetas[j])))
-        value = float(abs(mean))
-        worst = max(worst, value)
-        pair_stats.append({"modes": [a, b], "abs_mean": value})
+        pair_stats.append({"modes": [a, b], "abs_mean": float(abs(mean))})
+    worst = _worst([pair["abs_mean"] for pair in pair_stats])
     bound = 4.0 / math.sqrt(cfg.ensemble)
     checks = [_close("circular_mean_bound", 0.0, worst, bound)]
     details = {"ensemble": cfg.ensemble, "mode_count": n_modes, "pairs": pair_stats}
     return checks, details, None
-
-
-def _worst(errors) -> float:
-    """Largest of the per-state errors, NaN if any of them is NaN (the
-    builtin max drops a NaN that is not its first argument)."""
-    return float(np.max(errors, initial=0.0))
 
 
 @_experiment(
@@ -581,9 +585,9 @@ def _run_angular_momentum(cfg):
     # each error is of the size of hbar, so each tolerance is in its units
     hbar = consts.hbar
     checks = [
-        _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree") * hbar),
-        _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue") * hbar),
-        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree") * hbar),
+        _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree", hbar)),
+        _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue", hbar)),
+        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree", hbar)),
     ]
     return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(rows)}, None
 
@@ -619,7 +623,7 @@ def _run_zeeman(cfg):
     energy = {(m_l, m_s): e for m_l, m_s, e in closed_form}
     half = Fraction(1, 2)
     expected = [[energy[m_l, m_s] for m_l in m_ls] for m_s in (half, -half)]
-    tolerance = _tol(cfg, "zeeman_gap") * abs(gap)
+    tolerance = _tol(cfg, "zeeman_gap", abs(gap))
     checks = [
         _close("levels_from_channels", 0.0, _worst(np.abs(levels - expected)), tolerance),
         _close("spin_gap_doubled", 0.0, _worst(np.abs(levels[0] - levels[1] - gap)), tolerance),
@@ -679,12 +683,7 @@ def _run_sz(cfg):
     double_turn = rotation_factor(winding, 4)
     checks = [
         _exact("symbolic_eigenvalue", consts.hbar * float(winding), symbolic),
-        _close(
-            "numeric_matches_symbolic",
-            symbolic,
-            numeric,
-            _tol(cfg, "sz_agreement") * consts.hbar,
-        ),
+        _close("numeric_matches_symbolic", symbolic, numeric, _tol(cfg, "sz_agreement", consts.hbar)),
         _exact("full_turn_is_minus_one", True, full_turn.is_minus_one),
         _exact("double_turn_is_identity", True, double_turn.is_one),
     ]

@@ -7,6 +7,8 @@ outside the box, a sigma that is not a half-integer, ...). The subclasses below
 mark failure modes that callers are expected to distinguish programmatically.
 """
 
+import sys
+
 from ._lazy import np
 
 __all__ = [
@@ -77,15 +79,21 @@ def refuse(cost) -> None:
 def check_scales(what: str, **scales) -> None:
     """Raise ValueError when a derived scale, a float or an array of them,
     is not a finite normal float (zero and subnormals lose every or some
-    significant digit); `what` names the inputs it came from. Callers run
-    this before any work, so inputs whose products overflow or underflow
-    are refused instead of turning into NaN or failed verdicts."""
-    for name, value in scales.items():
-        value = np.asarray(value, dtype=float)
-        normal = np.isfinite(value) & (np.abs(value) >= np.finfo(float).tiny)
-        # the method, not np.all: a run checks a dozen scales, most of them 0-d
-        if not normal.all():
+    significant digit); `what` names the inputs it came from, and the
+    message the first such scale in keyword order. Callers run this before
+    any work, so inputs whose products overflow or underflow are refused
+    instead of turning into NaN or failed verdicts."""
+    # one test over every value: a run checks a dozen scales, most of them 0-d
+    parts = [np.ravel(value) for value in scales.values()]
+    values = np.concatenate(parts)
+    normal = np.isfinite(values) & (np.abs(values) >= sys.float_info.min)
+    if normal.all():
+        return
+    for name, part in zip(scales, parts):
+        bad = ~normal[: len(part)]
+        if bad.any():
             raise ValueError(
-                f"refusing {what}: its {name} is {float(value[~normal][0])!r}, "
+                f"refusing {what}: its {name} is {float(part[bad][0])!r}, "
                 "outside the range of normal floats"
             )
+        normal = normal[len(part) :]

@@ -322,7 +322,8 @@ def sample_fields(
     w_E = i omega f eps and w_B = i f (k x eps), f being the carrier's
     constant factor -i sqrt(hbar / (V omega)) a. The sum over the M modes is
     then one real product [cos theta, sin theta] @ W, W of shape (2M, 9),
-    taken over blocks of points.
+    taken over blocks of points. Raises ValueError when the largest E or B
+    weight of a mode is not a finite normal float, or a field is not finite.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[-1] != 3:
@@ -338,18 +339,28 @@ def sample_fields(
         k, omega, prefactor = _mode_scales(n, real.L, constants)
         amplitude = real.modes.amplitude
         w_a = (prefactor * (-1j) * amplitude)[:, np.newaxis] * eps
-        w_e = 1j * omega[:, np.newaxis] * w_a
+        with np.errstate(all="ignore"):
+            w_e = 1j * omega[:, np.newaxis] * w_a
         # w_B = i f (k x eps) with i f = sqrt(hbar / (V omega)) a; B is built
         # from k x eps, not from B = gamma |k| A, which field-sample checks
         w_b = (prefactor * amplitude)[:, np.newaxis] * np.cross(k, eps)
         w = np.concatenate([w_a, w_e, w_b], axis=1)
         weights = np.concatenate([w.real, -w.imag])
+        # every field is a sum of its weights: the largest E and B weight of
+        # each mode, over the real and imaginary parts of its components
+        largest = np.max(np.abs(weights.reshape(2, len(k), 3, 3)), axis=(0, 3))
+        what = f"the fields of modes in a box of edge {real.L:g}"
+        check_scales(what, e_weight=largest[:, 1], b_weight=largest[:, 2])
         rows = max(1, _BLOCK_DOUBLES // len(weights))
-        for start in range(0, len(flat), rows):
-            theta = flat[start : start + rows] @ k.T - omega * t
-            fields[start : start + rows] = (
-                np.hstack([np.cos(theta), np.sin(theta)]) @ weights
-            )
+        # finite weights can still add up past the largest float
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(flat), rows):
+                theta = flat[start : start + rows] @ k.T - omega * t
+                fields[start : start + rows] = (
+                    np.hstack([np.cos(theta), np.sin(theta)]) @ weights
+                )
+        if not np.isfinite(fields).all():
+            raise ValueError(f"refusing {what}: a field sums its weights past the largest float")
     fields = fields.reshape(points.shape[:-1] + (9,))
     return fields[..., 0:3], fields[..., 3:6], fields[..., 6:9]
 

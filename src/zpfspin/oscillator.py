@@ -105,19 +105,29 @@ def table_cost(dims: int, n_cut: int) -> list:
     return [(what, "bytes", _BYTES_PER_STATE * size + _BYTES_PER_TABLE)]
 
 
-def _length_scale(omega0: float, constants: PhysicalConstants) -> float:
+def _length_scale(omega0: float, n_cut: int, constants: PhysicalConstants) -> float:
     """l0 = sqrt(hbar / (2 m omega0)). Raises ValueError when l0, the
     strength l0^2 / 2 of the matrix-element prefactor l0 / sqrt2, the
     weight omega0 l0^2 / 2 that sets the size of every spectral-sum term,
-    or the denominator 2 m omega0 is not a finite normal float."""
+    the denominator 2 m omega0, the largest squared circular element or
+    the largest per-state sum is not a finite normal float.
+
+    An element between shells n_cut - 1 and n_cut is l0 sqrt(n_cut / 2), so
+    |x+-|^2 reaches 2 strength n_cut. Of the sums over a state's four slots,
+    L_z climbs highest: at n_cut - 1 n_plus quanta its running sum reaches
+    (4 n_cut - 2) weight, and hbar (n_cut - 1) once the mass multiplies it;
+    at n_cut 1 the sum rule's 4 weight = hbar / m is the largest."""
     with np.errstate(all="ignore"):
         two_m_omega0 = 2.0 * constants.m * omega0
         l0 = np.sqrt(np.float64(constants.hbar) / two_m_omega0)
         strength = (l0 / math.sqrt(2.0)) ** 2
         weight = omega0 * strength
+        squared_element = 2.0 * strength * n_cut
+        state_sum = [max(4 * n_cut - 2, 4) * weight, constants.hbar * max(n_cut - 1, 1)]
     check_scales(
         f"an oscillator of frequency {omega0:g}",
         l0=l0, strength=strength, weight=weight, two_m_omega0=two_m_omega0,
+        squared_element=squared_element, state_sum=state_sum,
     )
     return float(l0)
 
@@ -141,7 +151,7 @@ def build_oscillator_table(
         raise ValueError("n_cut must be a positive integer")
     n_cut = int(n_cut)
     refuse(table_cost(dims, n_cut))
-    l0 = _length_scale(omega0, constants)
+    l0 = _length_scale(omega0, n_cut, constants)
     states = _state_labels(dims, n_cut)
     size = len(states)
     # one padding layer of -1 on each axis: a label one quantum below 0 or

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1512,6 +1513,30 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
             modes,
             "sample_fields",
         ),
+        # a squared circular element 2 strength n_cut overflows where l0, the
+        # strength and the weight are normal
+        (
+            ["angular-momentum", "--dims=3", "--n-cut=2", "--omega0=7.3e-10", "--hbar=2.5e200", "--m=9.99e-100"],
+            oscillator,
+            "_state_labels",
+        ),
+        (
+            ["angular-momentum", "--dims=2", "--n-cut=12", "--omega0=9.99e-10", "--hbar=1e300", "--m=9.99e0"],
+            oscillator,
+            "_state_labels",
+        ),
+        (
+            ["sum-rule", "--n-cut=5", "--omega0=9.99e-100", "--hbar=2.5e10", "--m=7.3e-200"],
+            oscillator,
+            "_state_labels",
+        ),
+        # the L_z running sum (4 n_cut - 2) weight overflows, and hbar (n_cut - 1)
+        (["angular-momentum", "--omega0=1e10", "--hbar=3.995e307"], oscillator, "_state_labels"),
+        (
+            ["angular-momentum", "--dims=3", "--m=1e10", "--omega0=1e-10", "--hbar=4.495e307"],
+            oscillator,
+            "_state_labels",
+        ),
     ],
 )
 def test_out_of_range_scales_exit_two_before_any_work(
@@ -1625,3 +1650,147 @@ def test_mode_observables_keeps_the_magnetic_energy_at_a_tiny_c(capsys):
     code, body = run(capsys, ["mode-observables", "--c", "1e-200"])
     assert code == 0
     assert body["details"]["quadrature"]["H"] == pytest.approx(math.pi * 1e-200, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mode-observables", "--tol", "observables=1e308"],
+        ["angular-momentum", "--hbar", "1e300", "--tol", "routes_agree=1e10"],
+        ["zeeman", "--field", "1e300", "--tol", "zeeman_gap=1e10"],
+        ["sz", "--hbar", "1e300", "--tol", "sz_agreement=1e10"],
+    ],
+)
+def test_infinite_tolerance_bounds_exit_two(capsys, argv):
+    # each tolerance is finite, its product with the scale it is relative to is not
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = argv[-1].partition("=")[0]
+    assert captured.err.startswith(f"error: tolerance {name}=")
+    assert captured.err.count("\n") == 1
+
+
+def _nan_in_call(monkeypatch, call: int, field: int):
+    """Patch cli.sample_fields so that its call-th call (from 1) returns a
+    NaN in field 0, 1 or 2 (A, E or B)."""
+    sample = cli.sample_fields
+    calls = []
+
+    def patched(*args, **kwargs):
+        fields = sample(*args, **kwargs)
+        calls.append(fields)
+        if len(calls) == call:
+            fields[field][0, 0] = math.nan
+        return fields
+
+    monkeypatch.setattr(cli, "sample_fields", patched)
+
+
+def test_field_sample_nan_in_the_first_mode_fails_transversality(capsys, monkeypatch):
+    # calls: the first mode, the second, the pair; E1 also enters linearity
+    _nan_in_call(monkeypatch, 1, 1)
+    code, body = run(capsys, ["field-sample", "--points", "8"])
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == ["transversality", "linearity"]
+
+
+def test_field_sample_nan_in_the_pair_fails_linearity(capsys, monkeypatch):
+    # Bb is the last of the three relative differences linearity takes
+    _nan_in_call(monkeypatch, 3, 2)
+    code, body = run(capsys, ["field-sample", "--points", "8"])
+    assert code == 1
+    assert [c["name"] for c in body["checks"] if not c["pass"]] == ["linearity"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the E weights omega f eps overflow
+        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=2.5e150", "--time=1"],
+        # they underflow to 0
+        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-100", "--c=9.99e-200", "--time=1"],
+        # they are subnormal
+        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-20", "--c=9.99e-200"],
+        # each weight is finite, the pair's field sum is not
+        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=3.57e115", "--time=1"],
+        # the pair's sum is finite, that of the whole realization is not
+        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=1e115", "--csv", CSV_IN_TMP],
+    ],
+)
+def test_field_sample_refuses_field_weights_outside_the_floats(capsys, tmp_path, argv):
+    # the weights are derived from the drawn modes, so the refusal follows the draw
+    argv = [str(tmp_path / "out.csv") if arg == CSV_IN_TMP else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing the fields of modes in a box of edge ")
+    # no numpy warning joins the error line, and no CSV is left behind
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+# the options of each command that take a physical constant
+_CONSTANT_FLAGS = {
+    "mode-observables": ["--box", "--hbar", "--c"],
+    "field-sample": ["--box", "--hbar", "--c"],
+    "totals": ["--box", "--hbar", "--c"],
+    "sum-rule": ["--omega0", "--hbar", "--m"],
+    "angular-momentum": ["--omega0", "--hbar", "--m"],
+    "zeeman": ["--mu0", "--field"],
+    "sz": ["--hbar"],
+}
+
+
+def _sweep_argv(count: int, seed: int) -> list:
+    """count argv of the commands above at small sizes, each constant drawn
+    log-uniform across 1e-300 to 1e300 (or left at its default)."""
+    rng = random.Random(seed)
+
+    def constant(signs=("",)):
+        return f"{rng.choice(signs)}{10 ** rng.uniform(-300, 300):.3g}"
+
+    out = []
+    for _ in range(count):
+        command = rng.choice(list(_CONSTANT_FLAGS))
+        argv = [command]
+        for flag in _CONSTANT_FLAGS[command]:
+            if rng.random() < 0.85:
+                argv.append(f"{flag}={constant(('', '-') if flag == '--field' else ('',))}")
+        if command == "mode-observables":
+            argv += ["--grid=16", "--n=" + ",".join(str(rng.randint(1, 3)) for _ in range(3))]
+        elif command == "field-sample":
+            argv += ["--points=4"]
+            if rng.random() < 0.3:
+                argv.append(f"--time={constant(('', '-'))}")
+        elif command in ("sum-rule", "angular-momentum"):
+            argv += [f"--n-cut={rng.randint(1, 8)}", f"--dims={rng.choice([2, 3])}"]
+        elif command == "sz":
+            argv += ["--points=256"]
+        out.append(argv)
+    return out
+
+
+def test_constants_across_the_float_range_exit_zero_or_two(capsys):
+    # exit 1 would be a failed verdict on correct code, exit 3 an unforeseen
+    # error; the RuntimeWarning filter turns a numpy warning into exit 3
+    sweep = _sweep_argv(300, 30) + [
+        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=2.5e150", "--time=1"],
+        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-100", "--c=9.99e-200", "--time=1"],
+        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-20", "--c=9.99e-200"],
+        ["angular-momentum", "--dims=3", "--n-cut=2", "--omega0=7.3e-10", "--hbar=2.5e200", "--m=9.99e-100"],
+        ["angular-momentum", "--dims=2", "--n-cut=12", "--omega0=9.99e-10", "--hbar=1e300", "--m=9.99e0"],
+        ["sum-rule", "--n-cut=5", "--omega0=9.99e-100", "--hbar=2.5e10", "--m=7.3e-200"],
+    ]
+    codes = []
+    for argv in sweep:
+        code = main(argv)
+        captured = capsys.readouterr()
+        codes.append(code)
+        assert code in (0, 2), (argv, captured.err)
+        if code == 0:
+            assert "NaN" not in captured.out and "Infinity" not in captured.out, argv
+        else:
+            assert captured.out == "" and captured.err.count("\n") == 1, (argv, captured.err)
+    # the sweep reaches both sides of the range
+    assert codes.count(0) > 100 and codes.count(2) > 50

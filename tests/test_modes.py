@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from zpfspin import modes
 from zpfspin.constants import NATURAL, PhysicalConstants
-from zpfspin.errors import ResolutionError, SizeLimitError, refuse
+from zpfspin.errors import ResolutionError, SizeLimitError, check_scales, refuse
 from zpfspin.modes import (
     ModeObservables,
     Modes,
@@ -632,3 +632,27 @@ def test_spin_is_half_hbar_along_k(n, gamma):
     khat = np.array(n, dtype=float)
     khat /= np.linalg.norm(khat)
     assert np.max(np.abs(obs.J - gamma * 0.5 * khat)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "scales,name,value",
+    [
+        # the first scale in keyword order that fails, not the furthest out
+        ({"a": 1.0, "b": 0.0, "c": math.inf}, "b", 0.0),
+        ({"a": np.float64(math.nan), "b": 5e-324}, "a", math.nan),
+        # array scales alike, each named by its first value that fails
+        ({"a": np.array([1.0, 2.0]), "b": np.array([3.0, math.inf, 0.0]), "c": np.zeros(1)}, "b", math.inf),
+        ({"a": np.ones(1), "b": 2.0, "c": np.array([[1.0, -5e-324], [math.nan, 1.0]])}, "c", -5e-324),
+        ({"a": np.array([1.0, -math.inf]), "b": 0.0}, "a", -math.inf),
+    ],
+)
+def test_check_scales_names_the_first_failing_scale(scales, name, value):
+    with pytest.raises(ValueError) as info:
+        check_scales("some inputs", **scales)
+    message = f"refusing some inputs: its {name} is {value!r}, outside the range of normal floats"
+    assert str(info.value) == message
+
+
+def test_check_scales_passes_normal_scales():
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    check_scales("some inputs", a=tiny, b=-huge, c=np.array([[1.0, -tiny]]), d=np.empty(0))
