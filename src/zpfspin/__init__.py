@@ -5,7 +5,6 @@ The package exports each submodule's own __all__.
 """
 
 from . import (
-    constants,
     errors,
     exchange,
     internal_rotation,
@@ -14,7 +13,6 @@ from . import (
     phase_algebra,
     spectral,
 )
-from .constants import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .exchange import *  # noqa: F403
 from .internal_rotation import *  # noqa: F403
@@ -28,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     name
     for module in (
-        constants,
         errors,
         exchange,
         internal_rotation,

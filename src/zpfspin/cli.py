@@ -17,6 +17,12 @@ which main refuses past errors.LIMITS before the runner starts. The parser, its
 order, then the tolerance overrides) are derived from that list, so a flag
 or key the command does not read exits 2. Every value, the default text
 included, is parsed and validated by its option's one type.
+
+The library computes in natural units and takes no unit constant. The
+options --hbar, --c, --m, --omega0, --mu0, --box and zeeman's --field only
+choose the units of what is reported: each runner converts the quantities it
+reports, and the time it reads, through _in_units, the one place that
+refuses a value outside the normal floats.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from ._lazy import np
-from .constants import PhysicalConstants
 from .errors import ContradictionError, IncompleteBasisError, check_scales, refuse
 from .exchange import (
     ORDERINGS,
@@ -52,7 +57,6 @@ from .internal_rotation import apply_spin_z, dichotomy_solve, rotation_factor
 from .modes import (
     ZpfRealization,
     analytic_mode_observables,
-    check_mode_scales,
     ensemble_cost,
     make_mode,
     mode_count,
@@ -299,15 +303,56 @@ def _resolve(args, experiment: Experiment):
     return args
 
 
-def _tol(cfg, name: str, scale=1.0) -> float:
+def _in_units(what: str, name: str, value, *unit):
+    """`value` (a float or an array in a kernel's natural units) times its
+    unit, the product of (constant, power) factors with integer or half
+    integer powers; a time read from the config comes in by the factors that
+    make it natural. The product is taken on frexp mantissas with exponents
+    added apart, so no intermediate leaves the floats unless the result does.
+    errors.check_scales refuses a finite nonzero value that converts outside
+    the normal floats; an exact zero stays 0, and a NaN or an infinity
+    passes, for the check that reads it to fail."""
+    scale, exponent = 1.0, 0
+    for constant, power in unit:
+        mantissa, exp = np.frexp(constant)
+        if power % 1:
+            # a half power: move the odd bit of the exponent into the mantissa
+            mantissa, exp, power = np.sqrt(np.ldexp(mantissa, exp % 2)), exp // 2, int(2 * power)
+        scale = scale * mantissa**power
+        exponent = exponent + exp * power
+    value = np.asarray(value, dtype=float)
+    mantissa, exp = np.frexp(value)
+    mantissa = mantissa * scale
+    with np.errstate(over="ignore", under="ignore"):
+        converted = np.ldexp(mantissa, exp + exponent)
+    check_scales(what, **{name: converted[np.isfinite(value) & (mantissa != 0)]})
+    return float(converted) if converted.ndim == 0 else converted
+
+
+def _tol(cfg, name: str, *unit) -> float:
     """The bound of a check: the override of tolerance `name`, else the
-    default its command declares, times `scale`, the size of what it bounds.
-    An infinite bound would pass any error, so it is refused."""
+    default its command declares, times the (value, power) factors of
+    `unit`, the size of what it bounds in the run's units. A bound outside
+    the floats is refused by _in_units."""
     value = cfg.tolerances.get(name, _EXPERIMENTS[cfg.command].tolerances[name])
-    bound = value * float(scale)
-    if not math.isfinite(bound):
-        raise ConfigError(f"tolerance {name}={value:g} times its scale {float(scale):g} is {bound!r}")
-    return bound
+    return _in_units(f"tolerance {name}={value:g}", "bound", value, *unit) if unit else value
+
+
+def _mode_units(cfg) -> dict:
+    """The unit of each quantity of the modes layer (see its docstring) as
+    _in_units factors of the run's constants; "t" takes a time into
+    natural units."""
+    hbar, c, L = cfg.hbar, cfg.c, cfg.L
+    return {
+        "H": ((hbar, 1), (c, 1), (L, -1)),
+        "P": ((hbar, 1), (L, -1)),
+        "J": ((hbar, 1),),
+        "t": ((c, 1), (L, -1)),
+        "x": ((L, 1),),
+        "A": ((hbar, 0.5), (c, -0.5), (L, -1)),
+        "E": ((hbar, 0.5), (c, 0.5), (L, -2)),
+        "B": ((hbar, 0.5), (c, -0.5), (L, -2)),
+    }
 
 
 def _json_default(value):
@@ -351,51 +396,39 @@ def _exact(name, expected, actual) -> dict:
     cost=lambda cfg: quadrature_cost(cfg.grid),
 )
 def _run_mode_observables(cfg):
-    n, gamma = cfg.n, cfg.gamma
-    consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
+    units = _mode_units(cfg)
+    what = f"modes in a box of edge {cfg.L:g}"
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     draws = [tuple(rng.uniform(0.0, 2.0 * np.pi, 2)) for _ in range(2)]
-    pair = [make_mode(n, gamma, zeta, phi, cfg.L) for zeta, phi in draws]
-    observed = [mode_observables(mode, cfg.L, cfg.grid, consts) for mode in pair]
-    analytic = analytic_mode_observables(pair[0], cfg.L, consts)
-    ref_H, ref_P, ref_J = analytic.H[0], analytic.P[0], analytic.J[0]
-    first = observed[0]
-    p_err = float(np.max(np.abs(first.P - ref_P)))
-    j_err = float(np.max(np.abs(first.J - ref_J)))
-    p_norm, j_norm = _magnitude(ref_P), _magnitude(ref_J)
+    pair = [make_mode(cfg.n, cfg.gamma, zeta, phi) for zeta, phi in draws]
+    analytic = analytic_mode_observables(pair[0])
+    ref = {q: value[0] for q, value in asdict(analytic).items()}
+    size = {q: np.linalg.norm(value) for q, value in ref.items()}
+
+    def in_units(values):
+        return {q: _in_units(what, q, value, *units[q]) for q, value in values.items()}
+
+    # the closed forms and bounds are converted first: units they leave the
+    # floats in refuse the run before the quadrature
+    reported = {"analytic": in_units(ref)}
+    bounds = {q: _tol(cfg, "observables", (size[q], 1), *units[q]) for q in ref}
+    first, second = (asdict(mode_observables(mode, cfg.grid)) for mode in pair)
+    reported["quadrature"] = in_units(first)
+    errors = in_units({q: np.max(np.abs(first[q] - ref[q])) for q in "PJ"})
     # relative, as the other three checks are
-    swap_err = _worst([
-        abs(observed[0].H - observed[1].H) / abs(ref_H),
-        float(np.max(np.abs(observed[0].P - observed[1].P))) / p_norm,
-        float(np.max(np.abs(observed[0].J - observed[1].J))) / j_norm,
-    ])
+    swap_err = _worst([np.max(np.abs(first[q] - second[q])) / size[q] for q in ref])
     checks = [
-        _close("energy", ref_H, first.H, _tol(cfg, "observables", abs(ref_H))),
-        _close("momentum_error", 0.0, p_err, _tol(cfg, "observables", p_norm)),
-        _close("angular_momentum_error", 0.0, j_err, _tol(cfg, "observables", j_norm)),
+        _close("energy", reported["analytic"]["H"], reported["quadrature"]["H"], bounds["H"]),
+        _close("momentum_error", 0.0, errors["P"], bounds["P"]),
+        _close("angular_momentum_error", 0.0, errors["J"], bounds["J"]),
         _close("phase_independence", 0.0, swap_err, _tol(cfg, "phase_independence")),
     ]
-    details = {
-        "n": list(n),
-        "gamma": gamma,
-        "analytic": {"H": ref_H, "P": ref_P, "J": ref_J},
-        "quadrature": {"H": first.H, "P": first.P, "J": first.J},
-    }
-    return checks, details, None
-
-
-def _magnitude(vector) -> float:
-    """|vector|, its squares summed at the power of two that puts the
-    largest component in [1/2, 1): |J| = hbar/2 squares to 0 once hbar is
-    below about 4e-162. Where the squares are normal floats unscaled, the
-    result has the bits of np.linalg.norm(vector)."""
-    _, exponent = math.frexp(float(np.max(np.abs(vector))))
-    return math.ldexp(float(np.linalg.norm(np.ldexp(vector, -exponent))), exponent)
+    return checks, {"n": list(cfg.n), "gamma": cfg.gamma, **reported}, None
 
 
 def _relative(error, field) -> float:
-    """Largest |error| over the largest |field|: the fields scale as
-    sqrt(hbar omega / V), so a tolerance for every box bounds this ratio."""
+    """Largest |error| over the largest |field|, a ratio that one tolerance
+    bounds for every mode."""
     return float(np.max(np.abs(error)) / np.max(np.abs(field)))
 
 
@@ -425,17 +458,21 @@ def _field_sample_cost(cfg) -> list:
     cost=_field_sample_cost,
 )
 def _run_field_sample(cfg):
-    consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
-    check_mode_scales(cfg.L, cfg.n_max, consts, cfg.time)
-    real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
+    units = _mode_units(cfg)
+    what = f"the fields of modes in a box of edge {cfg.L:g}"
+    # the largest phase omega t of the fields must stay finite
+    omega_max = float(np.linalg.norm(wave_vector([cfg.n_max] * 3)))
+    _in_units(what, "phase", cfg.time, (omega_max, 1), *units["t"])
+    t = _in_units(what, "time", cfg.time, *units["t"])
+    real = sample_realization(cfg.n_max, cfg.seed)
     s_vals = np.linspace(0.0, 1.0, cfg.points, endpoint=False)
-    points = s_vals[:, None] * np.array([cfg.L, cfg.L, cfg.L])
+    points = s_vals[:, None] * np.ones(3)
 
     def fields(modes):
-        return sample_fields(ZpfRealization(cfg.L, modes), points, cfg.time, consts)
+        return sample_fields(ZpfRealization(modes), points, t)
 
     A1, E1, B1 = fields(real.modes[:1])
-    k = wave_vector(real.modes.n[0], cfg.L)
+    k = wave_vector(real.modes.n[0])
     khat = k / np.linalg.norm(k)
     transversal = _worst([_relative(A1 @ khat, A1), _relative(E1 @ khat, E1)])
     circular = _relative(B1 - real.modes.gamma[0] * np.linalg.norm(k) * A1, B1)
@@ -454,14 +491,12 @@ def _run_field_sample(cfg):
     details = {"modes": len(real.modes), "points": cfg.points, "time": cfg.time}
     if not cfg.csv:
         return checks, details, None
-    # the whole realization's fields are built only for --csv, and before the
-    # file is opened, so fields refused as they are summed leave no file
-    A, E, B = fields(real.modes)
+    # the whole realization's fields are built only for --csv, and converted
+    # before the file is opened, so fields the units refuse leave no file
+    columns = [_in_units(what, "position", points, *units["x"])]
+    columns += [_in_units(what, q, field, *units[q]) for q, field in zip("AEB", fields(real.modes))]
     header = ["s", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez", "Bx", "By", "Bz"]
-    rows = (
-        [float(s), *points[i].tolist(), *A[i].tolist(), *E[i].tolist(), *B[i].tolist()]
-        for i, s in enumerate(s_vals)
-    )
+    rows = ([float(s), *row] for s, row in zip(s_vals, np.hstack(columns).tolist()))
     return checks, details, (header, rows)
 
 
@@ -470,23 +505,26 @@ def _run_field_sample(cfg):
     cost=lambda cfg: modes_cost(cfg.n_max),
 )
 def _run_totals(cfg):
-    consts = PhysicalConstants(hbar=cfg.hbar, c=cfg.c)
-    check_mode_scales(cfg.L, cfg.n_max, consts)
-    real = sample_realization(cfg.L, cfg.n_max, cfg.seed)
-    totals = realization_totals(real, consts)
+    units = _mode_units(cfg)
+    what = f"{mode_count(cfg.n_max)} modes in a box of edge {cfg.L:g}"
+    real = sample_realization(cfg.n_max, cfg.seed)
+    totals = realization_totals(real)
     expected_count = 2 * ((2 * cfg.n_max + 1) ** 3 - 1)
 
     # rows 0 and 1 are one n with gamma = +1 and -1 (mode_keys order)
-    pair_only = realization_totals(ZpfRealization(cfg.L, real.modes[:2]), consts)
+    pair_only = realization_totals(ZpfRealization(real.modes[:2]))
+    momentum = _in_units(what, "total momentum", np.max(np.abs(totals.P)), *units["P"])
+    spin = _in_units(what, "total spin", np.max(np.abs(totals.J)), *units["J"])
+    pair_spin = _in_units(what, "pair spin", np.max(np.abs(pair_only.J)), *units["J"])
     checks = [
         _exact("mode_count", expected_count, len(real.modes)),
-        _exact("total_momentum_zero", 0.0, float(np.max(np.abs(totals.P)))),
-        _exact("total_spin_zero", 0.0, float(np.max(np.abs(totals.J)))),
-        _exact("gamma_pair_spin_cancels", 0.0, float(np.max(np.abs(pair_only.J)))),
+        _exact("total_momentum_zero", 0.0, momentum),
+        _exact("total_spin_zero", 0.0, spin),
+        _exact("gamma_pair_spin_cancels", 0.0, pair_spin),
         _exact("gamma_pair_keeps_momentum", True, bool(np.max(np.abs(pair_only.P)) > 0)),
     ]
-    details = {"total_energy": totals.H, "modes": len(real.modes)}
-    return checks, details, None
+    energy = _in_units(what, "total energy", totals.H, *units["H"])
+    return checks, {"total_energy": energy, "modes": len(real.modes)}, None
 
 
 def _phases_cost(cfg) -> list:
@@ -543,14 +581,14 @@ def _run_phases(cfg):
     cost=lambda cfg: [line for dims in cfg.dims for line in table_cost(dims, cfg.n_cut)],
 )
 def _run_sum_rule(cfg):
-    consts = PhysicalConstants(hbar=cfg.hbar, m=cfg.m)
     checks = []
     per_dims = {}
     for dims in cfg.dims:
-        table = build_oscillator_table(dims, cfg.omega0, cfg.n_cut, consts)
+        table = build_oscillator_table(dims, cfg.n_cut)
         shells = table.states.sum(axis=1)
+        # each sum is 1 in units of hbar
         values = trk_sum_rule(table, np.flatnonzero(shells < cfg.n_cut))
-        errors = np.abs(values - consts.hbar) / consts.hbar
+        errors = np.abs(values - 1.0)
         try:
             trk_sum_rule(table, np.flatnonzero(shells == cfg.n_cut)[:1])
             detected = False
@@ -560,7 +598,7 @@ def _run_sum_rule(cfg):
             _close(f"sum_rule_rel_err[dims={dims}]", 0.0, _worst(errors), _tol(cfg, "sum_rule"))
         )
         checks.append(_exact(f"incomplete_cutoff_detected[dims={dims}]", True, detected))
-        per_dims[str(dims)] = {"states_checked": len(errors), "target": consts.hbar}
+        per_dims[str(dims)] = {"states_checked": len(errors), "target": cfg.hbar}
     return checks, {"n_cut": cfg.n_cut, "dims": per_dims}, None
 
 
@@ -573,21 +611,23 @@ def _run_sum_rule(cfg):
     cost=lambda cfg: table_cost(cfg.dims, cfg.n_cut),
 )
 def _run_angular_momentum(cfg):
-    consts = PhysicalConstants(hbar=cfg.hbar, m=cfg.m)
-    table = build_oscillator_table(cfg.dims, cfg.omega0, cfg.n_cut, consts)
+    table = build_oscillator_table(cfg.dims, cfg.n_cut)
     rows = np.flatnonzero(table.states.sum(axis=1) < cfg.n_cut)
+    # angular momenta in units of hbar, and so each error and tolerance
     m_plus, m_minus = polarized_momenta(table, rows)
     pol = m_plus + m_minus
-    target = (table.states[rows, 0] - table.states[rows, 1]) * consts.hbar
     routes = np.abs(pol - lz_expectation(table, rows))
-    eigen = np.abs(pol - target)
-    split_gap = np.abs((m_plus - m_minus) - consts.hbar)
-    # each error is of the size of hbar, so each tolerance is in its units
-    hbar = consts.hbar
+    eigen = np.abs(pol - (table.states[rows, 0] - table.states[rows, 1]))
+    split_gap = np.abs((m_plus - m_minus) - 1.0)
+    hbar = (cfg.hbar, 1)
+
+    def error(errors):
+        return _in_units(f"hbar = {cfg.hbar:g}", "error", _worst(errors), hbar)
+
     checks = [
-        _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree", hbar)),
-        _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue", hbar)),
-        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree", hbar)),
+        _close("routes_agree", 0.0, error(routes), _tol(cfg, "routes_agree", hbar)),
+        _close("operator_eigenvalue", 0.0, error(eigen), _tol(cfg, "operator_eigenvalue", hbar)),
+        _close("channel_gap_is_hbar", 0.0, error(split_gap), _tol(cfg, "routes_agree", hbar)),
     ]
     return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(rows)}, None
 
@@ -604,43 +644,48 @@ def _run_angular_momentum(cfg):
     cost=lambda cfg: [("a CSV ramp", "field values", cfg.b_points)] if cfg.csv else [],
 )
 def _run_zeeman(cfg):
-    consts = PhysicalConstants(mu0=cfg.mu0)
-    B = cfg.field
-    gap = 2.0 * consts.mu0 * B
-    if gap:
-        # the checks are relative to |gap|; at a zero field every level is 0
-        check_scales(f"a field of {B:g} at mu0 = {consts.mu0:g}", gap=gap)
+    B, mu0 = cfg.field, cfg.mu0
+
+    def in_units(what, name, levels, field=B):
+        # the levels are in units of mu0 B: at a zero field every level is 0
+        return _in_units(f"{what} at mu0 = {mu0:g}", name, levels, (mu0, 1), (field, 1))
+
+    what = f"a field of {B:g}"
+    gap = in_units(what, "gap", 2.0)
+    tolerance = _tol(cfg, "zeeman_gap", (abs(gap), 1))
+    closed_form = [(m_l, m_s, in_units(what, "level", k)) for m_l, m_s, k in zeeman_levels()]
+    header = ["B", "m_l", "m_s", "energy"]
+    csv_data = None
     if cfg.csv:
-        ramp_scale = max(abs(2.0 * consts.mu0 * cfg.b_max), 1.0)
-        check_scales(f"a ramp to {cfg.b_max:g} at mu0 = {consts.mu0:g}", level_scale=ramp_scale)
+        ramp = np.linspace(0.0, cfg.b_max, cfg.b_points)
+        basis = zeeman_levels()
+        shifts = [k for _, _, k in basis]
+        energies = in_units(f"a ramp to {cfg.b_max:g}", "level", shifts, ramp[:, np.newaxis])
+        rows = (
+            [float(b_val), m_l, float(m_s), float(e)]
+            for b_val, row in zip(ramp, energies)
+            for (m_l, m_s, _), e in zip(basis, row)
+        )
+        csv_data = (header, rows)
     # shells 0 and 1 of a 2-d table hold m_l = 0, -1 and +1; each polarized
-    # channel M carries the moment mu = -(2 mu0/hbar) M, at level -mu B
-    table = build_oscillator_table(2, 1.0, 2, consts)
+    # channel M (in units of hbar) carries the moment mu = -(2 mu0/hbar) M,
+    # at level -mu B = 2 M mu0 B
+    table = build_oscillator_table(2, 2)
     rows = np.flatnonzero(table.states.sum(axis=1) < 2)
-    levels = gap * np.array(polarized_momenta(table, rows)) / consts.hbar
+    levels = in_units(what, "level", 2.0 * np.array(polarized_momenta(table, rows)))
     m_ls = (table.states[rows, 0] - table.states[rows, 1]).tolist()
-    closed_form = zeeman_levels(B, consts)
     energy = {(m_l, m_s): e for m_l, m_s, e in closed_form}
     half = Fraction(1, 2)
     expected = [[energy[m_l, m_s] for m_l in m_ls] for m_s in (half, -half)]
-    tolerance = _tol(cfg, "zeeman_gap", abs(gap))
     checks = [
         _close("levels_from_channels", 0.0, _worst(np.abs(levels - expected)), tolerance),
         _close("spin_gap_doubled", 0.0, _worst(np.abs(levels[0] - levels[1] - gap)), tolerance),
     ]
-    header = ["B", "m_l", "m_s", "energy"]
-
-    def rows():
-        # the ramp is built row by row only when --csv consumes it
-        for b_val in np.linspace(0.0, cfg.b_max, cfg.b_points):
-            for m_l, m_s, energy in zeeman_levels(float(b_val), consts):
-                yield [float(b_val), m_l, float(m_s), energy]
-
     details = {
         "field": B,
         "levels": [[m_l, str(m_s), e] for m_l, m_s, e in closed_form],
     }
-    return checks, details, (header, rows())
+    return checks, details, csv_data
 
 
 @_experiment("dichotomy", "two-value constraint on the winding")
@@ -675,15 +720,21 @@ def _run_dichotomy(cfg):
 )
 def _run_sz(cfg):
     winding = cfg.winding
-    consts = PhysicalConstants(hbar=cfg.hbar)
-    numeric = apply_spin_z(winding, consts, grid=cfg.points)
-    # the exact eigenvalue, read off the generator's half-turn phase e^{-i w pi}
-    symbolic = -consts.hbar * float(rotation_factor(winding, 1).pi_part)
+    hbar = (cfg.hbar, 1)
+
+    def in_units(eigenvalue):
+        return _in_units(f"hbar = {cfg.hbar:g}", "eigenvalue", eigenvalue, hbar)
+
+    tolerance = _tol(cfg, "sz_agreement", hbar)
+    # in units of hbar; the exact eigenvalue is read off the generator's
+    # half-turn phase e^{-i w pi}
+    numeric = in_units(apply_spin_z(winding, grid=cfg.points))
+    symbolic = in_units(-float(rotation_factor(winding, 1).pi_part))
     full_turn = rotation_factor(winding, 2)
     double_turn = rotation_factor(winding, 4)
     checks = [
-        _exact("symbolic_eigenvalue", consts.hbar * float(winding), symbolic),
-        _close("numeric_matches_symbolic", symbolic, numeric, _tol(cfg, "sz_agreement", consts.hbar)),
+        _exact("symbolic_eigenvalue", in_units(float(winding)), symbolic),
+        _close("numeric_matches_symbolic", symbolic, numeric, tolerance),
         _exact("full_turn_is_minus_one", True, full_turn.is_minus_one),
         _exact("double_turn_is_identity", True, double_turn.is_one),
     ]
@@ -830,19 +881,23 @@ def _run_slater(cfg):
 
 
 def _write_outputs(args, text: str, csv_data) -> None:
-    """Write the --report and --csv files; an unwritable path is a usage error.
-    Only the commands that produce a series have --csv."""
-    csv_path = getattr(args, "csv", None)
+    """Write the --csv and then the --report file; an unwritable path is a
+    usage error, and leaves neither file of this run behind. Only the
+    commands that produce a series have --csv."""
+    csv_path, written = getattr(args, "csv", None), None
     try:
-        if args.report:
-            Path(args.report).write_text(text + "\n")
         if csv_path:
             header, rows = csv_data
             with open(csv_path, "w", newline="") as handle:
+                written = Path(csv_path)
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
                 writer.writerows(rows)
+        if args.report:
+            Path(args.report).write_text(text + "\n")
     except OSError as exc:
+        if written:
+            written.unlink(missing_ok=True)
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the limits behind
-SizeLimitError with the one check against them, and the check of derived
-physical scales.
+SizeLimitError with the one check against them, and the check that values
+are normal floats.
 
 Plain ValueError is raised for malformed inputs (zero wave vector, a point
 outside the box, a sigma that is not a half-integer, ...). The subclasses below
@@ -77,12 +77,12 @@ def refuse(cost) -> None:
 
 
 def check_scales(what: str, **scales) -> None:
-    """Raise ValueError when a derived scale, a float or an array of them,
-    is not a finite normal float (zero and subnormals lose every or some
-    significant digit); `what` names the inputs it came from, and the
-    message the first such scale in keyword order. Callers run this before
-    any work, so inputs whose products overflow or underflow are refused
-    instead of turning into NaN or failed verdicts."""
+    """Raise ValueError when a scale, a float or an array of them, is not a
+    finite normal float (zero and subnormals lose every or some significant
+    digit); `what` names the inputs it came from, and the message the first
+    such scale in keyword order. The CLI's unit conversion runs this on what
+    it reports, so units that would take a value out of the floats are
+    refused instead of turning into NaN or failed verdicts."""
     # one test over every value: a run checks a dozen scales, most of them 0-d
     parts = [np.ravel(value) for value in scales.values()]
     values = np.concatenate(parts)

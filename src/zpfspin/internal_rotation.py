@@ -21,7 +21,6 @@ from fractions import Fraction
 from itertools import combinations, starmap
 
 from ._lazy import np
-from .constants import NATURAL, PhysicalConstants
 from .errors import ResolutionError, refuse
 from .phase_algebra import PhaseExpression
 
@@ -86,11 +85,9 @@ def dichotomy_solve(candidates) -> DichotomyResult:
     return _VERDICTS[feasible, sign_opposed]
 
 
-def apply_spin_z(
-    winding, constants: PhysicalConstants = NATURAL, grid: int = 1024
-) -> float:
-    """Eigenvalue of -i hbar d/d(angle) on e^{i*w*angle}, measured
-    numerically; the winding w must be +-1/2.
+def apply_spin_z(winding, grid: int = 1024) -> float:
+    """Eigenvalue of -i hbar d/d(angle) on e^{i*w*angle} in units of hbar,
+    measured numerically; the winding w must be +-1/2.
 
     Samples e^{i*w*angle} on a uniform grid over the double cover and
     applies the 5-point central first-derivative stencil (the 3-point one
@@ -114,8 +111,7 @@ def apply_spin_z(
     deriv = (
         -np.roll(f, -2) + 8.0 * np.roll(f, -1) - 8.0 * np.roll(f, 1) + np.roll(f, 2)
     ) / (12.0 * h)
-    # the mean is taken in units of hbar, so that no hbar-sized sum overflows
-    return constants.hbar * float(np.mean((-1j * deriv / f).real))
+    return float(np.mean((-1j * deriv / f).real))
 
 
 def rotation_factor(winding, theta_over_pi) -> PhaseExpression:

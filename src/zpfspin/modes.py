@@ -1,25 +1,30 @@
 """Circularly polarized vacuum modes in a periodic box.
 
-Wave vectors live on the lattice k = 2*pi*n/L with integer n != 0. Each mode
-carries a polarization handedness gamma = +-1, a random global phase zeta and
-a random polarization phase phi, entering through the unit amplitude
+Everything here is in natural units: hbar = c = 1, and the box edge L is the
+unit of length, so points lie in [0, 1)^3, wave vectors on the lattice
+k = 2*pi*n with integer n != 0, and omega = |k|. Each mode carries a
+polarization handedness gamma = +-1, a random global phase zeta and a random
+polarization phase phi, entering through the unit amplitude
 a = e^{i zeta} e^{i gamma phi}.
 
 Field convention (fixed by requiring the closed-form mode observables below):
 the vector potential of one mode is the real part of the complex carrier
 
-    F(r, t) = sqrt(hbar / (V*omega)) * (-i) * eps_gamma * a * e^{i(k.r - omega t)}
+    F(r, t) = sqrt(1 / omega) * (-i) * eps_gamma * a * e^{i(k.r - omega t)}
 
-with V = L^3, and
+with the box volume 1, and
 
     A = Re F,    E = -dA/dt = -omega * Im F,    B = curl A = -k x Im F.
 
-Energy density is (|E|^2 + c^2 |B|^2)/2, momentum density E x B, and the
+Energy density is (|E|^2 + |B|^2)/2, momentum density E x B, and the
 angular momentum integrand E x A. Under this convention a single mode carries
 
-    H = hbar*omega/2,    P = (hbar*omega / 2c) khat,    J = gamma*(hbar/2) khat,
+    H = omega/2,    P = (omega/2) khat,    J = gamma/2 khat,
 
 which the quadrature in mode_observables verifies rather than assumes.
+In the units of a box of edge L, times are in units of L/c, A and B in units
+of sqrt(hbar/c)/L and sqrt(hbar/c)/L^2, E in units of sqrt(hbar c)/L^2,
+H in units of hbar c/L, P in units of hbar/L and J in units of hbar.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._lazy import np
-from .constants import NATURAL, PhysicalConstants
-from .errors import ResolutionError, check_scales, refuse
+from .errors import ResolutionError, refuse
 
 __all__ = [
     "Modes",
@@ -43,7 +47,6 @@ __all__ = [
     "ensemble_cost",
     "modes_cost",
     "sample_fields",
-    "check_mode_scales",
     "resolution_floor",
     "mode_observables",
     "quadrature_cost",
@@ -67,8 +70,7 @@ class Modes:
 
     Indexing with a slice or an index array gives the Modes of those rows;
     rows stay 2-D, so modes[:1] is the first mode and modes[0] is refused.
-    The frequency omega = c |k| is derived where fields are evaluated, from
-    the box and the constants in use there.
+    The frequency omega = |k| is derived where fields are evaluated.
     """
 
     n: np.ndarray
@@ -92,7 +94,6 @@ class Modes:
 
 @dataclass(frozen=True)
 class ZpfRealization:
-    L: float
     modes: Modes
 
 
@@ -143,11 +144,11 @@ def _polarizations(e1: np.ndarray, e2: np.ndarray, gamma: np.ndarray) -> np.ndar
     return np.where((gamma == 1)[:, np.newaxis], plus, minus)
 
 
-def wave_vector(n, L: float) -> np.ndarray:
-    return 2.0 * np.pi * np.asarray(n, dtype=float) / L
+def wave_vector(n) -> np.ndarray:
+    return 2.0 * np.pi * np.asarray(n, dtype=float)
 
 
-def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Modes:
+def make_mode(n, gamma: int, zeta: float, phi: float) -> Modes:
     """The one-row Modes of a single mode, its inputs validated."""
     n = tuple(int(c) for c in n)
     if len(n) != 3:
@@ -156,8 +157,6 @@ def make_mode(n, gamma: int, zeta: float, phi: float, L: float) -> Modes:
         raise ValueError("zero wave vector is not a mode")
     if gamma not in (1, -1):
         raise ValueError(f"polarization index must be +1 or -1, got {gamma!r}")
-    if not L > 0:
-        raise ValueError("box size must be positive")
     return Modes(
         np.array([n]), np.array([int(gamma)]), np.array([float(zeta)]), np.array([float(phi)])
     )
@@ -182,48 +181,15 @@ def mode_keys(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(n, 2, axis=0), np.tile([1, -1], len(n))
 
 
-def _mode_scales(n: np.ndarray, L: float, constants: PhysicalConstants):
+def _mode_scales(n: np.ndarray):
     """Wave vectors k (M, 3), frequencies omega (M,) and carrier prefactors
-    (M,) of lattice vectors n (M, 3). Raises ValueError when the volume
-    V = L^3, a frequency, a prefactor, its radicand hbar / (V omega) or the
-    denominator V omega is not a finite normal float (a subnormal radicand
-    or denominator has lost digits that the square root does not show)."""
-    with np.errstate(all="ignore"):
-        k = wave_vector(n, L)
-        volume = np.float64(L) ** 3
-        omega = constants.c * np.sqrt(_row_dots(k, k))[:, 0]
-        volume_omega = volume * omega
-        radicand = constants.hbar / volume_omega
-        prefactor = np.sqrt(radicand)
-    check_scales(
-        f"modes in a box of edge {L:g}",
-        volume=volume, omega=omega, prefactor=prefactor, radicand=radicand,
-        volume_omega=volume_omega,
-    )
-    return k, omega, prefactor
+    sqrt(1 / omega) (M,) of lattice vectors n (M, 3)."""
+    k = wave_vector(n)
+    omega = np.sqrt(_row_dots(k, k))[:, 0]
+    return k, omega, np.sqrt(1.0 / omega)
 
 
-def check_mode_scales(
-    L: float, n_max: int, constants: PhysicalConstants = NATURAL, t: float = 0.0
-) -> None:
-    """Raise ValueError when the volume, a frequency, a carrier prefactor,
-    its radicand hbar / (V omega) or the denominator V omega of a mode with
-    0 < |n|_inf <= n_max, or the largest phase omega t at time t (floored at
-    1), is not a finite normal float.
-
-    Frequencies and V omega grow and prefactors and radicands shrink with
-    |n|, so the shortest and the longest lattice vectors stand for every
-    mode in between.
-    """
-    _, omega, _ = _mode_scales(np.array([[0, 0, 1], [n_max] * 3], dtype=float), L, constants)
-    omega_max = float(omega[1])
-    check_scales(
-        f"a time of {t:g} at frequencies up to {omega_max:g}",
-        phase=max(omega_max * abs(t), 1.0),
-    )
-
-
-def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
+def sample_realization(n_max: int, seed) -> ZpfRealization:
     """Draw one realization: i.i.d. uniform zeta and phi for every mode.
 
     The same seed always produces the same realization. seed is anything
@@ -234,15 +200,13 @@ def sample_realization(L: float, n_max: int, seed) -> ZpfRealization:
     realization i of sample_zeta_ensemble(n_max, count, s). Raises
     SizeLimitError, before any mode array is built, past modes_cost.
     """
-    if not L > 0:
-        raise ValueError("box size must be positive")
     refuse(modes_cost(n_max))
     n, gamma = mode_keys(n_max)
     rng = np.random.default_rng(seed)
     # zeta block first, then phi block; the ensemble sampler relies on this order
     zetas = rng.uniform(0.0, 2.0 * np.pi, len(gamma))
     phis = rng.uniform(0.0, 2.0 * np.pi, len(gamma))
-    return ZpfRealization(L=float(L), modes=Modes(n, gamma, zetas, phis))
+    return ZpfRealization(modes=Modes(n, gamma, zetas, phis))
 
 
 def sample_zeta_ensemble(n_max: int, count: int, seed: int, columns):
@@ -254,7 +218,7 @@ def sample_zeta_ensemble(n_max: int, count: int, seed: int, columns):
     phis, the order sample_realization draws them in.
     M is even and Philox yields four 64-bit words per counter, so a block is
     M/2 counters, and row i holds exactly those columns of the zeta block of
-    sample_realization(L, n_max, np.random.Philox(seed).advance(i * M // 2)).
+    sample_realization(n_max, np.random.Philox(seed).advance(i * M // 2)).
     The stream is drawn as raw 64-bit words w, a block of _DRAW_DOUBLES (or
     one row, if longer) at a time; only `columns`, mode indices in [0, M) in
     any order and with repeats, keep their w >> 11, scaled once by 2 pi
@@ -312,55 +276,40 @@ def ensemble_cost(n_max: int, count: int, columns: int) -> list:
     ]
 
 
-def sample_fields(
-    real: ZpfRealization, points, t: float, constants: PhysicalConstants = NATURAL
-):
+def sample_fields(real: ZpfRealization, points, t: float):
     """Total A, E, B at an array of points (..., 3) inside the box.
 
     Mode by mode, X = Re(w_X e^{i theta}) = cos(theta) Re w_X - sin(theta)
     Im w_X with theta = k.r - omega t, and with w_A = f eps,
     w_E = i omega f eps and w_B = i f (k x eps), f being the carrier's
-    constant factor -i sqrt(hbar / (V omega)) a. The sum over the M modes is
+    constant factor -i sqrt(1 / omega) a. The sum over the M modes is
     then one real product [cos theta, sin theta] @ W, W of shape (2M, 9),
-    taken over blocks of points. Raises ValueError when the largest E or B
-    weight of a mode is not a finite normal float, or a field is not finite.
+    taken over blocks of points.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[-1] != 3:
         raise ValueError("points must have a trailing axis of length 3")
-    if np.any(points < 0.0) or np.any(points >= real.L):
-        raise ValueError("evaluation points must lie in [0, L)^3")
+    if np.any(points < 0.0) or np.any(points >= 1.0):
+        raise ValueError("evaluation points must lie in [0, 1)^3")
     flat = points.reshape(-1, 3)
     fields = np.zeros((len(flat), 9))
     if len(real.modes):
         n = real.modes.n.astype(float)
         e1, e2, _ = _triads(n)
         eps = _polarizations(e1, e2, real.modes.gamma)
-        k, omega, prefactor = _mode_scales(n, real.L, constants)
+        k, omega, prefactor = _mode_scales(n)
         amplitude = real.modes.amplitude
         w_a = (prefactor * (-1j) * amplitude)[:, np.newaxis] * eps
-        with np.errstate(all="ignore"):
-            w_e = 1j * omega[:, np.newaxis] * w_a
-        # w_B = i f (k x eps) with i f = sqrt(hbar / (V omega)) a; B is built
-        # from k x eps, not from B = gamma |k| A, which field-sample checks
+        w_e = 1j * omega[:, np.newaxis] * w_a
+        # w_B = i f (k x eps) with i f = sqrt(1 / omega) a; B is built from
+        # k x eps, not from B = gamma |k| A, which field-sample checks
         w_b = (prefactor * amplitude)[:, np.newaxis] * np.cross(k, eps)
         w = np.concatenate([w_a, w_e, w_b], axis=1)
         weights = np.concatenate([w.real, -w.imag])
-        # every field is a sum of its weights: the largest E and B weight of
-        # each mode, over the real and imaginary parts of its components
-        largest = np.max(np.abs(weights.reshape(2, len(k), 3, 3)), axis=(0, 3))
-        what = f"the fields of modes in a box of edge {real.L:g}"
-        check_scales(what, e_weight=largest[:, 1], b_weight=largest[:, 2])
         rows = max(1, _BLOCK_DOUBLES // len(weights))
-        # finite weights can still add up past the largest float
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(flat), rows):
-                theta = flat[start : start + rows] @ k.T - omega * t
-                fields[start : start + rows] = (
-                    np.hstack([np.cos(theta), np.sin(theta)]) @ weights
-                )
-        if not np.isfinite(fields).all():
-            raise ValueError(f"refusing {what}: a field sums its weights past the largest float")
+        for start in range(0, len(flat), rows):
+            theta = flat[start : start + rows] @ k.T - omega * t
+            fields[start : start + rows] = np.hstack([np.cos(theta), np.sin(theta)]) @ weights
     fields = fields.reshape(points.shape[:-1] + (9,))
     return fields[..., 0:3], fields[..., 3:6], fields[..., 6:9]
 
@@ -393,18 +342,12 @@ def _phase_step(n, grid: int) -> tuple[int, tuple[int, int, int]]:
     return d, tuple(v % grid for v in u)
 
 
-def mode_observables(
-    mode: Modes,
-    L: float,
-    grid: int,
-    constants: PhysicalConstants = NATURAL,
-    t: float = 0.0,
-) -> ModeObservables:
+def mode_observables(mode: Modes, grid: int, t: float = 0.0) -> ModeObservables:
     """H, P, J of a one-row Modes by trapezoidal quadrature on the periodic
     grid.
 
-    With periodic sampling at grid^3 points j L / grid the trapezoidal rule
-    reduces to the grid mean times the volume. One mode's integrands depend
+    With periodic sampling at grid^3 points j / grid the trapezoidal rule
+    reduces to the grid mean (the volume is 1). One mode's integrands depend
     on the point only through theta = 2 pi (n.j) / grid - omega t, and
     j -> n.j mod grid maps Z_grid^3 onto the multiples of
     d = gcd(n1, n2, n3, grid) with grid^2 d points in every fibre. So the
@@ -423,35 +366,14 @@ def mode_observables(
     floor = resolution_floor(n)
     if grid < floor:
         raise ResolutionError(f"grid {grid} is below the resolution floor {floor} for n={n}")
-    _, omega, _ = _mode_scales(mode.n.astype(float), L, constants)
-    V = np.float64(L) ** 3
     d, step = _phase_step(n, grid)
     phases = grid // d
-    with np.errstate(all="ignore"):
-        density = constants.hbar * omega / V
-        momentum_density = density / constants.c
-        spin_density = constants.hbar / V
-        # each mean first sums its grid / d integrands, each about half its
-        # density (halved first: density * phases would overflow too early)
-        energy_sum = density / 2 * phases
-        momentum_sum = momentum_density / 2 * phases
-        spin_sum = spin_density / 2 * phases
-    # the integrands are of the size of the energy density hbar omega / V,
-    # E x B of the momentum density hbar omega / (c V) and E x A of the spin
-    # density hbar / V
-    check_scales(
-        f"a quadrature in a box of edge {L:g}",
-        energy_density=density, momentum_density=momentum_density, spin_density=spin_density,
-        energy_sum=energy_sum, momentum_sum=momentum_sum, spin_sum=spin_sum,
-    )
     lattice = np.arange(phases)[:, np.newaxis] * np.array(step) % grid
-    points = lattice * (L / grid)
-    A, E, B = sample_fields(ZpfRealization(L, mode), points, t, constants)
-    # (c B)^2, not c^2 |B|^2: c^2 leaves the float range long before c B does
-    u = 0.5 * (np.sum(E * E, axis=-1) + np.sum(np.square(constants.c * B), axis=-1))
-    H = float(np.mean(u) * V)
-    P = np.mean(np.cross(E, B), axis=0) * V
-    J = np.mean(np.cross(E, A), axis=0) * V
+    A, E, B = sample_fields(ZpfRealization(mode), lattice * (1 / grid), t)
+    u = 0.5 * (np.sum(E * E, axis=-1) + np.sum(B * B, axis=-1))
+    H = float(np.mean(u))
+    P = np.mean(np.cross(E, B), axis=0)
+    J = np.mean(np.cross(E, A), axis=0)
     return ModeObservables(H=H, P=P, J=J)
 
 
@@ -473,47 +395,32 @@ def quadrature_cost(grid: int) -> list:
     return [(f"a quadrature over up to {grid} lattice phases", "bytes", nbytes)]
 
 
-def analytic_mode_observables(
-    modes: Modes, L: float, constants: PhysicalConstants = NATURAL
-) -> ModeObservables:
+def analytic_mode_observables(modes: Modes) -> ModeObservables:
     """Closed-form observables of each of M modes under the module's field
-    convention: H (M,), P (M, 3) and J (M, 3). Raises ValueError when an
-    energy hbar omega / 2 or a momentum hbar omega / (2c) is not a finite
-    normal float (an infinite |P| times a zero component of khat is NaN)."""
-    k = wave_vector(modes.n, L)
+    convention: H (M,), P (M, 3) and J (M, 3)."""
+    k = wave_vector(modes.n)
     norm = np.sqrt(_row_dots(k, k))
     khat = k / norm
-    omega = constants.c * norm[:, 0]
-    with np.errstate(all="ignore"):
-        H = constants.hbar * omega / 2.0
-        momentum = constants.hbar * omega / (2.0 * constants.c)
-    check_scales(f"modes in a box of edge {L:g}", energy=H, momentum=momentum)
-    P = momentum[:, np.newaxis] * khat
-    J = (modes.gamma * (constants.hbar / 2.0))[:, np.newaxis] * khat
+    H = norm[:, 0] / 2.0
+    P = H[:, np.newaxis] * khat
+    J = (modes.gamma * 0.5)[:, np.newaxis] * khat
     return ModeObservables(H=H, P=P, J=J)
 
 
-def realization_totals(
-    real: ZpfRealization, constants: PhysicalConstants = NATURAL
-) -> ModeObservables:
+def realization_totals(real: ZpfRealization) -> ModeObservables:
     """Sum of per-mode analytic observables.
 
     Modes are accumulated in an order that places exactly cancelling partners
     adjacently (n with -n, gamma with -gamma), so totals over sets closed
     under those reflections vanish exactly in floating point, not just to
     rounding: by canon = max(n, -n), then n == canon first, then gamma = +1
-    first, one after another from zero. Raises ValueError when the total
-    energy of a nonempty set is not a finite normal float: each mode's
-    energy is checked, but their sum can overflow.
+    first, one after another from zero.
     """
     modes = real.modes
-    obs = analytic_mode_observables(modes, real.L, constants)
+    obs = analytic_mode_observables(modes)
     first = modes.n[np.arange(len(modes)), np.argmax(modes.n != 0, axis=1)]
     canon = modes.n * np.sign(first)[:, np.newaxis]
     order = np.lexsort((-modes.gamma, first < 0, canon[:, 2], canon[:, 1], canon[:, 0]))
     rows = np.concatenate([obs.H[:, np.newaxis], obs.P, obs.J], axis=1)[order]
-    with np.errstate(over="ignore"):
-        total = np.add.accumulate(np.concatenate([np.zeros((1, 7)), rows]))[-1]
-    if len(modes):
-        check_scales(f"{len(modes)} modes in a box of edge {real.L:g}", total_energy=total[0])
+    total = np.add.accumulate(np.concatenate([np.zeros((1, 7)), rows]))[-1]
     return ModeObservables(H=float(total[0]), P=total[1:4], J=total[4:7])

@@ -6,12 +6,14 @@ momentum about z and n_minus quanta -hbar, so every basis state is an L_z
 eigenstate with m_l = n_plus - n_minus, while the energy depends only on the
 shell number N = n_plus + n_minus (+ n_z).
 
-With l0 = sqrt(hbar/(2 m omega0)) and circular ladder operators
-b_+ = (b_x - i b_y)/sqrt(2), b_- = (b_x + i b_y)/sqrt(2), the position
-in-plane position operators are
+The table is in natural units, hbar = m = omega0 = 1: lengths in units of
+sqrt(hbar/(m omega0)), frequencies in units of omega0 and angular momenta in
+units of hbar. The length l0 = sqrt(hbar/(2 m omega0)) is then 1/sqrt2, and
+with circular ladder operators b_+ = (b_x - i b_y)/sqrt(2),
+b_- = (b_x + i b_y)/sqrt(2) the in-plane position operators are
 
-    x = (l0/sqrt2) (b_+ + b_- + b_+^dag + b_-^dag)
-    y = (i l0/sqrt2) (b_+ - b_- - b_+^dag + b_-^dag)
+    x = (1/2) (b_+ + b_- + b_+^dag + b_-^dag)
+    y = (i/2) (b_+ - b_- - b_+^dag + b_-^dag)
 
 which couple adjacent shells only and leave n_z alone. Every spectral sum
 about z reads these two alone, so z is not tabulated. The equivalent
@@ -25,8 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
-from .constants import NATURAL, PhysicalConstants
-from .errors import check_scales, refuse
+from .errors import refuse
 
 __all__ = [
     "MatrixElementTable",
@@ -48,7 +49,7 @@ class MatrixElementTable:
 
     states is an (S, dims) integer array of labels, ordered by shell and
     then by label; row a of every other array belongs to states[a].
-    omega_array holds the state frequencies omega = omega0 (N + dims/2).
+    omega_array holds the state frequencies omega = N + dims/2.
     x and y couple each state only to the four states one n_plus or n_minus
     quantum away, so they are stored per neighbour slot: neighbours[a, k] is
     the row of neighbour b in slot k (see _SLOTS), or -1 where b lies
@@ -59,7 +60,6 @@ class MatrixElementTable:
     """
 
     n_cut: int
-    mass: float
     states: np.ndarray
     omega_array: np.ndarray = field(repr=False)
     neighbours: np.ndarray = field(repr=False)
@@ -105,53 +105,18 @@ def table_cost(dims: int, n_cut: int) -> list:
     return [(what, "bytes", _BYTES_PER_STATE * size + _BYTES_PER_TABLE)]
 
 
-def _length_scale(omega0: float, n_cut: int, constants: PhysicalConstants) -> float:
-    """l0 = sqrt(hbar / (2 m omega0)). Raises ValueError when l0, the
-    strength l0^2 / 2 of the matrix-element prefactor l0 / sqrt2, the
-    weight omega0 l0^2 / 2 that sets the size of every spectral-sum term,
-    the denominator 2 m omega0, the largest squared circular element or
-    the largest per-state sum is not a finite normal float.
+def build_oscillator_table(dims: int, n_cut: int) -> MatrixElementTable:
+    """Tabulate every state with shell <= n_cut and its position elements,
+    each s sqrt(n) with s = l0/sqrt2 = 1/2.
 
-    An element between shells n_cut - 1 and n_cut is l0 sqrt(n_cut / 2), so
-    |x+-|^2 reaches 2 strength n_cut. Of the sums over a state's four slots,
-    L_z climbs highest: at n_cut - 1 n_plus quanta its running sum reaches
-    (4 n_cut - 2) weight, and hbar (n_cut - 1) once the mass multiplies it;
-    at n_cut 1 the sum rule's 4 weight = hbar / m is the largest."""
-    with np.errstate(all="ignore"):
-        two_m_omega0 = 2.0 * constants.m * omega0
-        l0 = np.sqrt(np.float64(constants.hbar) / two_m_omega0)
-        strength = (l0 / math.sqrt(2.0)) ** 2
-        weight = omega0 * strength
-        squared_element = 2.0 * strength * n_cut
-        state_sum = [max(4 * n_cut - 2, 4) * weight, constants.hbar * max(n_cut - 1, 1)]
-    check_scales(
-        f"an oscillator of frequency {omega0:g}",
-        l0=l0, strength=strength, weight=weight, two_m_omega0=two_m_omega0,
-        squared_element=squared_element, state_sum=state_sum,
-    )
-    return float(l0)
-
-
-def build_oscillator_table(
-    dims: int,
-    omega0: float,
-    n_cut: int,
-    constants: PhysicalConstants = NATURAL,
-) -> MatrixElementTable:
-    """Tabulate every state with shell <= n_cut and its position elements.
-
-    Raises SizeLimitError, before allocating anything, past table_cost,
-    and ValueError when the length scale overflows or underflows.
+    Raises SizeLimitError, before allocating anything, past table_cost.
     """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")
-    if not (omega0 > 0 and math.isfinite(omega0)):
-        raise ValueError("omega0 must be positive and finite")
     if int(n_cut) != n_cut or n_cut < 1:
         raise ValueError("n_cut must be a positive integer")
     n_cut = int(n_cut)
     refuse(table_cost(dims, n_cut))
-    l0 = _length_scale(omega0, n_cut, constants)
     states = _state_labels(dims, n_cut)
     size = len(states)
     # one padding layer of -1 on each axis: a label one quantum below 0 or
@@ -159,7 +124,6 @@ def build_oscillator_table(
     index = np.full((n_cut + 2,) * dims, -1, dtype=np.intp)
     index[tuple(states.T)] = np.arange(size)
 
-    s = l0 / math.sqrt(2.0)
     neighbours = np.empty((size, 4), dtype=np.intp)
     x = np.empty((size, 4))
     y = np.empty((size, 4))
@@ -168,17 +132,16 @@ def build_oscillator_table(
         label[axis] = label[axis] + step
         neighbours[:, k] = index[tuple(label)]
         present = neighbours[:, k] >= 0
-        x[:, k] = np.where(present, s * np.sqrt(states[:, axis] + max(step, 0)), 0.0)
+        x[:, k] = np.where(present, 0.5 * np.sqrt(states[:, axis] + max(step, 0)), 0.0)
         # Im <b|y|a> = -x for a raised n_plus or a lowered n_minus quantum,
-        # as y = (i l0/sqrt2)(b_+ - b_- - b_+^dag + b_-^dag) has it
+        # as y = (i/2)(b_+ - b_- - b_+^dag + b_-^dag) has it
         y[:, k] = (2 * axis - 1) * step * x[:, k]
 
-    omega_array = omega0 * (states.sum(axis=1) + dims / 2.0)
+    omega_array = states.sum(axis=1) + dims / 2.0
     for arr in (states, omega_array, neighbours, x, y):
         arr.setflags(write=False)
     return MatrixElementTable(
         n_cut=n_cut,
-        mass=constants.m,
         states=states,
         omega_array=omega_array,
         neighbours=neighbours,

@@ -8,9 +8,13 @@ first checks that the table's shell cutoff actually contains that set for
 every row; a cutoff that would silently truncate a sum raises
 IncompleteBasisError instead of returning a wrong number.
 
+Every sum reads the table in its natural units, hbar = m = omega0 = 1, so
+each returns an angular momentum or an oscillator strength in units of hbar,
+and zeeman_levels gives energies in units of mu0 B.
+
 Sign conventions are pinned by operator oracles, not by notation.
 lz_expectation reproduces the diagonal of x p_y - y p_x built from the same
-table, with the momenta transcribed as p_ab = i m w_ab x_ab (the package's
+table, with the momenta transcribed as p_ab = i w_ab x_ab (the package's
 only such transcription; the tests build their own). The polarized route to
 L_z is the sum of the two polarized_momenta channels, the circular coupling
 strengths taken as beta-alpha elements, the ordering that agrees with it.
@@ -21,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._lazy import np
-from .constants import NATURAL, PhysicalConstants
 from .errors import IncompleteBasisError
 from .oscillator import MatrixElementTable
 
@@ -62,56 +65,56 @@ def _gaps(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray, tupl
 
 
 def trk_sum_rule(table: MatrixElementTable, rows) -> np.ndarray:
-    """Oscillator-strength sum m * sum_b w_ba (|x+_ab|^2 + |x-_ab|^2) for
+    """Oscillator-strength sum sum_b w_ba (|x+_ab|^2 + |x-_ab|^2) for
     each state a = table.states[row] of `rows`.
 
-    Equals hbar for every state whose coupled shells sit inside the cutoff,
+    Equals 1 (hbar) for every state whose coupled shells sit inside the cutoff,
     independent of which circular component ordering is used.
     """
     _, w, back = _gaps(table, rows)
     xplus, xminus = table.circular(back)
-    return table.mass * np.sum(w * (np.abs(xplus) ** 2 + np.abs(xminus) ** 2), axis=1)
+    return np.sum(w * (np.abs(xplus) ** 2 + np.abs(xminus) ** 2), axis=1)
 
 
 def lz_expectation(table: MatrixElementTable, rows) -> np.ndarray:
     """Orbital angular momentum about z from the spectral table, for each
     state a = table.states[row] of `rows`.
 
-    Evaluates i m sum_b w_ba (x_ab y_ba - y_ab x_ba), the spectral
+    Evaluates i sum_b w_ba (x_ab y_ba - y_ab x_ba), the spectral
     transcription of x p_y - y p_x, with each ab element read from the
     neighbour's slot back to a; y = i Y is imaginary, Y the stored
-    coupling, so that is m sum_b w_ba (Y_ab x_ba - x_ab Y_ba). Equals m_l hbar
-    on this basis.
+    coupling, so that is sum_b w_ba (Y_ab x_ba - x_ab Y_ba). Equals m_l
+    (hbar) on this basis.
     """
     rows, w, back = _gaps(table, rows)
     terms = table.y[back] * table.x[rows] - table.x[back] * table.y[rows]
-    return table.mass * np.sum(w * terms, axis=1)
+    return np.sum(w * terms, axis=1)
 
 
 def polarized_momenta(table: MatrixElementTable, rows) -> tuple[np.ndarray, np.ndarray]:
     """Angular momentum carried through each polarization channel, for each
     state a = table.states[row] of `rows`.
 
-    Returns (M_plus, M_minus) with M_plus = m sum_b w_ba |x+_ba|^2 and
-    M_minus = -m sum_b w_ba |x-_ba|^2; their sum is the polarized route to
-    L_z and their difference is hbar by the oscillator-strength sum.
+    Returns (M_plus, M_minus) with M_plus = sum_b w_ba |x+_ba|^2 and
+    M_minus = -sum_b w_ba |x-_ba|^2; their sum is the polarized route to
+    L_z and their difference is 1 (hbar) by the oscillator-strength sum.
     """
     rows, w, _ = _gaps(table, rows)
     xplus, xminus = table.circular(rows)
-    m_plus = table.mass * np.sum(w * np.abs(xplus) ** 2, axis=1)
-    m_minus = -table.mass * np.sum(w * np.abs(xminus) ** 2, axis=1)
+    m_plus = np.sum(w * np.abs(xplus) ** 2, axis=1)
+    m_minus = -np.sum(w * np.abs(xminus) ** 2, axis=1)
     return m_plus, m_minus
 
 
-def zeeman_levels(B: float, constants: PhysicalConstants = NATURAL):
+def zeeman_levels():
     """The six (m_l, m_s) levels for m_l in {-1, 0, 1}, each at the
-    first-order shift mu0 * B * (m_l + 2 m_s).
+    first-order shift m_l + 2 m_s in units of mu0 B, an integer.
 
     The doubled spin weight makes the m_s = +-1/2 pair straddle the orbital
     ladder exactly as a g-factor of two requires.
     """
     return [
-        (m_l, m_s, constants.mu0 * B * (m_l + int(2 * m_s)))
+        (m_l, m_s, m_l + int(2 * m_s))
         for m_l in (-1, 0, 1)
         for m_s in (_HALF, -_HALF)
     ]

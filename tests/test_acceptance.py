@@ -33,13 +33,10 @@ from zpfspin import (
     zeeman_levels,
 )
 from zpfspin.cli import main
-from zpfspin.constants import NATURAL
 from zpfspin.errors import IncompleteBasisError
 from zpfspin.phase_algebra import MINUS_ONE, ONE
 
 HALF = Fraction(1, 2)
-L = 1.0
-
 
 def test_criterion_01_quadrature_matches_closed_forms():
     start = time.perf_counter()
@@ -51,9 +48,9 @@ def test_criterion_01_quadrature_matches_closed_forms():
             n = (0, 0, 1)
         gamma = int(rng.choice([1, -1]))
         zeta, phi = rng.uniform(0, 2 * np.pi, 2)
-        mode = make_mode(n, gamma, float(zeta), float(phi), L)
-        obs = mode_observables(mode, L, 32, NATURAL)
-        ref = analytic_mode_observables(mode, L, NATURAL)
+        mode = make_mode(n, gamma, float(zeta), float(phi))
+        obs = mode_observables(mode, 32)
+        ref = analytic_mode_observables(mode)
         ref_H, ref_P, ref_J = ref.H[0], ref.P[0], ref.J[0]
         worst = max(
             worst,
@@ -90,7 +87,7 @@ def test_criterion_02_phase_ensemble_average():
 
 def test_criterion_03_sum_rule_and_cutoff_detection():
     for dims in (2, 3):
-        table = build_oscillator_table(dims, 1.0, 5, NATURAL)
+        table = build_oscillator_table(dims, 5)
         shells = table.states.sum(axis=1)
         checked = 0
         for value in trk_sum_rule(table, np.flatnonzero(shells < table.n_cut)):
@@ -104,7 +101,7 @@ def test_criterion_03_sum_rule_and_cutoff_detection():
 
 
 def test_criterion_04_angular_momentum_two_routes():
-    table = build_oscillator_table(2, 1.0, 5, NATURAL)
+    table = build_oscillator_table(2, 5)
     m_ell = table.states[:, 0] - table.states[:, 1]
     complete = table.states.sum(axis=1) < table.n_cut
     rows = np.flatnonzero(complete & (np.abs(m_ell) <= 3))
@@ -122,7 +119,7 @@ def test_criterion_04_angular_momentum_two_routes():
 
 def test_criterion_05_spin_split_exact():
     # the spin channels are measured from the table, not restated
-    table = build_oscillator_table(2, 1.0, 5, NATURAL)
+    table = build_oscillator_table(2, 5)
     m_ell = table.states[:, 0] - table.states[:, 1]
     complete = table.states.sum(axis=1) < table.n_cut
     rows = np.flatnonzero(complete & (np.abs(m_ell) <= 2))
@@ -137,15 +134,15 @@ def test_criterion_05_spin_split_exact():
 
 
 def test_criterion_06_zeeman_weights(capsys):
-    levels = zeeman_levels(1.0, NATURAL)
+    levels = zeeman_levels()
     assert [(m_l, m_s) for m_l, m_s, _ in levels] == [
         (m_l, m_s) for m_l in (-1, 0, 1) for m_s in (HALF, -HALF)
     ]
     for m_l, m_s, energy in levels:
-        assert energy == float(m_l + 2 * m_s)
+        assert energy == m_l + 2 * m_s
     # the moment mu = -(2 mu0/hbar) M of each measured channel of shells 0
     # and 1 carries the doubled spin weight: -2 M+- = -(m_l +- 1)
-    table = build_oscillator_table(2, 1.0, 2, NATURAL)
+    table = build_oscillator_table(2, 2)
     rows = np.flatnonzero(table.states.sum(axis=1) < 2)
     m_ell = (table.states[rows, 0] - table.states[rows, 1]).tolist()
     for sign, channel in zip((1, -1), polarized_momenta(table, rows)):

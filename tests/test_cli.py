@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from zpfspin import cli, errors, exchange, modes, oscillator
+from zpfspin import cli, errors, exchange, modes
 from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
 from zpfspin.exchange import antisymmetrize, derive_antisymmetry, negate
 from zpfspin.oscillator import build_oscillator_table
@@ -262,7 +262,8 @@ def test_zeeman_ramp_built_only_for_csv(capsys, monkeypatch, tmp_path):
     assert main(["zeeman", "--b-points", "1000"]) == 0
     assert len(calls) == 1  # the report's own levels
     assert main(["zeeman", "--b-points", "3", "--csv", str(tmp_path / "levels.csv")]) == 0
-    assert len(calls) == 1 + 1 + 3
+    # the report's levels again, and once more for the whole ramp
+    assert len(calls) == 1 + 2
     capsys.readouterr()
 
 
@@ -340,9 +341,10 @@ def test_zeeman_subnormal_gap_exits_two_before_any_work(capsys, monkeypatch):
             1.0,
         ),
         (lambda m_plus, m_minus: (m_minus, m_plus), ["channel_gap_is_hbar"], 1.0),
-        # the tolerances are in units of hbar, so a tiny hbar hides nothing
+        # the channels and tolerances are in units of hbar, so a tiny hbar
+        # hides nothing
         (
-            lambda m_plus, m_minus: (m_plus, m_minus + 1e-9 * 1e-30),
+            lambda m_plus, m_minus: (m_plus, m_minus + 1e-9),
             ["routes_agree", "operator_eigenvalue", "channel_gap_is_hbar"],
             1e-30,
         ),
@@ -1458,91 +1460,43 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
 @pytest.mark.parametrize(
     "argv,owner,patched",
     [
-        (["mode-observables", "--n", "0,0,1", "--box", "1e300"], modes, "sample_fields"),
-        (["mode-observables", "--n", "0,0,1", "--box", "1e-300"], modes, "sample_fields"),
-        (["field-sample", "--box", "1e300", "--points", "4"], cli, "sample_realization"),
-        (["field-sample", "--box", "1e-300", "--points", "4"], cli, "sample_realization"),
-        (["totals", "--box", "1e300"], cli, "sample_realization"),
-        (["sum-rule", "--n-cut", "2", "--hbar", "1e300", "--m", "1e-300"], oscillator, "_state_labels"),
-        (
-            ["angular-momentum", "--n-cut", "3", "--omega0", "1e-300", "--m", "1e-20"],
-            oscillator,
-            "_state_labels",
+        # the bound 1e-9 |P| of momentum_error, pi hbar / L, is subnormal
+        pytest.param(
+            ["mode-observables", "--n", "0,0,1", "--box", "1e300"], modes, "sample_fields",
+            id="argv0-zpfspin.modes-sample_fields",
         ),
-        # the quadrature squares the fields, so hbar omega / V must fit as well
-        (["mode-observables", "--box", "1e100"], modes, "sample_fields"),
-        (["mode-observables", "--box", "1e-100"], modes, "sample_fields"),
-        (["mode-observables", "--hbar", "1e300", "--c", "1e10"], modes, "sample_fields"),
-        # the level scale 2 mu0 field overflows
-        (["zeeman", "--field", "1e308", "--mu0", "10"], cli, "build_oscillator_table"),
-        (["zeeman", "--field", "1e308"], cli, "build_oscillator_table"),
+        # the energy pi hbar c / L of the closed form overflows
+        pytest.param(
+            ["mode-observables", "--hbar", "1e300", "--c", "1e10"], modes, "sample_fields",
+            id="argv9-zpfspin.modes-sample_fields",
+        ),
+        # the spin gap 2 mu0 field overflows
+        pytest.param(
+            ["zeeman", "--field", "1e308", "--mu0", "10"], cli, "build_oscillator_table",
+            id="argv10-zpfspin.cli-build_oscillator_table",
+        ),
+        pytest.param(
+            ["zeeman", "--field", "1e308"], cli, "build_oscillator_table",
+            id="argv11-zpfspin.cli-build_oscillator_table",
+        ),
         # the largest phase omega t of the fields overflows
-        (["field-sample", "--time", "1e308"], cli, "sample_realization"),
-        # the ramp's last level scale 2 mu0 b_max overflows
-        (["zeeman", "--b-max", "1e308", "--csv", CSV_IN_TMP], cli, "build_oscillator_table"),
-        # the quadrature's E x B is of the size hbar omega / (c V)
-        (
-            ["mode-observables", "--box=1e-100", "--c=1e-100", "--n=2,-1,1", "--gamma=-1", "--grid=8"],
-            modes,
-            "sample_fields",
+        pytest.param(
+            ["field-sample", "--time", "1e308"], cli, "sample_realization",
+            id="argv12-zpfspin.cli-sample_realization",
         ),
-        (["mode-observables", "--box=1e100", "--c=1e100"], modes, "sample_fields"),
-        # the carrier radicand hbar / (V omega) is subnormal
-        (["mode-observables", "--hbar=1e-160", "--c=1e160", "--grid=8"], modes, "sample_fields"),
-        (["field-sample", "--hbar=1e-160", "--c=1e160", "--points", "4"], cli, "sample_realization"),
-        # the denominator V omega of the carrier radicand is subnormal
-        (["mode-observables", "--box=1e-50", "--c=1e-216", "--hbar=1e-9", "--grid=8"], modes, "sample_fields"),
-        # the denominator 2 m omega0 of l0^2 is subnormal
-        (
-            ["sum-rule", "--dims=3", "--n-cut=2", "--omega0=1e-300", "--hbar=1e-20", "--m=1e-20"],
-            oscillator,
-            "_state_labels",
-        ),
-        (
-            ["angular-momentum", "--dims=3", "--n-cut=1", "--omega0=1e-300", "--hbar=1e-20", "--m=1e-20"],
-            oscillator,
-            "_state_labels",
-        ),
-        # every density is normal, a quadrature mean's sum over the grid overflows
-        (["mode-observables", "--n", "1,0,0", "--grid", "64", "--hbar", "1e306"], modes, "sample_fields"),
-        (
-            [
-                "mode-observables", "--n=9,0,-2", "--grid=40", "--box=2.0721280731427327e-44",
-                "--hbar=3.7914882472790263e+130", "--c=0.015417942960903782",
-            ],
-            modes,
-            "sample_fields",
-        ),
-        # a squared circular element 2 strength n_cut overflows where l0, the
-        # strength and the weight are normal
-        (
-            ["angular-momentum", "--dims=3", "--n-cut=2", "--omega0=7.3e-10", "--hbar=2.5e200", "--m=9.99e-100"],
-            oscillator,
-            "_state_labels",
-        ),
-        (
-            ["angular-momentum", "--dims=2", "--n-cut=12", "--omega0=9.99e-10", "--hbar=1e300", "--m=9.99e0"],
-            oscillator,
-            "_state_labels",
-        ),
-        (
-            ["sum-rule", "--n-cut=5", "--omega0=9.99e-100", "--hbar=2.5e10", "--m=7.3e-200"],
-            oscillator,
-            "_state_labels",
-        ),
-        # the L_z running sum (4 n_cut - 2) weight overflows, and hbar (n_cut - 1)
-        (["angular-momentum", "--omega0=1e10", "--hbar=3.995e307"], oscillator, "_state_labels"),
-        (
-            ["angular-momentum", "--dims=3", "--m=1e10", "--omega0=1e-10", "--hbar=4.495e307"],
-            oscillator,
-            "_state_labels",
+        # the ramp's last levels mu0 b_max (m_l + 2 m_s) overflow
+        pytest.param(
+            ["zeeman", "--b-max", "1e308", "--csv", CSV_IN_TMP], cli, "build_oscillator_table",
+            id="argv13-zpfspin.cli-build_oscillator_table",
         ),
     ],
 )
 def test_out_of_range_scales_exit_two_before_any_work(
     capsys, monkeypatch, tmp_path, argv, owner, patched
 ):
-    # each value is finite on its own; a derived scale overflows or underflows
+    # each value is finite on its own; converted to the run's units, a
+    # closed form, a bound or the time's phase leaves the floats, so the
+    # run is refused before its kernels start
     argv = [str(tmp_path / "out.csv") if arg == CSV_IN_TMP else arg for arg in argv]
     monkeypatch.setattr(owner, patched, _never_called)
     assert main(argv) == 2
@@ -1573,6 +1527,109 @@ def test_totals_refuses_mode_energies_outside_the_floats(capsys, argv):
     assert "outside the range of normal floats" in captured.err
     # no numpy warning joins the error line
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value,unit,expected",
+    [
+        # each intermediate product of the plain left-to-right form overflows
+        # or underflows; the result does not
+        (2.0, [(1e308, 1), (1e308, 1), (1e-308, 1), (1e-308, 1)], 2.0),
+        (3.0, [(1e-300, 1), (1e-300, -1)], 3.0),
+        # half powers: sqrt(4e300 / 1e-300) would pass through 4e600
+        (1.0, [(4e300, 0.5), (1e-300, -0.5)], 2e300),
+        (1.0, [(2.5e-301, 0.5), (1e-300, -0.5)], 0.5),
+        # an exact zero, of the value or of a factor, stays zero
+        (0.0, [(1e308, 1), (1e308, 1)], 0.0),
+        (3.0, [(0.0, 1), (1e308, 1)], 0.0),
+        (-3.0, [(-2.5, 1), (0.3, 1)], 0.3 * 2.5 * 3),
+    ],
+)
+def test_in_units_keeps_every_intermediate_in_the_floats(value, unit, expected):
+    assert cli._in_units("a run", "value", value, *unit) == pytest.approx(expected, rel=1e-15)
+
+
+def test_in_units_has_the_bits_of_the_plain_product():
+    rng = random.Random(5)
+    for _ in range(200):
+        value, a, b = (rng.uniform(-1, 1) * 10 ** rng.uniform(-30, 30) for _ in range(3))
+        assert cli._in_units("a run", "value", value, (a, 1), (b, 1)) == value * (a * b)
+
+
+@pytest.mark.parametrize("value,unit,shown", [(1e-300, (1e-10, 1), "1e-310"), (1e300, (1e10, 1), "inf")])
+def test_in_units_refuses_a_value_outside_the_normal_floats(value, unit, shown):
+    with pytest.raises(ValueError) as info:
+        cli._in_units("a run", "energy", [1.0, value], unit)
+    assert str(info.value) == f"refusing a run: its energy is {shown}, outside the range of normal floats"
+
+
+def test_in_units_passes_a_nan_for_its_check_to_fail():
+    assert math.isnan(cli._in_units("a run", "energy", math.nan, (1e300, 1)))
+
+
+def _at_default_units(argv) -> list:
+    """argv without the options of _CONSTANT_FLAGS, each given as --flag=value
+    or as --flag value."""
+    flags, out, args = _CONSTANT_FLAGS[argv[0]], [], iter(argv)
+    for arg in args:
+        flag, equals, _ = arg.partition("=")
+        if flag not in flags:
+            out.append(arg)
+        elif not equals:
+            next(args)
+    return out
+
+
+def _verdicts(body) -> list:
+    return [(check["name"], check["pass"]) for check in body["checks"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an L_z sum that sum-rule never forms
+        ["sum-rule", "--hbar", "1e308", "--m", "10"],
+        # H = pi hbar c / L is 3.1e-100
+        ["mode-observables", "--box", "1e100"],
+        ["mode-observables", "--n", "1,0,0", "--grid", "64", "--hbar", "1e306"],
+        # without --csv no field is reported, whatever the size of its unit
+        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=2.5e150", "--time=1"],
+        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-100", "--c=9.99e-200", "--time=1"],
+        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-20", "--c=9.99e-200"],
+        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=3.57e115", "--time=1"],
+        ["field-sample", "--box", "1e300", "--points", "4"],
+        ["field-sample", "--box", "1e-300", "--points", "4"],
+        ["field-sample", "--hbar=1e-160", "--c=1e160", "--points", "4"],
+        ["mode-observables", "--n", "0,0,1", "--box", "1e-300"],
+        ["mode-observables", "--box", "1e-100"],
+        ["mode-observables", "--box=1e-100", "--c=1e-100", "--n=2,-1,1", "--gamma=-1", "--grid=8"],
+        ["mode-observables", "--box=1e100", "--c=1e100"],
+        ["mode-observables", "--hbar=1e-160", "--c=1e160", "--grid=8"],
+        ["mode-observables", "--box=1e-50", "--c=1e-216", "--hbar=1e-9", "--grid=8"],
+        [
+            "mode-observables", "--n=9,0,-2", "--grid=40", "--box=2.0721280731427327e-44",
+            "--hbar=3.7914882472790263e+130", "--c=0.015417942960903782",
+        ],
+        ["totals", "--box", "1e300"],
+        # the oscillator reports angular momenta in units of hbar, and m and
+        # omega0 enter no reported value
+        ["sum-rule", "--n-cut", "2", "--hbar", "1e300", "--m", "1e-300"],
+        ["angular-momentum", "--n-cut", "3", "--omega0", "1e-300", "--m", "1e-20"],
+        ["sum-rule", "--dims=3", "--n-cut=2", "--omega0=1e-300", "--hbar=1e-20", "--m=1e-20"],
+        ["angular-momentum", "--dims=3", "--n-cut=1", "--omega0=1e-300", "--hbar=1e-20", "--m=1e-20"],
+        ["angular-momentum", "--dims=3", "--n-cut=2", "--omega0=7.3e-10", "--hbar=2.5e200", "--m=9.99e-100"],
+        ["angular-momentum", "--dims=2", "--n-cut=12", "--omega0=9.99e-10", "--hbar=1e300", "--m=9.99e0"],
+        ["sum-rule", "--n-cut=5", "--omega0=9.99e-100", "--hbar=2.5e10", "--m=7.3e-200"],
+        ["angular-momentum", "--omega0=1e10", "--hbar=3.995e307"],
+        ["angular-momentum", "--dims=3", "--m=1e10", "--omega0=1e-10", "--hbar=4.495e307"],
+    ],
+)
+def test_units_that_keep_every_reported_value_normal_run(capsys, argv):
+    # the kernels work in natural units, so only a reported value outside
+    # the floats can refuse a run; these report none
+    code, body = run(capsys, argv)
+    assert code == 0
+    assert _verdicts(body) == _verdicts(run(capsys, _at_default_units(argv))[1])
 
 
 @pytest.mark.parametrize(
@@ -1667,7 +1724,8 @@ def test_infinite_tolerance_bounds_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     name = argv[-1].partition("=")[0]
-    assert captured.err.startswith(f"error: tolerance {name}=")
+    assert captured.err.startswith(f"error: refusing tolerance {name}=")
+    assert "its bound is inf, outside the range of normal floats" in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -1706,28 +1764,47 @@ def test_field_sample_nan_in_the_pair_fails_linearity(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the E weights omega f eps overflow
-        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=2.5e150", "--time=1"],
-        # they underflow to 0
-        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-100", "--c=9.99e-200", "--time=1"],
-        # they are subnormal
-        ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-20", "--c=9.99e-200"],
-        # each weight is finite, the pair's field sum is not
-        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=3.57e115", "--time=1"],
-        # the pair's sum is finite, that of the whole realization is not
-        ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=1e115", "--csv", CSV_IN_TMP],
+        # the pair's fields are reported by no check; those of the whole
+        # realization, converted for the CSV, leave the floats
+        pytest.param(
+            ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=1e115", "--csv", CSV_IN_TMP],
+            id="argv4",
+        ),
+        # E is in units of sqrt(hbar c) / L^2, 2.5e325 here
+        pytest.param(
+            [
+                "field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=2.5e150",
+                "--time=1", "--csv", CSV_IN_TMP,
+            ],
+            id="converted_fields_overflow",
+        ),
     ],
 )
 def test_field_sample_refuses_field_weights_outside_the_floats(capsys, tmp_path, argv):
-    # the weights are derived from the drawn modes, so the refusal follows the draw
+    # the fields are derived from the drawn modes, so the refusal follows the draw
     argv = [str(tmp_path / "out.csv") if arg == CSV_IN_TMP else arg for arg in argv]
-    assert main(argv) == 2
+    report = tmp_path / "report.json"
+    assert main([*argv, "--report", str(report)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: refusing the fields of modes in a box of edge ")
-    # no numpy warning joins the error line, and no CSV is left behind
+    # no numpy warning joins the error line, and no CSV or report is left behind
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("unwritable", ["csv", "report"])
+def test_a_refused_csv_leaves_no_report(capsys, tmp_path, unwritable):
+    # the CSV is written first, and removed again if the report cannot be
+    paths = {"report": tmp_path / "r.json", "csv": tmp_path / "out.csv"}
+    paths[unwritable] = tmp_path / "nonexistent-dir" / paths[unwritable].name
+    argv = ["field-sample", "--points", "4", "--report", str(paths["report"]), "--csv", str(paths["csv"])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert not paths["report"].exists() and not paths["csv"].exists()
 
 
 # the options of each command that take a physical constant
@@ -1771,9 +1848,103 @@ def _sweep_argv(count: int, seed: int) -> list:
     return out
 
 
+def _unit_bearing(command, body, rows, k) -> list:
+    """(value, unit) of each unit-bearing value of a report: the details in
+    the run's units, each tolerance in the unit of what it bounds, and the
+    CSV rows of field-sample. `k` holds the run's constants by config key.
+    The units follow from dimensional analysis, apart from the library:
+    H ~ hbar c / L, P ~ hbar / L, J ~ hbar, A ~ sqrt(hbar / c) / L,
+    E ~ sqrt(hbar c) / L^2, B ~ sqrt(hbar / c) / L^2, an oscillator's
+    angular momenta ~ hbar, whatever m and omega0, and a level ~ mu0 B."""
+    import numpy as np
+
+    hbar, details = k.get("hbar", 1.0), body["details"]
+    checks = {check["name"]: check for check in body["checks"]}
+    if command == "sum-rule":
+        return [(entry["target"], hbar) for entry in details["dims"].values()]
+    if command in ("angular-momentum", "sz"):
+        out = [(check["tolerance"], hbar) for check in body["checks"]]
+        if command == "sz":
+            out += [(checks["symbolic_eigenvalue"]["actual"], hbar)]
+            out += [(checks["numeric_matches_symbolic"]["expected"], hbar)]
+        return out
+    if command == "zeeman":
+        level = k["mu0"] * k["field"]
+        out = [(energy, level) for _, _, energy in details["levels"]]
+        return out + [(check["tolerance"], abs(level)) for check in body["checks"]]
+    energy, momentum = hbar * k["c"] / k["L"], hbar / k["L"]
+    if command == "totals":
+        return [(details["total_energy"], energy)]
+    if command == "mode-observables":
+        units = {"H": energy, "P": momentum, "J": hbar}
+        out = [(details[route][q], units[q]) for route in ("analytic", "quadrature") for q in "HPJ"]
+        bounds = {"energy": energy, "momentum_error": momentum, "angular_momentum_error": hbar}
+        return out + [(check["tolerance"], bounds.get(check["name"], 1.0)) for check in body["checks"]]
+    # field-sample's columns: s, the position, A, E and B
+    a_unit = math.sqrt(hbar / k["c"]) / k["L"]
+    e_unit = math.sqrt(hbar * k["c"]) / k["L"] ** 2
+    units = [1.0] + [k["L"]] * 3 + [a_unit] * 3 + [e_unit] * 3 + [a_unit / k["L"]] * 3
+    return list(zip(np.array(rows, dtype=float).T, units))
+
+
+def _report_and_rows(capsys, tmp_path, argv):
+    path = tmp_path / "out.csv"
+    if argv[0] == "field-sample":
+        argv = [*argv, "--csv", str(path)]
+    code, body = run(capsys, argv)
+    assert code == 0, argv
+    rows = list(csv.reader(path.open()))[1:] if argv[0] == "field-sample" else None
+    return body, rows
+
+
+@pytest.mark.parametrize(
+    "command,size",
+    [
+        ("sum-rule", ["--dims=3", "--n-cut=6"]),
+        ("angular-momentum", ["--dims=3", "--n-cut=6"]),
+        ("mode-observables", ["--n=1,2,3", "--grid=16"]),
+        ("field-sample", ["--points=8", "--n-max=1"]),
+        ("totals", ["--n-max=1"]),
+        ("zeeman", []),
+        ("sz", ["--points=256"]),
+    ],
+)
+def test_reports_scale_with_their_units(capsys, tmp_path, command, size):
+    # each constant log-uniform across 1e-20 to 1e20: every run keeps the
+    # default units' verdicts, and each reported value is the default
+    # run's times its unit
+    import numpy as np
+
+    rng = random.Random(f"units {command}")
+    dests = {"--box": "L", "--hbar": "hbar", "--c": "c", "--m": "m", "--mu0": "mu0", "--omega0": "omega0"}
+    for _ in range(8):
+        k = {dests.get(flag, "field"): 10 ** rng.uniform(-20, 20) for flag in _CONSTANT_FLAGS[command]}
+        if command == "zeeman":
+            k["field"] *= rng.choice((1, -1))
+        argv, default_argv = [command, *size], [command, *size]
+        for flag in _CONSTANT_FLAGS[command]:
+            argv.append(f"{flag}={k[dests.get(flag, 'field')]!r}")
+        if command == "field-sample":
+            # the same time in natural units, 0.3 L / c
+            argv.append(f"--time={0.3 * k['L'] / k['c']!r}")
+            default_argv.append("--time=0.3")
+        body, rows = _report_and_rows(capsys, tmp_path, argv)
+        default, default_rows = _report_and_rows(capsys, tmp_path, default_argv)
+        assert _verdicts(body) == _verdicts(default), argv
+        got = _unit_bearing(command, body, rows, k)
+        want = _unit_bearing(command, default, default_rows, dict.fromkeys(k, 1.0))
+        assert len(got) == len(want)
+        for (value, unit), (reference, _) in zip(got, want):
+            expected = np.asarray(reference, dtype=float) * unit
+            error = np.max(np.abs(np.asarray(value, dtype=float) - expected))
+            assert error <= 1e-12 * np.max(np.abs(expected)), (argv, value, expected)
+
+
 def test_constants_across_the_float_range_exit_zero_or_two(capsys):
     # exit 1 would be a failed verdict on correct code, exit 3 an unforeseen
-    # error; the RuntimeWarning filter turns a numpy warning into exit 3
+    # error; the RuntimeWarning filter turns a numpy warning into exit 3.
+    # A run exits 0 with the verdicts of the default units, or 2 where a
+    # value it reports leaves the floats in its units
     sweep = _sweep_argv(300, 30) + [
         ["field-sample", "--points=4", "--box=1e-100", "--hbar=2.5e100", "--c=2.5e150", "--time=1"],
         ["field-sample", "--points=4", "--box=7.3e100", "--hbar=1e-100", "--c=9.99e-200", "--time=1"],
@@ -1790,7 +1961,10 @@ def test_constants_across_the_float_range_exit_zero_or_two(capsys):
         assert code in (0, 2), (argv, captured.err)
         if code == 0:
             assert "NaN" not in captured.out and "Infinity" not in captured.out, argv
+            default = run(capsys, _at_default_units(argv))[1]
+            assert _verdicts(json.loads(captured.out)) == _verdicts(default), argv
         else:
             assert captured.out == "" and captured.err.count("\n") == 1, (argv, captured.err)
-    # the sweep reaches both sides of the range
-    assert codes.count(0) > 100 and codes.count(2) > 50
+            assert "outside the range of normal floats" in captured.err, (argv, captured.err)
+    # the sweep reaches both sides of the range (251 and 49 of the 300 drawn)
+    assert codes.count(0) > 100 and codes.count(2) > 25

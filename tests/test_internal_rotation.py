@@ -1,5 +1,6 @@
 """Winding constraint on internal phase rotation, and the generator itself."""
 
+import json
 import time
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zpfspin.constants import PhysicalConstants
+from zpfspin.cli import main
 from zpfspin.errors import ResolutionError, SizeLimitError
 from zpfspin.internal_rotation import (
     DichotomyResult,
@@ -182,14 +183,19 @@ def test_winding_must_be_half():
             apply_spin_z(winding)
 
 
-def test_symbolic_eigenvalue_scales_with_hbar():
-    # -hbar times the pi coefficient of the half-turn phase e^{-i w pi} is
-    # hbar w, to the bit; the stencil measures it at every hbar
-    consts = PhysicalConstants(hbar=0.7, c=1.0, m=1.0, mu0=1.0)
+def test_symbolic_eigenvalue_scales_with_hbar(capsys):
+    # minus the pi coefficient of the half-turn phase e^{-i w pi} is w, in
+    # units of hbar, to the bit; sz reports it and the stencil's value in
+    # the units of its --hbar
     for winding in (HALF, -HALF):
-        exact = -0.7 * float(rotation_factor(winding, 1).pi_part)
-        assert exact == 0.7 * float(winding)
-        assert abs(apply_spin_z(winding, consts) - exact) <= 1e-8
+        exact = -float(rotation_factor(winding, 1).pi_part)
+        assert exact == float(winding)
+        assert abs(apply_spin_z(winding) - exact) <= 1e-8
+        assert main(["sz", f"--winding={winding}", "--hbar", "0.7"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["symbolic_eigenvalue"]["actual"] == 0.7 * float(winding)
+        numeric = checks["numeric_matches_symbolic"]
+        assert abs(numeric["actual"] - 0.7 * float(winding)) <= 0.7e-8
 
 
 @pytest.mark.parametrize("winding", [HALF, -HALF])

@@ -2,7 +2,9 @@
 
 The field oracle below is written out in plain trigonometry, independent of
 the library's complex-carrier bookkeeping, so a sign slip in either place
-shows up as a mismatch.
+shows up as a mismatch. The library and every oracle here are in natural
+units, hbar = c = 1 with the box edge as the unit of length; the CLI tests
+carry the dependence on the units.
 """
 
 import cmath
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpfspin import modes
-from zpfspin.constants import NATURAL, PhysicalConstants
+from zpfspin.cli import main
 from zpfspin.errors import ResolutionError, SizeLimitError, check_scales, refuse
 from zpfspin.modes import (
     ModeObservables,
@@ -31,9 +33,6 @@ from zpfspin.modes import (
     sample_zeta_ensemble,
     wave_vector,
 )
-
-L = 1.3
-
 
 def stack(*parts):
     """One Modes holding the rows of each part, in order."""
@@ -123,14 +122,15 @@ def test_polarization_vectors_unitary(n):
 # --- closed-form field oracle -------------------------------------------------
 
 
-def oracle_fields(n, gamma, zeta, phi, r, t, constants=NATURAL):
+def oracle_fields(n, gamma, zeta, phi, r, t):
     """Hand-expanded A, E, B for one mode, real trigonometry only, on the
     test's own frame."""
     e1, e2, _ = oracle_triad(n)
-    k = wave_vector(n, L)
+    k = wave_vector(n)
     knorm = np.linalg.norm(k)
-    omega = constants.c * knorm
-    amp = math.sqrt(constants.hbar / (L**3 * omega))
+    # hbar = c = 1 in a box of volume 1
+    omega = knorm
+    amp = math.sqrt(1 / omega)
     psi = float(k @ r) - omega * t + zeta + gamma * phi
     c, s = math.cos(psi), math.sin(psi)
     root = amp / math.sqrt(2)
@@ -147,51 +147,51 @@ def oracle_fields(n, gamma, zeta, phi, r, t, constants=NATURAL):
 @pytest.mark.parametrize("n", [(0, 0, 1), (1, -2, 3)])
 @pytest.mark.parametrize("gamma", [1, -1])
 def test_fields_match_oracle(n, gamma):
-    mode = make_mode(n, gamma, 0.7, 2.1, L)
+    mode = make_mode(n, gamma, 0.7, 2.1)
     rng = np.random.default_rng(5)
     for _ in range(6):
-        r = rng.uniform(0, L, 3)
+        r = rng.uniform(0, 1, 3)
         t = rng.uniform(0, 3)
-        fields = sample_fields(ZpfRealization(L, mode), r[np.newaxis], t, NATURAL)
+        fields = sample_fields(ZpfRealization(mode), r[np.newaxis], t)
         for got, want in zip(fields, oracle_fields(n, gamma, 0.7, 2.1, r, t)):
             assert np.max(np.abs(got[0] - want)) < 1e-13
 
 
 def test_fields_transverse_and_circular():
-    mode = make_mode((2, 1, -1), -1, 1.2, 0.4, L)
-    k = wave_vector(mode.n[0], L)
+    mode = make_mode((2, 1, -1), -1, 1.2, 0.4)
+    k = wave_vector(mode.n[0])
     khat = k / np.linalg.norm(k)
-    pts = np.random.default_rng(0).uniform(0, L, (40, 3))
-    A, E, B = sample_fields(ZpfRealization(L, mode), pts, 0.25, NATURAL)
+    pts = np.random.default_rng(0).uniform(0, 1, (40, 3))
+    A, E, B = sample_fields(ZpfRealization(mode), pts, 0.25)
     assert np.max(np.abs(A @ khat)) < 1e-13
     assert np.max(np.abs(E @ khat)) < 1e-13
     assert np.max(np.abs(B - mode.gamma[0] * np.linalg.norm(k) * A)) < 1e-12
 
 
 def test_fields_sum_linearly():
-    m1 = make_mode((0, 1, 0), 1, 0.3, 1.0, L)
-    m2 = make_mode((1, 0, 1), -1, 2.2, 0.1, L)
-    pts = np.random.default_rng(1).uniform(0, L, (10, 3))
+    m1 = make_mode((0, 1, 0), 1, 0.3, 1.0)
+    m2 = make_mode((1, 0, 1), -1, 2.2, 0.1)
+    pts = np.random.default_rng(1).uniform(0, 1, (10, 3))
     pair = stack(m1, m2)
-    one = sample_fields(ZpfRealization(L, pair[:1]), pts, 0.5, NATURAL)
-    two = sample_fields(ZpfRealization(L, pair[1:]), pts, 0.5, NATURAL)
-    both = sample_fields(ZpfRealization(L, pair), pts, 0.5, NATURAL)
+    one = sample_fields(ZpfRealization(pair[:1]), pts, 0.5)
+    two = sample_fields(ZpfRealization(pair[1:]), pts, 0.5)
+    both = sample_fields(ZpfRealization(pair), pts, 0.5)
     for got, a, b in zip(both, one, two):
         assert np.max(np.abs(got - (a + b))) < 1e-13
 
 
-def loop_fields(real, points, t, constants=NATURAL):
+def loop_fields(real, points, t):
     """The per-mode sum: one complex carrier per mode, added mode by mode."""
     shape = points.shape[:-1] + (3,)
     A, E, B = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     modes = real.modes
     for n, gamma, zeta, phi in zip(modes.n.tolist(), modes.gamma, modes.zeta, modes.phi):
         eps = oracle_polarization(n, gamma)
-        k = wave_vector(n, real.L)
-        omega = constants.c * float(np.linalg.norm(k))
+        k = wave_vector(n)
+        omega = float(np.linalg.norm(k))
         theta = points @ k - omega * t
         carrier = (
-            np.sqrt(constants.hbar / (real.L**3 * omega))
+            np.sqrt(1 / omega)
             * (-1j)
             * cmath.exp(1j * (zeta + gamma * phi))
             * np.exp(1j * theta)
@@ -205,69 +205,67 @@ def loop_fields(real, points, t, constants=NATURAL):
 
 def _realization(n_max):
     if n_max == "empty":
-        return ZpfRealization(L, make_mode((0, 0, 1), 1, 0.0, 0.0, L)[:0])
+        return ZpfRealization(make_mode((0, 0, 1), 1, 0.0, 0.0)[:0])
     if n_max == "one mode":
-        return ZpfRealization(L, make_mode((1, -2, 3), -1, 0.7, 2.1, L))
-    return sample_realization(L, n_max, 17)
+        return ZpfRealization(make_mode((1, -2, 3), -1, 0.7, 2.1))
+    return sample_realization(n_max, 17)
 
 
 @pytest.mark.parametrize("n_max", ["empty", "one mode", 1, 2, 3])
 def test_fields_match_mode_loop(n_max):
     real = _realization(n_max)
-    consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
-    pts = np.random.default_rng(2).uniform(0, L, (4, 5, 3))
-    got = sample_fields(real, pts, 0.37, consts)
-    for field, ref in zip(got, loop_fields(real, pts, 0.37, consts)):
+    pts = np.random.default_rng(2).uniform(0, 1, (4, 5, 3))
+    got = sample_fields(real, pts, 0.37)
+    for field, ref in zip(got, loop_fields(real, pts, 0.37)):
         assert field.shape == (4, 5, 3)
         assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_fields_match_mode_loop_across_point_blocks():
-    real = sample_realization(L, 2, 5)
+    real = sample_realization(2, 5)
     per_block = modes._BLOCK_DOUBLES // (2 * len(real.modes))
-    pts = np.random.default_rng(3).uniform(0, L, (per_block + 7, 3))
-    got = sample_fields(real, pts, 1.5, NATURAL)
-    for field, ref in zip(got, loop_fields(real, pts, 1.5, NATURAL)):
+    pts = np.random.default_rng(3).uniform(0, 1, (per_block + 7, 3))
+    got = sample_fields(real, pts, 1.5)
+    for field, ref in zip(got, loop_fields(real, pts, 1.5)):
         assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_empty_realization_is_dark():
-    empty = ZpfRealization(L, make_mode((0, 0, 1), 1, 0.0, 0.0, L)[:0])
-    for field in sample_fields(empty, np.zeros((1, 3)), 0.0, NATURAL):
+    empty = ZpfRealization(make_mode((0, 0, 1), 1, 0.0, 0.0)[:0])
+    for field in sample_fields(empty, np.zeros((1, 3)), 0.0):
         assert field.shape == (1, 3)
         assert not np.any(field)
 
 
 def test_points_must_lie_in_box():
-    real = ZpfRealization(L, make_mode((0, 0, 1), 1, 0.0, 0.0, L))
+    real = ZpfRealization(make_mode((0, 0, 1), 1, 0.0, 0.0))
     with pytest.raises(ValueError):
-        sample_fields(real, np.array([[L, 0.0, 0.0]]), 0.0, NATURAL)
+        sample_fields(real, np.array([[1.0, 0.0, 0.0]]), 0.0)
     with pytest.raises(ValueError):
-        sample_fields(real, np.array([[0.0, -0.1, 0.0]]), 0.0, NATURAL)
+        sample_fields(real, np.array([[0.0, -0.1, 0.0]]), 0.0)
 
 
 # --- quadrature observables ---------------------------------------------------
 
 
 def test_analytic_observables_closed_form():
-    consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
-    mode = make_mode((1, -2, 3), -1, 0.9, 1.7, L)
-    obs = analytic_mode_observables(mode, L, consts)
+    mode = make_mode((1, -2, 3), -1, 0.9, 1.7)
+    obs = analytic_mode_observables(mode)
     assert (obs.H.shape, obs.P.shape, obs.J.shape) == ((1,), (1, 3), (1, 3))
-    k = wave_vector(mode.n[0], L)
+    k = wave_vector(mode.n[0])
     khat = k / np.linalg.norm(k)
-    omega = consts.c * np.linalg.norm(k)
-    assert obs.H[0] == pytest.approx(consts.hbar * omega / 2, rel=1e-15)
-    assert np.allclose(obs.P[0], consts.hbar * omega / (2 * consts.c) * khat, rtol=1e-15)
-    assert np.allclose(obs.J[0], -consts.hbar / 2 * khat, rtol=1e-15)
+    omega = np.linalg.norm(k)
+    assert obs.H[0] == pytest.approx(omega / 2, rel=1e-15)
+    assert np.allclose(obs.P[0], omega / 2 * khat, rtol=1e-15)
+    assert np.allclose(obs.J[0], -khat / 2, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n,gamma", [((0, 0, 1), 1), ((1, 2, -1), -1), ((2, 2, 2), 1)])
 def test_quadrature_matches_analytic(n, gamma):
-    mode = make_mode(n, gamma, 1.1, 0.6, L)
+    mode = make_mode(n, gamma, 1.1, 0.6)
     grid = max(16, resolution_floor(n))
-    obs = mode_observables(mode, L, grid, NATURAL)
-    ref = row(analytic_mode_observables(mode, L, NATURAL), 0)
+    obs = mode_observables(mode, grid)
+    ref = row(analytic_mode_observables(mode), 0)
     assert obs.H == pytest.approx(ref.H, rel=1e-9)
     assert np.max(np.abs(obs.P - ref.P)) < 1e-9 * np.linalg.norm(ref.P)
     assert np.max(np.abs(obs.J - ref.J)) < 1e-9 * np.linalg.norm(ref.J)
@@ -276,8 +274,8 @@ def test_quadrature_matches_analytic(n, gamma):
 def test_observables_ignore_phases():
     base = None
     for zeta, phi in [(0.0, 0.0), (1.3, 2.9), (5.1, 0.2)]:
-        mode = make_mode((1, 0, 2), 1, zeta, phi, L)
-        obs = mode_observables(mode, L, 16, NATURAL)
+        mode = make_mode((1, 0, 2), 1, zeta, phi)
+        obs = mode_observables(mode, 16)
         if base is None:
             base = obs
             continue
@@ -287,23 +285,22 @@ def test_observables_ignore_phases():
 
 
 def test_observables_stable_under_grid_doubling():
-    mode = make_mode((1, 1, 0), -1, 0.4, 1.9, L)
-    coarse = mode_observables(mode, L, 8, NATURAL)
-    fine = mode_observables(mode, L, 16, NATURAL)
+    mode = make_mode((1, 1, 0), -1, 0.4, 1.9)
+    coarse = mode_observables(mode, 8)
+    fine = mode_observables(mode, 16)
     assert abs(coarse.H - fine.H) < 1e-10 * fine.H
 
 
-def grid_oracle(mode, L, grid, constants, t):
+def grid_oracle(mode, grid, t):
     """H, P, J as the trapezoid mean over all grid^3 points of the box."""
-    axis = np.arange(grid) * (L / grid)
+    axis = np.arange(grid) / grid
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.stack([X, Y, Z], axis=-1)
-    A, E, B = sample_fields(ZpfRealization(L, mode), points, t, constants)
-    V = L**3
-    u = 0.5 * (np.sum(E * E, axis=-1) + constants.c**2 * np.sum(B * B, axis=-1))
-    H = float(np.mean(u) * V)
-    P = np.mean(np.cross(E, B).reshape(-1, 3), axis=0) * V
-    J = np.mean(np.cross(E, A).reshape(-1, 3), axis=0) * V
+    A, E, B = sample_fields(ZpfRealization(mode), points, t)
+    u = 0.5 * (np.sum(E * E, axis=-1) + np.sum(B * B, axis=-1))
+    H = float(np.mean(u))
+    P = np.mean(np.cross(E, B).reshape(-1, 3), axis=0)
+    J = np.mean(np.cross(E, A).reshape(-1, 3), axis=0)
     return H, P, J
 
 
@@ -326,10 +323,9 @@ def test_quadrature_matches_full_grid(n, grid, gamma):
     # one point per fibre of j -> n.j mod grid carries the whole grid^3 mean;
     # one circular mode's integrands are constant in space, so this pins the
     # weights, and the fibre and congruence tests below pin the points
-    consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
-    mode = make_mode(n, gamma, 0.9, 1.7, L)
-    H, P, J = grid_oracle(mode, L, grid, consts, 0.37)
-    obs = mode_observables(mode, L, grid, consts, t=0.37)
+    mode = make_mode(n, gamma, 0.9, 1.7)
+    H, P, J = grid_oracle(mode, grid, 0.37)
+    obs = mode_observables(mode, grid, t=0.37)
     assert abs(obs.H - H) <= 1e-12 * abs(H)
     assert np.max(np.abs(obs.P - P)) <= 1e-12 * np.linalg.norm(P)
     assert np.max(np.abs(obs.J - J)) <= 1e-12 * np.linalg.norm(J)
@@ -364,9 +360,9 @@ def test_quadrature_holds_one_point_per_phase(monkeypatch):
     # n.j mod grid runs over 0, d, ..., grid - d, each phase once
     seen = []
 
-    def spy(real, points, t, constants):
+    def spy(real, points, t):
         seen.append(points)
-        return sample_fields(real, points, t, constants)
+        return sample_fields(real, points, t)
 
     monkeypatch.setattr(modes, "sample_fields", spy)
     cases = [
@@ -381,59 +377,35 @@ def test_quadrature_holds_one_point_per_phase(monkeypatch):
     ]
     for n, grid in cases:
         seen.clear()
-        mode_observables(make_mode(n, 1, 0.0, 0.0, L), L, grid, NATURAL)
+        mode_observables(make_mode(n, 1, 0.0, 0.0), grid)
         [points] = seen
-        j = np.rint(points * (grid / L)).astype(int)
+        j = np.rint(points * grid).astype(int)
         d = math.gcd(*n, grid)
         assert np.array_equal(np.sort(j @ np.array(n) % grid), np.arange(0, grid, d))
 
 
-@pytest.mark.parametrize(
-    "box,consts",
-    [
-        (1e300, NATURAL),
-        (1e-300, NATURAL),
-        (1e100, NATURAL),
-        (1e-100, NATURAL),
-        (1.0, PhysicalConstants(hbar=1e300, c=1e10)),
-        # V omega is subnormal, the radicand hbar / (V omega) is not
-        (1e-50, PhysicalConstants(hbar=1e-9, c=1e-216)),
-    ],
-)
-def test_out_of_range_scales_refused(box, consts):
-    mode = make_mode((0, 0, 1), 1, 0.0, 0.0, box)
-    with pytest.raises(ValueError, match="normal floats"):
-        mode_observables(mode, box, 8, consts)
-
-
-@pytest.mark.parametrize("box", [1e300, 1e-300])
-def test_out_of_range_box_refused_for_realizations(box):
-    with pytest.raises(ValueError, match="normal floats"):
-        modes.check_mode_scales(box, 1, NATURAL)
-    real = ZpfRealization(box, make_mode((0, 0, 1), 1, 0.0, 0.0, box))
-    with pytest.raises(ValueError, match="normal floats"):
-        sample_fields(real, np.zeros((1, 3)), 0.0, NATURAL)
-
-
 @pytest.mark.parametrize("t", [1e308, -1e308])
-def test_mode_scales_refuse_a_phase_past_the_floats(t):
-    # omega_max = 2 pi sqrt(3) at n_max 1 in a unit box, so omega t overflows
-    with pytest.raises(ValueError, match="its phase is inf"):
-        modes.check_mode_scales(1.0, 1, NATURAL, t)
+def test_mode_scales_refuse_a_phase_past_the_floats(capsys, t):
+    # omega_max = 2 pi sqrt(3) at n_max 1, so in a unit box omega t
+    # overflows; field-sample converts the time before any field is built
+    assert main(["field-sample", "--n-max=1", "--points=4", f"--time={t!r}"]) == 2
+    phase = math.copysign(math.inf, t)
+    assert f"its phase is {phase!r}, outside the range of normal floats" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", [0.0, 1e307, -1e307])
-def test_mode_scales_accept_a_phase_within_the_floats(t):
-    assert modes.check_mode_scales(1.0, 1, NATURAL, t) is None
+def test_mode_scales_accept_a_phase_within_the_floats(capsys, t):
+    assert main(["field-sample", "--n-max=1", "--points=4", f"--time={t!r}"]) == 0
+    capsys.readouterr()
 
 
 def test_resolution_floor_enforced():
     assert resolution_floor((0, 0, 1)) == 4
     assert resolution_floor((2, -3, 1)) == 12
-    mode = make_mode((2, -3, 1), 1, 0.0, 0.0, L)
+    mode = make_mode((2, -3, 1), 1, 0.0, 0.0)
     with pytest.raises(ResolutionError):
-        mode_observables(mode, L, 11, NATURAL)
-    mode_observables(mode, L, 12, NATURAL)
+        mode_observables(mode, 11)
+    mode_observables(mode, 12)
 
 
 # --- realizations and totals --------------------------------------------------
@@ -456,9 +428,9 @@ def test_mode_keys_cover_both_polarizations():
 
 
 def test_sample_realization_deterministic():
-    a = sample_realization(L, 1, 42).modes
-    b = sample_realization(L, 1, 42).modes
-    c = sample_realization(L, 1, 43).modes
+    a = sample_realization(1, 42).modes
+    b = sample_realization(1, 42).modes
+    c = sample_realization(1, 43).modes
     for field in ("n", "gamma", "zeta", "phi"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert not np.array_equal(a.zeta, c.zeta)
@@ -472,7 +444,7 @@ def test_zeta_ensemble_rows_match_child_realizations():
     keys, zetas = sample_zeta_ensemble(1, per_block + 2, 9, range(count_modes))
     for i in (0, 3, per_block, per_block + 1):
         stream = np.random.Philox(9).advance(i * count_modes // 2)
-        real = sample_realization(L, 1, stream)
+        real = sample_realization(1, stream)
         assert np.array_equal(real.modes.n, keys[0])
         assert np.array_equal(real.modes.gamma, keys[1])
         assert np.array_equal(zetas[i], real.modes.zeta)
@@ -539,7 +511,7 @@ def test_oversized_ensemble_and_grid_refused_before_allocation():
         sample_zeta_ensemble(1, 3_000_000, 9, range(52))
     # 8388608 lattice phases x 232 bytes
     with pytest.raises(SizeLimitError, match="1.8 GiB"):
-        mode_observables(make_mode((0, 0, 1), 1, 0.0, 0.0, L), L, 8_388_608, NATURAL)
+        mode_observables(make_mode((0, 0, 1), 1, 0.0, 0.0), 8_388_608)
 
 
 def test_oversized_mode_sets_refused_before_mode_keys(monkeypatch):
@@ -550,23 +522,23 @@ def test_oversized_mode_sets_refused_before_mode_keys(monkeypatch):
     # 3543120 modes x 760 bytes; 128962400 modes x 760 bytes, although one
     # row of their zetas, 8 bytes a mode, would fit
     with pytest.raises(SizeLimitError, match="2.5 GiB"):
-        sample_realization(L, 60, 1)
+        sample_realization(60, 1)
     with pytest.raises(SizeLimitError, match="91.3 GiB"):
         sample_zeta_ensemble(200, 1, 9, range(128_962_400))
 
 
 def test_totals_cancel_exactly_for_closed_set():
-    real = sample_realization(L, 1, 7)
-    totals = realization_totals(real, NATURAL)
+    real = sample_realization(1, 7)
+    totals = realization_totals(real)
     assert totals.H > 0
     assert np.all(totals.P == 0.0)
     assert np.all(totals.J == 0.0)
 
 
-def grouped_loop_energy(real, constants):
+def grouped_loop_energy(real):
     """Total H added mode by mode: groups of canon = max(n, -n) ascending,
     within a group n == canon first, then gamma = +1 first."""
-    per_mode = analytic_mode_observables(real.modes, real.L, constants)
+    per_mode = analytic_mode_observables(real.modes)
     n = [tuple(v) for v in real.modes.n.tolist()]
     gamma = real.modes.gamma.tolist()
     groups = {}
@@ -581,18 +553,17 @@ def grouped_loop_energy(real, constants):
 
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_permuted_closed_set_keeps_exact_totals(n_max):
-    consts = PhysicalConstants(hbar=2.0, c=3.0, m=1.0, mu0=1.0)
-    real = sample_realization(L, n_max, 7)
+    real = sample_realization(n_max, 7)
     order = np.random.default_rng(n_max).permutation(len(real.modes))
-    totals = realization_totals(real, consts)
-    shuffled = realization_totals(ZpfRealization(L, real.modes[order]), consts)
+    totals = realization_totals(real)
+    shuffled = realization_totals(ZpfRealization(real.modes[order]))
     assert np.all(shuffled.P == 0.0)
     assert np.all(shuffled.J == 0.0)
-    assert shuffled.H.hex() == totals.H.hex() == grouped_loop_energy(real, consts).hex()
+    assert shuffled.H.hex() == totals.H.hex() == grouped_loop_energy(real).hex()
 
 
 def test_modes_rows_stay_two_dimensional():
-    m = sample_realization(L, 1, 3).modes
+    m = sample_realization(1, 3).modes
     assert len(m) == 52
     first = m[:1]
     assert len(first) == 1
@@ -604,7 +575,7 @@ def test_modes_rows_stay_two_dimensional():
         with pytest.raises(TypeError):
             m[index]
     with pytest.raises(ValueError, match="one mode"):
-        mode_observables(m[:2], L, 8, NATURAL)
+        mode_observables(m[:2], 8)
     want = [
         cmath.exp(1j * z) * cmath.exp(1j * g * p)
         for g, z, p in zip(m.gamma.tolist(), m.zeta.tolist(), m.phi.tolist())
@@ -613,13 +584,13 @@ def test_modes_rows_stay_two_dimensional():
 
 
 def test_gamma_pair_kills_spin_but_not_momentum():
-    m_plus = make_mode((1, 0, 0), 1, 0.2, 0.3, L)
-    m_minus = make_mode((1, 0, 0), -1, 1.2, 2.3, L)
-    totals = realization_totals(ZpfRealization(L, stack(m_plus, m_minus)), NATURAL)
+    m_plus = make_mode((1, 0, 0), 1, 0.2, 0.3)
+    m_minus = make_mode((1, 0, 0), -1, 1.2, 2.3)
+    totals = realization_totals(ZpfRealization(stack(m_plus, m_minus)))
     assert np.all(totals.J == 0.0)
     assert np.linalg.norm(totals.P) > 0
-    single = realization_totals(ZpfRealization(L, m_plus), NATURAL)
-    ref = row(analytic_mode_observables(m_plus, L, NATURAL), 0)
+    single = realization_totals(ZpfRealization(m_plus))
+    ref = row(analytic_mode_observables(m_plus), 0)
     assert single.H == pytest.approx(ref.H, rel=1e-15)
     assert np.allclose(single.J, ref.J, rtol=1e-15)
 
@@ -627,8 +598,8 @@ def test_gamma_pair_kills_spin_but_not_momentum():
 @settings(max_examples=25)
 @given(nonzero_triples, st.sampled_from([1, -1]))
 def test_spin_is_half_hbar_along_k(n, gamma):
-    mode = make_mode(n, gamma, 0.0, 0.0, L)
-    obs = row(analytic_mode_observables(mode, L, NATURAL), 0)
+    mode = make_mode(n, gamma, 0.0, 0.0)
+    obs = row(analytic_mode_observables(mode), 0)
     khat = np.array(n, dtype=float)
     khat /= np.linalg.norm(khat)
     assert np.max(np.abs(obs.J - gamma * 0.5 * khat)) < 1e-14

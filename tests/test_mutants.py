@@ -108,7 +108,7 @@ MUTANTS = [
     # the realization drawn one shell short: complete, so its totals cancel
     Mutant(
         "mode_count", ("totals", "--n-max", "2"), cli, "sample_realization",
-        lambda real: lambda L, n_max, seed: real(L, n_max - 1, seed), ("mode_count",),
+        lambda real: lambda n_max, seed: real(n_max - 1, seed), ("mode_count",),
     ),
     Mutant(
         "total_momentum_zero", ("totals",), cli, "realization_totals",
@@ -158,7 +158,8 @@ MUTANTS = [
     # the closed form with a spin weight of 1, not 2
     Mutant(
         "levels_from_channels", ("zeeman",), cli, "zeeman_levels",
-        _after(lambda levels, B, consts: [(m_l, m_s, e - consts.mu0 * B * float(m_s)) for m_l, m_s, e in levels]),
+        # the levels are in units of mu0 B
+        _after(lambda levels: [(m_l, m_s, e - float(m_s)) for m_l, m_s, e in levels]),
         ("levels_from_channels",),
     ),
     Mutant(

@@ -4,7 +4,9 @@ Oracle one builds everything in the Cartesian number basis with explicit
 ladder matrices and changes basis by applying circular creation operators
 to the vacuum, so it shares no code path with the closed forms under test.
 Oracle two pins the absolute length scale by Gauss-Hermite quadrature of
-the one-dimensional position integral.
+the one-dimensional position integral. The table is in natural units,
+hbar = m = omega0 = 1, and so are both oracles; the CLI tests carry the
+dependence on the units.
 """
 
 import math
@@ -16,14 +18,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss, hermval
 
-from zpfspin.constants import NATURAL, PhysicalConstants
 from zpfspin.errors import IncompleteBasisError, SizeLimitError, refuse
 from zpfspin.oscillator import build_oscillator_table, circular_components, table_cost
 from zpfspin.spectral import trk_sum_rule
-
-CONSTS = PhysicalConstants(hbar=0.7, c=1.0, m=2.3, mu0=1.0)
-OMEGA0 = 1.4
-
 
 def row(table, label):
     (index,) = np.flatnonzero((table.states == label).all(axis=1))
@@ -51,10 +48,11 @@ def _cartesian_operators(axes, n_cut):
     return basis, index, lowering
 
 
-def _oracle_table(dims, omega0, n_cut, consts):
+def _oracle_table(dims, n_cut):
     """Position matrices in the circular basis, built from Cartesian parts."""
     basis, index, low = _cartesian_operators(dims, n_cut)
-    x0 = math.sqrt(consts.hbar / (2 * consts.m * omega0))
+    # sqrt(hbar / (2 m omega0)) at hbar = m = omega0 = 1
+    x0 = math.sqrt(1 / 2)
     ax, ay = low[0], low[1]
     X = x0 * (ax + ax.T)
     Y = x0 * (ay + ay.T)
@@ -81,8 +79,8 @@ def _oracle_table(dims, omega0, n_cut, consts):
 
 @pytest.mark.parametrize("dims,n_cut", [(2, 4), (3, 3)])
 def test_position_matrices_match_cartesian_oracle(dense, dims, n_cut):
-    table = build_oscillator_table(dims, OMEGA0, n_cut, CONSTS)
-    vector, ops = _oracle_table(dims, OMEGA0, n_cut, CONSTS)
+    table = build_oscillator_table(dims, n_cut)
+    vector, ops = _oracle_table(dims, n_cut)
     vecs = [vector(label) for label in table.states]
     for got, op in zip(dense(table), ops.values()):
         want = np.array(
@@ -102,17 +100,14 @@ def test_one_dimensional_scale_by_quadrature(dense):
         norm = 1.0 / math.sqrt(math.sqrt(math.pi) * 2.0**k * math.factorial(k))
         return norm * hermval(u, coeffs)
 
-    table = build_oscillator_table(3, OMEGA0, 3, CONSTS)
+    table = build_oscillator_table(3, 3)
     x, _ = dense(table)
-    scale = math.sqrt(CONSTS.hbar / (CONSTS.m * OMEGA0))
+    # the oscillator length sqrt(hbar / (m omega0)) is the unit of length
     for n in range(3):
-        integral = np.sum(weights * psi(n + 1, nodes) * nodes * psi(n, nodes))
-        want = scale * integral
+        want = np.sum(weights * psi(n + 1, nodes) * nodes * psi(n, nodes))
         got = x[row(table, (n + 1, 0, 0)), row(table, (n, 0, 0))]
         assert got == pytest.approx(want / math.sqrt(2), rel=1e-12)
-        assert want == pytest.approx(
-            math.sqrt((n + 1) * CONSTS.hbar / (2 * CONSTS.m * OMEGA0)), rel=1e-12
-        )
+        assert want == pytest.approx(math.sqrt((n + 1) / 2), rel=1e-12)
 
 
 # --- structural properties ----------------------------------------------------
@@ -120,7 +115,7 @@ def test_one_dimensional_scale_by_quadrature(dense):
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_matrices_hermitian(dense, dims):
-    table = build_oscillator_table(dims, OMEGA0, 4, CONSTS)
+    table = build_oscillator_table(dims, 4)
     for mat in dense(table):
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-13
 
@@ -129,7 +124,7 @@ def test_matrices_hermitian(dense, dims):
 def test_neighbour_slots_lead_back(dims):
     # slot k ^ 1 of the neighbour in slot k is the state itself, and a slot
     # whose label leaves the table holds -1 and zero couplings
-    table = build_oscillator_table(dims, OMEGA0, 4, CONSTS)
+    table = build_oscillator_table(dims, 4)
     for a, label in enumerate(table.states.tolist()):
         for k, b in enumerate(table.neighbours[a].tolist()):
             axis, step = divmod(k, 2)
@@ -144,7 +139,7 @@ def test_neighbour_slots_lead_back(dims):
 
 
 def test_adjacent_shell_selection_rule(dense):
-    table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
+    table = build_oscillator_table(2, 4)
     shells = table.states.sum(axis=1).tolist()
     for mat in dense(table):
         for i, si in enumerate(shells):
@@ -154,7 +149,7 @@ def test_adjacent_shell_selection_rule(dense):
 
 
 def test_m_ell_selection_rules(dense, scatter):
-    table = circular_components(build_oscillator_table(3, OMEGA0, 3, CONSTS))
+    table = circular_components(build_oscillator_table(3, 3))
     m = (table.states[:, 0] - table.states[:, 1]).tolist()
     x, _ = dense(table)
     xplus, xminus = (scatter(table, part) for part in table.circular(slice(None)))
@@ -167,7 +162,7 @@ def test_m_ell_selection_rules(dense, scatter):
 
 
 def test_circular_split_preserves_weight(dense, scatter):
-    table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
+    table = build_oscillator_table(2, 5)
     assert circular_components(table) is table
     x, y = dense(table)
     xplus, xminus = (scatter(table, part) for part in table.circular(slice(None)))
@@ -179,7 +174,7 @@ def test_circular_split_preserves_weight(dense, scatter):
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_derived_arrays_are_read_only(dims):
-    table = build_oscillator_table(dims, OMEGA0, 3, CONSTS)
+    table = build_oscillator_table(dims, 3)
     for name in ("states", "omega_array", "neighbours", "x", "y"):
         arr = getattr(table, name)
         assert not arr.flags.writeable
@@ -190,7 +185,7 @@ def test_derived_arrays_are_read_only(dims):
 
 
 def test_replace_derives_circular_pair_again():
-    table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
+    table = build_oscillator_table(2, 4)
     x, y = 2 * table.x, 3 * table.y
     scaled = replace(table, x=x, y=y)
     xplus, xminus = scaled.circular(slice(None))
@@ -201,18 +196,18 @@ def test_replace_derives_circular_pair_again():
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_energies_and_frequencies(dims):
-    table = build_oscillator_table(dims, OMEGA0, 3, CONSTS)
+    table = build_oscillator_table(dims, 3)
     assert table.states.shape == (len(table.omega_array), dims)
     for label, omega in zip(table.states.tolist(), table.omega_array):
-        assert omega == OMEGA0 * (sum(label) + dims / 2)
+        assert omega == sum(label) + dims / 2
 
 
 def test_labels_enumerate_shells_in_order():
-    table = build_oscillator_table(2, 1.0, 3, NATURAL)
+    table = build_oscillator_table(2, 3)
     shells = table.states.sum(axis=1).tolist()
     assert shells == sorted(shells)
     assert len(table.states) == 10  # 1 + 2 + 3 + 4
-    table3 = build_oscillator_table(3, 1.0, 2, NATURAL)
+    table3 = build_oscillator_table(3, 2)
     assert len(table3.states) == 10  # 1 + 3 + 6
     # by shell, then by label
     want = sorted(
@@ -224,7 +219,7 @@ def test_labels_enumerate_shells_in_order():
 
 def test_coupling_complete_boundary():
     # a spectral sum over a state is complete when the shell above it is in
-    table = build_oscillator_table(2, 1.0, 3, NATURAL)
+    table = build_oscillator_table(2, 3)
     for i, label in enumerate(table.states.tolist()):
         if sum(label) + 1 <= table.n_cut:
             trk_sum_rule(table, [i])
@@ -237,25 +232,20 @@ def test_coupling_complete_boundary():
 
 
 def test_table_validation():
-    table = build_oscillator_table(3, 1.0, 2, NATURAL)
+    table = build_oscillator_table(3, 2)
     # every spectral sum about z reads x and y alone
     assert not hasattr(table, "z")
     with pytest.raises(ValueError):
-        build_oscillator_table(4, 1.0, 2, NATURAL)
+        build_oscillator_table(4, 2)
     with pytest.raises(ValueError):
-        build_oscillator_table(2, 1.0, 0, NATURAL)
-    with pytest.raises(ValueError):
-        build_oscillator_table(2, -1.0, 2, NATURAL)
-    for omega0 in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            build_oscillator_table(2, omega0, 2, NATURAL)
+        build_oscillator_table(2, 0)
 
 
 def test_oversized_table_refused_before_allocation():
     # C(303, 3) = 4590551 states at 440 bytes each
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match="GiB"):
-        build_oscillator_table(3, 1.0, 300, NATURAL)
+        build_oscillator_table(3, 300)
     assert time.perf_counter() - start < 0.5
 
 
@@ -265,20 +255,3 @@ def test_table_size_cap(dims, largest):
     refuse(table_cost(dims, largest))
     with pytest.raises(SizeLimitError, match=f"{dims}-d table at n_cut = {largest + 1}"):
         refuse(table_cost(dims, largest + 1))
-
-
-@pytest.mark.parametrize(
-    "omega0,hbar,m",
-    [
-        (1.0, 1e300, 1e-300),  # l0 overflows
-        (1e-320, 1.0, 1.0),  # l0 overflows through a subnormal frequency
-        (1.0, 1e-300, 1e20),  # the squared prefactor is subnormal
-        (1e20, 1e300, 1e-10),  # omega0 l0^2 overflows
-        (1e-300, 1e-20, 1e-20),  # 2 m omega0 is subnormal, l0 is not
-    ],
-)
-def test_out_of_range_length_scale_refused(omega0, hbar, m):
-    consts = PhysicalConstants(hbar=hbar, m=m)
-    with pytest.raises(ValueError, match="normal floats"):
-        build_oscillator_table(2, omega0, 2, consts)
-

@@ -2,7 +2,9 @@
 
 The angular-momentum checks run three routes that share no intermediate
 code: the polarized weight sums, the velocity-form cross terms, and a
-matrix product L_z = x py - y px assembled right here in the test.
+matrix product L_z = x py - y px assembled right here in the test. The
+table is in natural units, hbar = m = omega0 = 1, so every oracle here is
+too; the CLI tests carry the dependence on the units.
 """
 
 import time
@@ -13,7 +15,6 @@ import numpy as np
 import pytest
 
 from zpfspin.cli import main
-from zpfspin.constants import NATURAL, PhysicalConstants
 from zpfspin.errors import IncompleteBasisError
 from zpfspin.oscillator import build_oscillator_table
 from zpfspin.spectral import (
@@ -22,10 +23,6 @@ from zpfspin.spectral import (
     trk_sum_rule,
     zeeman_levels,
 )
-
-CONSTS = PhysicalConstants(hbar=0.7, c=1.0, m=2.3, mu0=1.0)
-OMEGA0 = 1.4
-
 
 def complete_rows(table):
     """Rows of the states whose coupled shells lie inside the cutoff."""
@@ -42,15 +39,15 @@ def row(table, label):
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_sum_rule_saturates_at_hbar(dims):
-    table = build_oscillator_table(dims, OMEGA0, 5, CONSTS)
+    table = build_oscillator_table(dims, 5)
     values = trk_sum_rule(table, complete_rows(table))
     assert len(values) == len(complete_rows(table))
     for value in values:
-        assert value == pytest.approx(CONSTS.hbar, rel=1e-12)
+        assert value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sum_rule_rejects_truncated_states():
-    table = build_oscillator_table(2, OMEGA0, 3, CONSTS)
+    table = build_oscillator_table(2, 3)
     with pytest.raises(IncompleteBasisError, match=r"\(3, 0\)"):
         trk_sum_rule(table, [row(table, (3, 0))])
     with pytest.raises(IncompleteBasisError, match=r"\(0, 3\)"):
@@ -61,7 +58,7 @@ def test_sum_rule_rejects_truncated_states():
 
 
 def test_sum_rule_scales_quadratically_in_elements():
-    table = build_oscillator_table(2, OMEGA0, 4, CONSTS)
+    table = build_oscillator_table(2, 4)
     doubled = replace(table, x=2 * table.x, y=2 * table.y)
     base = trk_sum_rule(table, [row(table, (1, 1))])
     assert trk_sum_rule(doubled, [row(table, (1, 1))]) == pytest.approx(4 * base, rel=1e-12)
@@ -76,7 +73,7 @@ QUANTITIES = {
 
 @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
 def test_all_rows_equal_one_row_calls_bit_for_bit(quantity):
-    table = build_oscillator_table(3, OMEGA0, 7, CONSTS)
+    table = build_oscillator_table(3, 7)
     rows = complete_rows(table)[::-1]
     compute = QUANTITIES[quantity]
     together = compute(table, rows)
@@ -88,7 +85,7 @@ def test_all_rows_equal_one_row_calls_bit_for_bit(quantity):
 
 
 def test_no_rows_give_empty_results():
-    table = build_oscillator_table(2, OMEGA0, 3, CONSTS)
+    table = build_oscillator_table(2, 3)
     for quantity in QUANTITIES.values():
         for values in quantity(table, []):
             assert values.shape == (0,)
@@ -110,15 +107,16 @@ def test_all_state_sweep_at_3d_n_cut_80_within_ceiling(capsys, command):
 
 
 def lz_matrix_oracle(table, x, y):
-    """L_z = x py - y px with momenta built from frequency gaps, test-local."""
+    """L_z = x py - y px with momenta p = i m w x built from frequency gaps
+    (m = 1), test-local."""
     gaps = table.omega_array[:, None] - table.omega_array[None, :]
-    px = 1j * table.mass * gaps * x
-    py = 1j * table.mass * gaps * y
+    px = 1j * gaps * x
+    py = 1j * gaps * y
     return x @ py - y @ px
 
 
 def test_lz_routes_agree_and_hit_eigenvalue(dense):
-    table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
+    table = build_oscillator_table(2, 5)
     oracle = lz_matrix_oracle(table, *dense(table))
     rows = complete_rows(table)
     m_plus, m_minus = polarized_momenta(table, rows)
@@ -126,7 +124,7 @@ def test_lz_routes_agree_and_hit_eigenvalue(dense):
     directs = lz_expectation(table, rows)
     for i, pol, direct in zip(rows, pols, directs):
         label = table.states[i]
-        target = int(label[0] - label[1]) * CONSTS.hbar
+        target = int(label[0] - label[1])
         assert abs(pol - direct) < 1e-12
         assert abs(pol - target) < 1e-12
         assert abs(oracle[i, i].real - target) < 1e-12
@@ -134,7 +132,7 @@ def test_lz_routes_agree_and_hit_eigenvalue(dense):
 
 
 def test_polarized_channels_split_lz():
-    table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
+    table = build_oscillator_table(2, 5)
     rows = complete_rows(table)
     # the operator route shares no code with the channel sums
     channels = zip(*polarized_momenta(table, rows), lz_expectation(table, rows))
@@ -142,23 +140,23 @@ def test_polarized_channels_split_lz():
         assert m_plus + m_minus == pytest.approx(lz, abs=1e-12)
         # the two channels always sit a full hbar apart, so each one is
         # pinned to (lz +- hbar) / 2
-        assert m_plus - m_minus == pytest.approx(CONSTS.hbar, rel=1e-12)
-        assert m_plus == pytest.approx((lz + CONSTS.hbar) / 2, abs=1e-12)
+        assert m_plus - m_minus == pytest.approx(1.0, rel=1e-12)
+        assert m_plus == pytest.approx((lz + 1) / 2, abs=1e-12)
 
 
 def test_commutator_diagonal_inside_truncation(dense):
-    table = build_oscillator_table(2, OMEGA0, 5, CONSTS)
+    table = build_oscillator_table(2, 5)
     x, _ = dense(table)
     gaps = table.omega_array[:, None] - table.omega_array[None, :]
-    px = 1j * table.mass * gaps * x
+    px = 1j * gaps * x
     comm = x @ px - px @ x
     for label, d in zip(table.states, np.diag(comm)):
         if sum(label) + 1 <= table.n_cut:
-            assert abs(d - 1j * CONSTS.hbar) < 1e-12
+            assert abs(d - 1j) < 1e-12
         else:
             # the top shell has no partner above it, so the canonical value
             # cannot survive there: the trace of a finite commutator is zero
-            assert abs(d - 1j * CONSTS.hbar) > 0.1 * CONSTS.hbar
+            assert abs(d - 1j) > 0.1
     assert abs(np.trace(comm)) < 1e-10
 
 
@@ -166,7 +164,7 @@ def test_commutator_diagonal_inside_truncation(dense):
 
 
 def test_zeeman_levels_enumerate_basis():
-    levels = zeeman_levels(2.0, NATURAL)
+    levels = zeeman_levels()
     assert len(levels) == 6
     assert [(m_l, m_s) for m_l, m_s, _ in levels] == [
         (m_l, m_s)
@@ -174,13 +172,9 @@ def test_zeeman_levels_enumerate_basis():
         for m_s in (Fraction(1, 2), Fraction(-1, 2))
     ]
     for m_l, m_s, energy in levels:
-        assert energy == 2.0 * (m_l + 2 * m_s)
+        assert energy == m_l + 2 * m_s
     # doubled spin weight: flipping the spin moves twice as far as m_l by one
     by_key = {(m_l, m_s): e for m_l, m_s, e in levels}
     gap_spin = by_key[(0, Fraction(1, 2))] - by_key[(0, Fraction(-1, 2))]
     gap_orbital = by_key[(1, Fraction(1, 2))] - by_key[(0, Fraction(1, 2))]
     assert gap_spin == 2 * gap_orbital
-    consts = PhysicalConstants(hbar=1.0, c=1.0, m=1.0, mu0=0.25)
-    quarter = {(m_l, m_s): e for m_l, m_s, e in zeeman_levels(2.0, consts)}
-    assert quarter[(1, Fraction(1, 2))] == 0.25 * 2.0 * 2
-    assert quarter[(1, Fraction(-1, 2))] == 0.0
