@@ -16,13 +16,18 @@ which main refuses past errors.LIMITS before the runner starts. The parser, its
 --help, the config keys and the report's config (each option in declaration
 order, then the tolerance overrides) are derived from that list, so a flag
 or key the command does not read exits 2. Every value, the default text
-included, is parsed and validated by its option's one type.
+included, is parsed and validated by its option's one type. An argv that
+starts with a command is parsed by that command's parser alone, with the
+whole parser's usage and error text kept; the whole parser reads only -h,
+a missing command and an unknown one. The report is written by _json_text,
+one recursive pass whose text is that of json.dumps(body, indent=2).
 
 The library computes in natural units and takes no unit constant. The
 options --hbar, --c, --m, --omega0, --mu0, --box and zeeman's --field only
 choose the units of what is reported: each runner converts the quantities it
 reports, and the time it reads, through _in_units, the one place that
-refuses a value outside the normal floats.
+refuses a value outside the normal floats. An error or a tolerance bound
+may be subnormal, and is refused only when it converts to an infinity.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import os
 import sys
@@ -40,6 +44,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -211,9 +216,10 @@ def _experiment(name: str, help: str, *options, tolerances=None, csv=False, cost
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser derived from _EXPERIMENTS, built once per
-    process. An option left off the command line parses to None."""
+def _parsers() -> tuple:
+    """The command-line parser derived from _EXPERIMENTS and the parser of
+    each command by name, built once per process. An option left off the
+    command line parses to None."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--report", help="also write the JSON report to this path")
@@ -245,7 +251,28 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument(option.flag, dest=option.dest, type=option.type, help=text)
         if experiment.csv:
             p.add_argument("--csv", help="write plottable series to this path")
-    return parser
+    return parser, sub.choices
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The whole command-line parser."""
+    return _parsers()[0]
+
+
+def _parse(argv):
+    """parse_args of the whole parser, in one pass where it can: an argv
+    that starts with a command is parsed by that command's parser alone,
+    and what it leaves is refused by the whole parser's error, as
+    parse_args refuses it."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, unknown = commands[argv[0]].parse_known_args(argv[1:])
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.command = argv[0]
+    return args
 
 
 def _load_config_file(path: str) -> dict:
@@ -303,30 +330,45 @@ def _resolve(args, experiment: Experiment):
     return args
 
 
-def _in_units(what: str, name: str, value, *unit):
+def _in_units(what: str, name: str, value, *unit, bound=False):
     """`value` (a float or an array in a kernel's natural units) times its
     unit, the product of (constant, power) factors with integer or half
     integer powers; a time read from the config comes in by the factors that
-    make it natural. The product is taken on frexp mantissas with exponents
-    added apart, so no intermediate leaves the floats unless the result does.
+    make it natural. The unit is formed once as a frexp mantissa and an
+    exponent kept apart, so no intermediate leaves the floats unless the
+    result does; a float is converted with math, an array with numpy.
     errors.check_scales refuses a finite nonzero value that converts outside
-    the normal floats; an exact zero stays 0, and a NaN or an infinity
-    passes, for the check that reads it to fail."""
+    the normal floats, or an error or a bound (bound=True) that converts to
+    an infinity, since a subnormal one changes no verdict; an exact zero
+    stays 0, and a NaN or an infinity passes, for the check that reads it
+    to fail."""
     scale, exponent = 1.0, 0
     for constant, power in unit:
-        mantissa, exp = np.frexp(constant)
+        mantissa, exp = math.frexp(constant)
         if power % 1:
             # a half power: move the odd bit of the exponent into the mantissa
-            mantissa, exp, power = np.sqrt(np.ldexp(mantissa, exp % 2)), exp // 2, int(2 * power)
-        scale = scale * mantissa**power
-        exponent = exponent + exp * power
+            mantissa, exp, power = math.sqrt(math.ldexp(mantissa, exp % 2)), exp // 2, int(2 * power)
+        scale *= mantissa**power
+        exponent += exp * power
+    if isinstance(value, (int, float)):
+        mantissa, exp = math.frexp(value)
+        mantissa *= scale
+        try:
+            converted = math.ldexp(mantissa, exp + exponent)
+        except OverflowError:
+            converted = math.copysign(math.inf, mantissa)
+        refused = math.isinf(converted) or not (bound or abs(converted) >= sys.float_info.min)
+        if refused and mantissa and math.isfinite(value):
+            check_scales(what, **{name: converted})
+        return converted
     value = np.asarray(value, dtype=float)
     mantissa, exp = np.frexp(value)
     mantissa = mantissa * scale
     with np.errstate(over="ignore", under="ignore"):
         converted = np.ldexp(mantissa, exp + exponent)
-    check_scales(what, **{name: converted[np.isfinite(value) & (mantissa != 0)]})
-    return float(converted) if converted.ndim == 0 else converted
+    checked = converted[np.isfinite(value) & (mantissa != 0)]
+    check_scales(what, **{name: checked[np.isinf(checked)] if bound else checked})
+    return converted
 
 
 def _tol(cfg, name: str, *unit) -> float:
@@ -335,7 +377,7 @@ def _tol(cfg, name: str, *unit) -> float:
     `unit`, the size of what it bounds in the run's units. A bound outside
     the floats is refused by _in_units."""
     value = cfg.tolerances.get(name, _EXPERIMENTS[cfg.command].tolerances[name])
-    return _in_units(f"tolerance {name}={value:g}", "bound", value, *unit) if unit else value
+    return _in_units(f"tolerance {name}={value:g}", "bound", value, *unit, bound=True) if unit else value
 
 
 def _mode_units(cfg) -> dict:
@@ -363,6 +405,37 @@ def _json_default(value):
     if hasattr(value, "tolist"):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, default=_json_default),
+    written in one recursive pass: given an indent, json.dumps runs its
+    pure-Python generator encoder. Keys must be strings, as a report's are;
+    `indent` is the line break and indentation of value's own level."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return _json_text(_json_default(value), indent)
 
 
 def _close(name, expected, actual, tolerance) -> dict:
@@ -405,8 +478,8 @@ def _run_mode_observables(cfg):
     ref = {q: value[0] for q, value in asdict(analytic).items()}
     size = {q: np.linalg.norm(value) for q, value in ref.items()}
 
-    def in_units(values):
-        return {q: _in_units(what, q, value, *units[q]) for q, value in values.items()}
+    def in_units(values, bound=False):
+        return {q: _in_units(what, q, value, *units[q], bound=bound) for q, value in values.items()}
 
     # the closed forms and bounds are converted first: units they leave the
     # floats in refuse the run before the quadrature
@@ -414,7 +487,7 @@ def _run_mode_observables(cfg):
     bounds = {q: _tol(cfg, "observables", (size[q], 1), *units[q]) for q in ref}
     first, second = (asdict(mode_observables(mode, cfg.grid)) for mode in pair)
     reported["quadrature"] = in_units(first)
-    errors = in_units({q: np.max(np.abs(first[q] - ref[q])) for q in "PJ"})
+    errors = in_units({q: np.max(np.abs(first[q] - ref[q])) for q in "PJ"}, bound=True)
     # relative, as the other three checks are
     swap_err = _worst([np.max(np.abs(first[q] - second[q])) / size[q] for q in ref])
     checks = [
@@ -622,7 +695,7 @@ def _run_angular_momentum(cfg):
     hbar = (cfg.hbar, 1)
 
     def error(errors):
-        return _in_units(f"hbar = {cfg.hbar:g}", "error", _worst(errors), hbar)
+        return _in_units(f"hbar = {cfg.hbar:g}", "error", _worst(errors), hbar, bound=True)
 
     checks = [
         _close("routes_agree", 0.0, error(routes), _tol(cfg, "routes_agree", hbar)),
@@ -659,8 +732,10 @@ def _run_zeeman(cfg):
     if cfg.csv:
         ramp = np.linspace(0.0, cfg.b_max, cfg.b_points)
         basis = zeeman_levels()
-        shifts = [k for _, _, k in basis]
-        energies = in_units(f"a ramp to {cfg.b_max:g}", "level", shifts, ramp[:, np.newaxis])
+        # one column a level, the ramp in units of mu0 k: the bits of k in
+        # units of mu0 b, since each shift k is 0, +-1 or +-2
+        ramp_what = f"a ramp to {cfg.b_max:g}"
+        energies = np.transpose([in_units(ramp_what, "level", ramp, k) for _, _, k in basis])
         rows = (
             [float(b_val), m_l, float(m_s), float(e)]
             for b_val, row in zip(ramp, energies)
@@ -903,7 +978,7 @@ def _write_outputs(args, text: str, csv_data) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
@@ -923,7 +998,7 @@ def main(argv=None) -> int:
             "details": details or {},
             "wall_time_s": time.perf_counter() - start,
         }
-        text = json.dumps(body, indent=2, default=_json_default)
+        text = _json_text(body)
         # the files come first, so a failed write leaves stdout empty
         _write_outputs(args, text, csv_data)
     except ValueError as exc:

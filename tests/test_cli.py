@@ -18,7 +18,10 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpfspin import cli, errors, exchange, modes
 from zpfspin.cli import _run_angular_momentum, _run_sum_rule, main
@@ -203,6 +206,89 @@ def test_unknown_command_exits_two(capsys):
     assert main(["does-not-exist"]) == 2
     err = capsys.readouterr().err
     assert "usage" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["nope"],
+        ["sum-rule", "-h"],
+        ["sum-rule", "--bogus=1"],
+        ["sz", "--m", "1"],
+        ["slater", "--labels"],
+        ["sum-rule", "--n-cut", "0"],
+    ],
+)
+def test_dispatch_keeps_the_parsers_text(capsys, argv):
+    # main parses with the command's own parser; what the whole parser
+    # prints and exits with stays the same, its usage line included
+    with pytest.raises(SystemExit) as info:
+        cli._parser().parse_args(argv)
+    expected = (info.value.code, *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == expected
+
+
+def _report_bodies(monkeypatch, capsys, argvs) -> list:
+    """The body each argv's run hands to the report writer."""
+    bodies, write = [], cli._json_text
+
+    def record(value, indent="\n"):
+        if indent == "\n":
+            bodies.append(value)
+        return write(value, indent)
+
+    monkeypatch.setattr(cli, "_json_text", record)
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(bodies) == len(argvs)
+    return bodies
+
+
+def _dumps(body) -> str:
+    return json.dumps(body, indent=2, default=cli._json_default)
+
+
+def test_report_writer_matches_json_dumps_on_the_reports(capsys, monkeypatch):
+    # each command's default and the benchmark's seed-1 argv
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    argvs = [[command] for command in ALL_COMMANDS]
+    argvs += [list(case.argv) for name in workloads.WORKLOADS for case in workloads.build_mix(name, 1)]
+    for body in _report_bodies(monkeypatch, capsys, argvs):
+        assert cli._json_text(body) == _dumps(body)
+
+
+_json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320])
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | _json_floats
+    # non-ASCII text, quotes, backslashes and control characters
+    | st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f\u2028\U0001f600'))
+    | _json_floats.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | _json_floats.map(np.array)
+    | st.lists(st.lists(_json_floats, min_size=2, max_size=2), min_size=1, max_size=3).map(np.array)
+    | st.fractions()
+)
+_json_bodies = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_bodies)
+def test_report_writer_matches_json_dumps(body):
+    assert cli._json_text(body) == _dumps(body)
 
 
 def test_bad_flag_value_exits_two(capsys):
@@ -1460,11 +1546,6 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
 @pytest.mark.parametrize(
     "argv,owner,patched",
     [
-        # the bound 1e-9 |P| of momentum_error, pi hbar / L, is subnormal
-        pytest.param(
-            ["mode-observables", "--n", "0,0,1", "--box", "1e300"], modes, "sample_fields",
-            id="argv0-zpfspin.modes-sample_fields",
-        ),
         # the energy pi hbar c / L of the closed form overflows
         pytest.param(
             ["mode-observables", "--hbar", "1e300", "--c", "1e10"], modes, "sample_fields",
@@ -1495,7 +1576,7 @@ def test_out_of_range_scales_exit_two_before_any_work(
     capsys, monkeypatch, tmp_path, argv, owner, patched
 ):
     # each value is finite on its own; converted to the run's units, a
-    # closed form, a bound or the time's phase leaves the floats, so the
+    # closed form, a level or the time's phase leaves the floats, so the
     # run is refused before its kernels start
     argv = [str(tmp_path / "out.csv") if arg == CSV_IN_TMP else arg for arg in argv]
     monkeypatch.setattr(owner, patched, _never_called)
@@ -1567,6 +1648,30 @@ def test_in_units_passes_a_nan_for_its_check_to_fail():
     assert math.isnan(cli._in_units("a run", "energy", math.nan, (1e300, 1)))
 
 
+def _converted(value, unit, bound):
+    """_in_units of value, or of its first element, as float bits, or its
+    refusal message."""
+    try:
+        return float(np.ravel(cli._in_units("a run", "value", value, *unit, bound=bound))[0]).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+_log_uniform = st.floats(-300, 300).map(lambda exponent: 10.0**exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_uniform, _log_uniform, _log_uniform, _log_uniform, st.sampled_from([1.0, -1.0]), st.booleans())
+def test_in_units_converts_a_float_as_a_one_element_array(hbar, c, L, magnitude, sign, bound):
+    # the powers 1, -1, -2 and +-1/2 of the modes' units and of hbar
+    cfg = argparse.Namespace(hbar=hbar, c=c, L=L)
+    value = sign * magnitude
+    for unit in [*cli._mode_units(cfg).values(), ((hbar, 1),)]:
+        scalar = _converted(value, unit, bound)
+        array = _converted(np.array([value]), unit, bound)
+        assert scalar == array, (value, unit, bound)
+
+
 def _at_default_units(argv) -> list:
     """argv without the options of _CONSTANT_FLAGS, each given as --flag=value
     or as --flag value."""
@@ -1630,6 +1735,29 @@ def test_units_that_keep_every_reported_value_normal_run(capsys, argv):
     code, body = run(capsys, argv)
     assert code == 0
     assert _verdicts(body) == _verdicts(run(capsys, _at_default_units(argv))[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the error of routes_agree, about 1e-15 hbar, is 8.9e-316
+        pytest.param(["angular-momentum", "--hbar", "1e-300"], id="angular-momentum-hbar"),
+        # the bound 1e-8 hbar of sz_agreement is 1e-308
+        pytest.param(["sz", "--hbar", "1e-300"], id="sz-hbar"),
+        # the bound 1e-12 |2 mu0 B| of zeeman_gap is 2e-317
+        pytest.param(["zeeman", "--mu0", "1e-300", "--field", "1e-5"], id="zeeman-mu0-field"),
+        # the bound 1e-9 |P| of momentum_error, pi hbar / L, is 3.1e-309
+        pytest.param(["mode-observables", "--n", "0,0,1", "--box", "1e300"], id="mode-observables-box"),
+    ],
+)
+def test_subnormal_errors_and_bounds_run(capsys, argv):
+    # an error and its bound are scaled by the same unit, so a subnormal
+    # one changes no verdict; only a reported value must be a normal float
+    code, body = run(capsys, argv)
+    assert code == 0
+    assert _verdicts(body) == _verdicts(run(capsys, _at_default_units(argv))[1])
+    compared = [abs(check[key]) for check in body["checks"] for key in ("actual", "tolerance")]
+    assert any(0 < value < sys.float_info.min for value in compared)
 
 
 @pytest.mark.parametrize(
@@ -1966,5 +2094,5 @@ def test_constants_across_the_float_range_exit_zero_or_two(capsys):
         else:
             assert captured.out == "" and captured.err.count("\n") == 1, (argv, captured.err)
             assert "outside the range of normal floats" in captured.err, (argv, captured.err)
-    # the sweep reaches both sides of the range (251 and 49 of the 300 drawn)
+    # the sweep reaches both sides of the range (252 and 48 of the 300 drawn)
     assert codes.count(0) > 100 and codes.count(2) > 25
