@@ -10,8 +10,8 @@ is flat key=value text with # comments, its keys the dests of the options
 the command reads plus tol.<name> overrides of the tolerances it declares.
 
 Each subcommand is declared once, by the @_experiment decorator on its
-runner, which lists the Options the runner reads (shared ones such as BOX or
-HBAR are module constants; --seed is on every command) and the cost of a run,
+runner, which lists the Options the runner reads (shared ones such as N_MAX
+are module constants; --seed is on every command) and the cost of a run,
 which main refuses past errors.LIMITS before the runner starts. The parser, its
 --help, the config keys and the report's config (each option in declaration
 order, then the tolerance overrides) are derived from that list, so a flag
@@ -22,12 +22,11 @@ whole parser's usage and error text kept; the whole parser reads only -h,
 a missing command and an unknown one. The report is written by _json_text,
 one recursive pass whose text is that of json.dumps(body, indent=2).
 
-The library computes in natural units and takes no unit constant. The
-options --hbar, --c, --m, --omega0, --mu0, --box and zeeman's --field only
-choose the units of what is reported: each runner converts the quantities it
-reports, and the time it reads, through _in_units, the one place that
-refuses a value outside the normal floats. An error or a tolerance bound
-may be subnormal, and is refused only when it converts to an infinity.
+The library computes in natural units, and each runner reports its values
+as the library gives them: the modes at hbar = c = 1 with the box edge as
+the unit of length, the oscillator at hbar = m = omega0 = 1, zeeman's levels
+in units of mu0 B and sz's eigenvalue in units of hbar. A bound, a field
+phase or a ramp level that overflows is refused by _finite.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from ._lazy import np
-from .errors import ContradictionError, IncompleteBasisError, check_scales, refuse
+from .errors import ContradictionError, IncompleteBasisError, refuse
 from .exchange import (
     ORDERINGS,
     antiphase_feasible,
@@ -130,12 +129,6 @@ def _name_value(text: str) -> tuple:
 
 # inf and nan would turn the checks into NaN verdicts instead of a usage error
 _finite_float = _checked("a finite number", float, math.isfinite)
-# a subnormal constant has lost digits, and hbar/2 or a quotient by it leaves the floats
-_positive = _checked(
-    f"a positive finite number of at least {sys.float_info.min!r}",
-    float,
-    lambda value: sys.float_info.min <= value < math.inf,
-)
 # one type for --tol and tol.<name> keys: a negative tolerance would fail
 # every check it bounds, turning bad input into exit 1
 _tolerance_value = _checked("a finite number of at least 0", float, lambda value: 0 <= value < math.inf)
@@ -170,14 +163,8 @@ class Option:
     help: str
 
 
-BOX = Option("--box", "L", _positive, "1.0", "box edge length")
 N_MAX = Option("--n-max", "n_max", _at_least(1), "1", "mode cutoff |n|_inf")
 N_CUT = Option("--n-cut", "n_cut", _at_least(1), "5", "oscillator shell cutoff")
-OMEGA0 = Option("--omega0", "omega0", _positive, "1.0", "oscillator frequency")
-HBAR = Option("--hbar", "hbar", _positive, "1.0", "reduced Planck constant")
-C = Option("--c", "c", _positive, "1.0", "speed of light")
-M = Option("--m", "m", _positive, "1.0", "oscillator mass")
-MU0 = Option("--mu0", "mu0", _positive, "1.0", "magneton setting the Zeeman scale")
 # every command takes a seed, so one script can pass it to all of them
 SEED = Option("--seed", "seed", _at_least(0), "7", "base RNG seed")
 
@@ -238,7 +225,7 @@ def _parsers() -> tuple:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, experiment in _EXPERIMENTS.items():
-        # no abbreviations: `--m` must not reach a command's `--mu0`
+        # no abbreviations: `--n-m` must not reach a command's `--n-max`
         p = sub.add_parser(
             name,
             parents=[common],
@@ -330,71 +317,21 @@ def _resolve(args, experiment: Experiment):
     return args
 
 
-def _in_units(what: str, name: str, value, *unit, bound=False):
-    """`value` (a float or an array in a kernel's natural units) times its
-    unit, the product of (constant, power) factors with integer or half
-    integer powers; a time read from the config comes in by the factors that
-    make it natural. The unit is formed once as a frexp mantissa and an
-    exponent kept apart, so no intermediate leaves the floats unless the
-    result does; a float is converted with math, an array with numpy.
-    errors.check_scales refuses a finite nonzero value that converts outside
-    the normal floats, or an error or a bound (bound=True) that converts to
-    an infinity, since a subnormal one changes no verdict; an exact zero
-    stays 0, and a NaN or an infinity passes, for the check that reads it
-    to fail."""
-    scale, exponent = 1.0, 0
-    for constant, power in unit:
-        mantissa, exp = math.frexp(constant)
-        if power % 1:
-            # a half power: move the odd bit of the exponent into the mantissa
-            mantissa, exp, power = math.sqrt(math.ldexp(mantissa, exp % 2)), exp // 2, int(2 * power)
-        scale *= mantissa**power
-        exponent += exp * power
-    if isinstance(value, (int, float)):
-        mantissa, exp = math.frexp(value)
-        mantissa *= scale
-        try:
-            converted = math.ldexp(mantissa, exp + exponent)
-        except OverflowError:
-            converted = math.copysign(math.inf, mantissa)
-        refused = math.isinf(converted) or not (bound or abs(converted) >= sys.float_info.min)
-        if refused and mantissa and math.isfinite(value):
-            check_scales(what, **{name: converted})
-        return converted
-    value = np.asarray(value, dtype=float)
-    mantissa, exp = np.frexp(value)
-    mantissa = mantissa * scale
-    with np.errstate(over="ignore", under="ignore"):
-        converted = np.ldexp(mantissa, exp + exponent)
-    checked = converted[np.isfinite(value) & (mantissa != 0)]
-    check_scales(what, **{name: checked[np.isinf(checked)] if bound else checked})
-    return converted
+def _finite(what: str, name: str, value: float) -> float:
+    """value, refused when it has overflowed to an infinity, which would
+    reach a check or a CSV row as an infinite or NaN value. `what` names
+    the run's inputs it came from."""
+    if math.isinf(value):
+        raise ValueError(f"refusing {what}: its {name} is {value!r}, outside the range of normal floats")
+    return value
 
 
-def _tol(cfg, name: str, *unit) -> float:
+def _tol(cfg, name: str, scale: float = 1.0) -> float:
     """The bound of a check: the override of tolerance `name`, else the
-    default its command declares, times the (value, power) factors of
-    `unit`, the size of what it bounds in the run's units. A bound outside
-    the floats is refused by _in_units."""
+    default its command declares, times `scale`, the size of what it
+    bounds."""
     value = cfg.tolerances.get(name, _EXPERIMENTS[cfg.command].tolerances[name])
-    return _in_units(f"tolerance {name}={value:g}", "bound", value, *unit, bound=True) if unit else value
-
-
-def _mode_units(cfg) -> dict:
-    """The unit of each quantity of the modes layer (see its docstring) as
-    _in_units factors of the run's constants; "t" takes a time into
-    natural units."""
-    hbar, c, L = cfg.hbar, cfg.c, cfg.L
-    return {
-        "H": ((hbar, 1), (c, 1), (L, -1)),
-        "P": ((hbar, 1), (L, -1)),
-        "J": ((hbar, 1),),
-        "t": ((c, 1), (L, -1)),
-        "x": ((L, 1),),
-        "A": ((hbar, 0.5), (c, -0.5), (L, -1)),
-        "E": ((hbar, 0.5), (c, 0.5), (L, -2)),
-        "B": ((hbar, 0.5), (c, -0.5), (L, -2)),
-    }
+    return _finite(f"tolerance {name}={value:g}", "bound", value * scale)
 
 
 def _json_default(value):
@@ -463,40 +400,31 @@ def _exact(name, expected, actual) -> dict:
     "single-mode H, P, J by quadrature",
     Option("--n", "n", _mode_index, "0,0,1", "integer triple, e.g. 0,0,1"),
     Option("--gamma", "gamma", _gamma, "+1", "polarization, +1 or -1"),
-    Option("--grid", "grid", int, "32", "per-axis quadrature resolution"),
-    BOX, HBAR, C,
+    Option("--grid", "grid", _at_least(1), "32", "per-axis quadrature resolution"),
     tolerances={"observables": 1e-9, "phase_independence": 1e-12},
     cost=lambda cfg: quadrature_cost(cfg.grid),
 )
 def _run_mode_observables(cfg):
-    units = _mode_units(cfg)
-    what = f"modes in a box of edge {cfg.L:g}"
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     draws = [tuple(rng.uniform(0.0, 2.0 * np.pi, 2)) for _ in range(2)]
     pair = [make_mode(cfg.n, cfg.gamma, zeta, phi) for zeta, phi in draws]
     analytic = analytic_mode_observables(pair[0])
     ref = {q: value[0] for q, value in asdict(analytic).items()}
-    size = {q: np.linalg.norm(value) for q, value in ref.items()}
-
-    def in_units(values, bound=False):
-        return {q: _in_units(what, q, value, *units[q], bound=bound) for q, value in values.items()}
-
-    # the closed forms and bounds are converted first: units they leave the
-    # floats in refuse the run before the quadrature
-    reported = {"analytic": in_units(ref)}
-    bounds = {q: _tol(cfg, "observables", (size[q], 1), *units[q]) for q in ref}
+    size = {q: float(np.linalg.norm(value)) for q, value in ref.items()}
+    # the bounds come first: one that overflows refuses the run before the quadrature
+    bounds = {q: _tol(cfg, "observables", size[q]) for q in ref}
     first, second = (asdict(mode_observables(mode, cfg.grid)) for mode in pair)
-    reported["quadrature"] = in_units(first)
-    errors = in_units({q: np.max(np.abs(first[q] - ref[q])) for q in "PJ"}, bound=True)
+    errors = {q: float(np.max(np.abs(first[q] - ref[q]))) for q in "PJ"}
     # relative, as the other three checks are
     swap_err = _worst([np.max(np.abs(first[q] - second[q])) / size[q] for q in ref])
     checks = [
-        _close("energy", reported["analytic"]["H"], reported["quadrature"]["H"], bounds["H"]),
+        _close("energy", ref["H"], first["H"], bounds["H"]),
         _close("momentum_error", 0.0, errors["P"], bounds["P"]),
         _close("angular_momentum_error", 0.0, errors["J"], bounds["J"]),
         _close("phase_independence", 0.0, swap_err, _tol(cfg, "phase_independence")),
     ]
-    return checks, {"n": list(cfg.n), "gamma": cfg.gamma, **reported}, None
+    details = {"n": list(cfg.n), "gamma": cfg.gamma, "analytic": ref, "quadrature": first}
+    return checks, details, None
 
 
 def _relative(error, field) -> float:
@@ -525,24 +453,21 @@ def _field_sample_cost(cfg) -> list:
     "field values along the box diagonal",
     Option("--points", "points", _at_least(1), "64", "points along the diagonal"),
     Option("--time", "time", _finite_float, "0.0", "evaluation time"),
-    BOX, N_MAX, HBAR, C,
+    N_MAX,
     tolerances={"transversality": 1e-12, "field_circular": 1e-12, "field_linearity": 1e-12},
     csv=True,
     cost=_field_sample_cost,
 )
 def _run_field_sample(cfg):
-    units = _mode_units(cfg)
-    what = f"the fields of modes in a box of edge {cfg.L:g}"
     # the largest phase omega t of the fields must stay finite
     omega_max = float(np.linalg.norm(wave_vector([cfg.n_max] * 3)))
-    _in_units(what, "phase", cfg.time, (omega_max, 1), *units["t"])
-    t = _in_units(what, "time", cfg.time, *units["t"])
+    _finite("the fields of modes in a box of edge 1", "phase", omega_max * cfg.time)
     real = sample_realization(cfg.n_max, cfg.seed)
     s_vals = np.linspace(0.0, 1.0, cfg.points, endpoint=False)
     points = s_vals[:, None] * np.ones(3)
 
     def fields(modes):
-        return sample_fields(ZpfRealization(modes), points, t)
+        return sample_fields(ZpfRealization(modes), points, cfg.time)
 
     A1, E1, B1 = fields(real.modes[:1])
     k = wave_vector(real.modes.n[0])
@@ -564,40 +489,32 @@ def _run_field_sample(cfg):
     details = {"modes": len(real.modes), "points": cfg.points, "time": cfg.time}
     if not cfg.csv:
         return checks, details, None
-    # the whole realization's fields are built only for --csv, and converted
-    # before the file is opened, so fields the units refuse leave no file
-    columns = [_in_units(what, "position", points, *units["x"])]
-    columns += [_in_units(what, q, field, *units[q]) for q, field in zip("AEB", fields(real.modes))]
+    # the whole realization's fields are built only for --csv
+    columns = [points, *fields(real.modes)]
     header = ["s", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez", "Bx", "By", "Bz"]
     rows = ([float(s), *row] for s, row in zip(s_vals, np.hstack(columns).tolist()))
     return checks, details, (header, rows)
 
 
 @_experiment(
-    "totals", "whole-realization momentum and spin totals", BOX, N_MAX, HBAR, C,
+    "totals", "whole-realization momentum and spin totals", N_MAX,
     cost=lambda cfg: modes_cost(cfg.n_max),
 )
 def _run_totals(cfg):
-    units = _mode_units(cfg)
-    what = f"{mode_count(cfg.n_max)} modes in a box of edge {cfg.L:g}"
     real = sample_realization(cfg.n_max, cfg.seed)
     totals = realization_totals(real)
     expected_count = 2 * ((2 * cfg.n_max + 1) ** 3 - 1)
 
     # rows 0 and 1 are one n with gamma = +1 and -1 (mode_keys order)
     pair_only = realization_totals(ZpfRealization(real.modes[:2]))
-    momentum = _in_units(what, "total momentum", np.max(np.abs(totals.P)), *units["P"])
-    spin = _in_units(what, "total spin", np.max(np.abs(totals.J)), *units["J"])
-    pair_spin = _in_units(what, "pair spin", np.max(np.abs(pair_only.J)), *units["J"])
     checks = [
         _exact("mode_count", expected_count, len(real.modes)),
-        _exact("total_momentum_zero", 0.0, momentum),
-        _exact("total_spin_zero", 0.0, spin),
-        _exact("gamma_pair_spin_cancels", 0.0, pair_spin),
+        _exact("total_momentum_zero", 0.0, float(np.max(np.abs(totals.P)))),
+        _exact("total_spin_zero", 0.0, float(np.max(np.abs(totals.J)))),
+        _exact("gamma_pair_spin_cancels", 0.0, float(np.max(np.abs(pair_only.J)))),
         _exact("gamma_pair_keeps_momentum", True, bool(np.max(np.abs(pair_only.P)) > 0)),
     ]
-    energy = _in_units(what, "total energy", totals.H, *units["H"])
-    return checks, {"total_energy": energy, "modes": len(real.modes)}, None
+    return checks, {"total_energy": totals.H, "modes": len(real.modes)}, None
 
 
 def _phases_cost(cfg) -> list:
@@ -649,7 +566,7 @@ def _run_phases(cfg):
     "sum-rule",
     "oscillator-strength sum rule",
     Option("--dims", "dims", _dims, "2,3", "dimensions to run, e.g. 2 or 2,3"),
-    N_CUT, OMEGA0, HBAR, M,
+    N_CUT,
     tolerances={"sum_rule": 1e-12},
     cost=lambda cfg: [line for dims in cfg.dims for line in table_cost(dims, cfg.n_cut)],
 )
@@ -671,7 +588,7 @@ def _run_sum_rule(cfg):
             _close(f"sum_rule_rel_err[dims={dims}]", 0.0, _worst(errors), _tol(cfg, "sum_rule"))
         )
         checks.append(_exact(f"incomplete_cutoff_detected[dims={dims}]", True, detected))
-        per_dims[str(dims)] = {"states_checked": len(errors), "target": cfg.hbar}
+        per_dims[str(dims)] = {"states_checked": len(errors), "target": 1.0}
     return checks, {"n_cut": cfg.n_cut, "dims": per_dims}, None
 
 
@@ -679,7 +596,7 @@ def _run_sum_rule(cfg):
     "angular-momentum",
     "two routes to the orbital L_z",
     Option("--dims", "dims", _dim, "2", "dimension, 2 or 3"),
-    N_CUT, OMEGA0, HBAR, M,
+    N_CUT,
     tolerances={"routes_agree": 1e-12, "operator_eigenvalue": 1e-12},
     cost=lambda cfg: table_cost(cfg.dims, cfg.n_cut),
 )
@@ -692,15 +609,10 @@ def _run_angular_momentum(cfg):
     routes = np.abs(pol - lz_expectation(table, rows))
     eigen = np.abs(pol - (table.states[rows, 0] - table.states[rows, 1]))
     split_gap = np.abs((m_plus - m_minus) - 1.0)
-    hbar = (cfg.hbar, 1)
-
-    def error(errors):
-        return _in_units(f"hbar = {cfg.hbar:g}", "error", _worst(errors), hbar, bound=True)
-
     checks = [
-        _close("routes_agree", 0.0, error(routes), _tol(cfg, "routes_agree", hbar)),
-        _close("operator_eigenvalue", 0.0, error(eigen), _tol(cfg, "operator_eigenvalue", hbar)),
-        _close("channel_gap_is_hbar", 0.0, error(split_gap), _tol(cfg, "routes_agree", hbar)),
+        _close("routes_agree", 0.0, _worst(routes), _tol(cfg, "routes_agree")),
+        _close("operator_eigenvalue", 0.0, _worst(eigen), _tol(cfg, "operator_eigenvalue")),
+        _close("channel_gap_is_hbar", 0.0, _worst(split_gap), _tol(cfg, "routes_agree")),
     ]
     return checks, {"dims": cfg.dims, "n_cut": cfg.n_cut, "states_checked": len(rows)}, None
 
@@ -708,34 +620,26 @@ def _run_angular_momentum(cfg):
 @_experiment(
     "zeeman",
     "level shifts and the doubled spin weight",
-    Option("--field", "field", _finite_float, "1.0", "magnetic field of the checks"),
     Option("--b-max", "b_max", _finite_float, "2.0", "last field of the CSV ramp"),
     Option("--b-points", "b_points", _at_least(2), "9", "fields on the CSV ramp"),
-    MU0,
     tolerances={"zeeman_gap": 1e-12},
     csv=True,
     cost=lambda cfg: [("a CSV ramp", "field values", cfg.b_points)] if cfg.csv else [],
 )
 def _run_zeeman(cfg):
-    B, mu0 = cfg.field, cfg.mu0
-
-    def in_units(what, name, levels, field=B):
-        # the levels are in units of mu0 B: at a zero field every level is 0
-        return _in_units(f"{what} at mu0 = {mu0:g}", name, levels, (mu0, 1), (field, 1))
-
-    what = f"a field of {B:g}"
-    gap = in_units(what, "gap", 2.0)
-    tolerance = _tol(cfg, "zeeman_gap", (abs(gap), 1))
-    closed_form = [(m_l, m_s, in_units(what, "level", k)) for m_l, m_s, k in zeeman_levels()]
+    # every level in units of mu0 B: the shift k = m_l + 2 m_s, and the gap 2
+    tolerance = _tol(cfg, "zeeman_gap", 2.0)
+    closed_form = [(m_l, m_s, float(k)) for m_l, m_s, k in zeeman_levels()]
     header = ["B", "m_l", "m_s", "energy"]
     csv_data = None
     if cfg.csv:
-        ramp = np.linspace(0.0, cfg.b_max, cfg.b_points)
+        # each CSV energy is k B in units of mu0; the levels at b_max are the
+        # ramp's largest, and the first of them past the floats refuses the run
         basis = zeeman_levels()
-        # one column a level, the ramp in units of mu0 k: the bits of k in
-        # units of mu0 b, since each shift k is 0, +-1 or +-2
-        ramp_what = f"a ramp to {cfg.b_max:g}"
-        energies = np.transpose([in_units(ramp_what, "level", ramp, k) for _, _, k in basis])
+        for _, _, k in basis:
+            _finite(f"a ramp to {cfg.b_max:g}", "level", k * cfg.b_max)
+        ramp = np.linspace(0.0, cfg.b_max, cfg.b_points)
+        energies = np.multiply.outer(ramp, [float(k) for _, _, k in basis])
         rows = (
             [float(b_val), m_l, float(m_s), float(e)]
             for b_val, row in zip(ramp, energies)
@@ -747,19 +651,16 @@ def _run_zeeman(cfg):
     # at level -mu B = 2 M mu0 B
     table = build_oscillator_table(2, 2)
     rows = np.flatnonzero(table.states.sum(axis=1) < 2)
-    levels = in_units(what, "level", 2.0 * np.array(polarized_momenta(table, rows)))
+    levels = 2.0 * np.array(polarized_momenta(table, rows))
     m_ls = (table.states[rows, 0] - table.states[rows, 1]).tolist()
     energy = {(m_l, m_s): e for m_l, m_s, e in closed_form}
     half = Fraction(1, 2)
     expected = [[energy[m_l, m_s] for m_l in m_ls] for m_s in (half, -half)]
     checks = [
         _close("levels_from_channels", 0.0, _worst(np.abs(levels - expected)), tolerance),
-        _close("spin_gap_doubled", 0.0, _worst(np.abs(levels[0] - levels[1] - gap)), tolerance),
+        _close("spin_gap_doubled", 0.0, _worst(np.abs(levels[0] - levels[1] - 2.0)), tolerance),
     ]
-    details = {
-        "field": B,
-        "levels": [[m_l, str(m_s), e] for m_l, m_s, e in closed_form],
-    }
+    details = {"levels": [[m_l, str(m_s), e] for m_l, m_s, e in closed_form]}
     return checks, details, csv_data
 
 
@@ -790,26 +691,19 @@ def _run_dichotomy(cfg):
     # the stencil's error hbar |w| (w h)^4 / 30, h = 4 pi / points, is 1.01e-8
     # hbar at 225 points and 6.0e-9 hbar at 256, against sz_agreement's 1e-8
     Option("--points", "points", _at_least(256), "1024", "numeric differentiation grid"),
-    HBAR,
     tolerances={"sz_agreement": 1e-8},
 )
 def _run_sz(cfg):
     winding = cfg.winding
-    hbar = (cfg.hbar, 1)
-
-    def in_units(eigenvalue):
-        return _in_units(f"hbar = {cfg.hbar:g}", "eigenvalue", eigenvalue, hbar)
-
-    tolerance = _tol(cfg, "sz_agreement", hbar)
     # in units of hbar; the exact eigenvalue is read off the generator's
     # half-turn phase e^{-i w pi}
-    numeric = in_units(apply_spin_z(winding, grid=cfg.points))
-    symbolic = in_units(-float(rotation_factor(winding, 1).pi_part))
+    numeric = apply_spin_z(winding, grid=cfg.points)
+    symbolic = -float(rotation_factor(winding, 1).pi_part)
     full_turn = rotation_factor(winding, 2)
     double_turn = rotation_factor(winding, 4)
     checks = [
-        _exact("symbolic_eigenvalue", in_units(float(winding)), symbolic),
-        _close("numeric_matches_symbolic", symbolic, numeric, tolerance),
+        _exact("symbolic_eigenvalue", float(winding), symbolic),
+        _close("numeric_matches_symbolic", symbolic, numeric, _tol(cfg, "sz_agreement")),
         _exact("full_turn_is_minus_one", True, full_turn.is_minus_one),
         _exact("double_turn_is_identity", True, double_turn.is_one),
     ]

@@ -1,15 +1,10 @@
-"""Exception types shared across the package, the limits behind
-SizeLimitError with the one check against them, and the check that values
-are normal floats.
+"""Exception types shared across the package, and the limits behind
+SizeLimitError with the one check against them.
 
 Plain ValueError is raised for malformed inputs (zero wave vector, a point
 outside the box, a sigma that is not a half-integer, ...). The subclasses below
 mark failure modes that callers are expected to distinguish programmatically.
 """
-
-import sys
-
-from ._lazy import np
 
 __all__ = [
     "ResolutionError",
@@ -18,7 +13,6 @@ __all__ = [
     "SizeLimitError",
     "LIMITS",
     "refuse",
-    "check_scales",
 ]
 
 
@@ -75,25 +69,3 @@ def refuse(cost) -> None:
             )
         raise SizeLimitError(f"refusing {what}: {amount} {unit}, over the limit of {limit}")
 
-
-def check_scales(what: str, **scales) -> None:
-    """Raise ValueError when a scale, a float or an array of them, is not a
-    finite normal float (zero and subnormals lose every or some significant
-    digit); `what` names the inputs it came from, and the message the first
-    such scale in keyword order. The CLI's unit conversion runs this on what
-    it reports, so units that would take a value out of the floats are
-    refused instead of turning into NaN or failed verdicts."""
-    # one test over every value: a run checks a dozen scales, most of them 0-d
-    parts = [np.ravel(value) for value in scales.values()]
-    values = np.concatenate(parts)
-    normal = np.isfinite(values) & (np.abs(values) >= sys.float_info.min)
-    if normal.all():
-        return
-    for name, part in zip(scales, parts):
-        bad = ~normal[: len(part)]
-        if bad.any():
-            raise ValueError(
-                f"refusing {what}: its {name} is {float(part[bad][0])!r}, "
-                "outside the range of normal floats"
-            )
-        normal = normal[len(part) :]

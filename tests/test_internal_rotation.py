@@ -186,16 +186,16 @@ def test_winding_must_be_half():
 def test_symbolic_eigenvalue_scales_with_hbar(capsys):
     # minus the pi coefficient of the half-turn phase e^{-i w pi} is w, in
     # units of hbar, to the bit; sz reports it and the stencil's value in
-    # the units of its --hbar
+    # units of hbar
     for winding in (HALF, -HALF):
         exact = -float(rotation_factor(winding, 1).pi_part)
         assert exact == float(winding)
         assert abs(apply_spin_z(winding) - exact) <= 1e-8
-        assert main(["sz", f"--winding={winding}", "--hbar", "0.7"]) == 0
+        assert main(["sz", f"--winding={winding}"]) == 0
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert checks["symbolic_eigenvalue"]["actual"] == 0.7 * float(winding)
+        assert checks["symbolic_eigenvalue"]["actual"] == float(winding)
         numeric = checks["numeric_matches_symbolic"]
-        assert abs(numeric["actual"] - 0.7 * float(winding)) <= 0.7e-8
+        assert abs(numeric["actual"] - float(winding)) <= 1e-8
 
 
 @pytest.mark.parametrize("winding", [HALF, -HALF])

@@ -3,8 +3,8 @@
 The field oracle below is written out in plain trigonometry, independent of
 the library's complex-carrier bookkeeping, so a sign slip in either place
 shows up as a mismatch. The library and every oracle here are in natural
-units, hbar = c = 1 with the box edge as the unit of length; the CLI tests
-carry the dependence on the units.
+units, hbar = c = 1 with the box edge as the unit of length, as are the
+CLI's reports.
 """
 
 import cmath
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from zpfspin import modes
 from zpfspin.cli import main
-from zpfspin.errors import ResolutionError, SizeLimitError, check_scales, refuse
+from zpfspin.errors import ResolutionError, SizeLimitError, refuse
 from zpfspin.modes import (
     ModeObservables,
     Modes,
@@ -603,27 +603,3 @@ def test_spin_is_half_hbar_along_k(n, gamma):
     khat = np.array(n, dtype=float)
     khat /= np.linalg.norm(khat)
     assert np.max(np.abs(obs.J - gamma * 0.5 * khat)) < 1e-14
-
-
-@pytest.mark.parametrize(
-    "scales,name,value",
-    [
-        # the first scale in keyword order that fails, not the furthest out
-        ({"a": 1.0, "b": 0.0, "c": math.inf}, "b", 0.0),
-        ({"a": np.float64(math.nan), "b": 5e-324}, "a", math.nan),
-        # array scales alike, each named by its first value that fails
-        ({"a": np.array([1.0, 2.0]), "b": np.array([3.0, math.inf, 0.0]), "c": np.zeros(1)}, "b", math.inf),
-        ({"a": np.ones(1), "b": 2.0, "c": np.array([[1.0, -5e-324], [math.nan, 1.0]])}, "c", -5e-324),
-        ({"a": np.array([1.0, -math.inf]), "b": 0.0}, "a", -math.inf),
-    ],
-)
-def test_check_scales_names_the_first_failing_scale(scales, name, value):
-    with pytest.raises(ValueError) as info:
-        check_scales("some inputs", **scales)
-    message = f"refusing some inputs: its {name} is {value!r}, outside the range of normal floats"
-    assert str(info.value) == message
-
-
-def test_check_scales_passes_normal_scales():
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    check_scales("some inputs", a=tiny, b=-huge, c=np.array([[1.0, -tiny]]), d=np.empty(0))

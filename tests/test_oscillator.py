@@ -5,8 +5,7 @@ ladder matrices and changes basis by applying circular creation operators
 to the vacuum, so it shares no code path with the closed forms under test.
 Oracle two pins the absolute length scale by Gauss-Hermite quadrature of
 the one-dimensional position integral. The table is in natural units,
-hbar = m = omega0 = 1, and so are both oracles; the CLI tests carry the
-dependence on the units.
+hbar = m = omega0 = 1, and so are both oracles and the CLI's reports.
 """
 
 import math
