@@ -950,7 +950,17 @@ def test_exchange_derive_fails_a_probe_at_pi(capsys, monkeypatch):
     assert body["details"]["probe_phase"] == "1*pi"
 
 
+# the float flags that remain, then removed unit flags that once took a
+# float: a non-finite value must reach no kernel through either
 NON_FINITE_FLAGS = [
+    ("totals", "--box"),
+    ("angular-momentum", "--hbar"),
+    ("mode-observables", "--c"),
+    ("sum-rule", "--m"),
+    ("zeeman", "--mu0"),
+    ("sum-rule", "--omega0"),
+    ("angular-momentum", "--omega0"),
+    ("zeeman", "--field"),
     ("zeeman", "--b-max"),
     ("field-sample", "--time"),
 ]
@@ -962,7 +972,10 @@ def test_non_finite_flag_exits_two(capsys, command, flag, value):
     assert main([command, f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "finite" in captured.err
+    if flag in REMOVED_OPTIONS[command]:
+        assert f"unrecognized arguments: {flag}={value}" in captured.err
+    else:
+        assert "finite" in captured.err
 
 
 @pytest.mark.parametrize("line", ["time = inf", "b_max = nan", "b_max = -inf", "tol.sum_rule = nan"])
@@ -1461,6 +1474,21 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
 @pytest.mark.parametrize(
     "argv,owner,patched",
     [
+        # the bound 1e307 |H| of energy overflows, |H| = pi |n| here
+        pytest.param(
+            ["mode-observables", "--n", "7,-3,5", "--tol", "observables=1e307"], modes, "sample_fields",
+            id="argv9-zpfspin.modes-sample_fields",
+        ),
+        # the bound 1e308 times the gap 2 overflows
+        pytest.param(
+            ["zeeman", "--tol", "zeeman_gap=1e308"], cli, "build_oscillator_table",
+            id="argv10-zpfspin.cli-build_oscillator_table",
+        ),
+        # the ramp's last levels overflow below zero
+        pytest.param(
+            ["zeeman", "--b-max=-1e308", "--csv", CSV_IN_TMP], cli, "build_oscillator_table",
+            id="argv11-zpfspin.cli-build_oscillator_table",
+        ),
         # the largest phase omega t of the fields overflows
         pytest.param(
             ["field-sample", "--time", "1e308"], cli, "sample_realization",
@@ -1476,8 +1504,8 @@ def test_refusal_just_past_the_limit_states_its_bytes(capsys, monkeypatch, argv)
 def test_out_of_range_scales_exit_two_before_any_work(
     capsys, monkeypatch, tmp_path, argv, owner, patched
 ):
-    # each value is finite on its own; a level or the time's phase leaves
-    # the floats, so the run is refused before its kernels start
+    # each value is finite on its own; a bound, a level or the time's phase
+    # leaves the floats, so the run is refused before its kernels start
     argv = [str(tmp_path / "out.csv") if arg == CSV_IN_TMP else arg for arg in argv]
     monkeypatch.setattr(owner, patched, _never_called)
     assert main(argv) == 2
@@ -1485,6 +1513,61 @@ def test_out_of_range_scales_exit_two_before_any_work(
     assert captured.out == ""
     assert "outside the range of normal floats" in captured.err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _reported_floats(value):
+    """Every float in a decoded report, however deeply nested."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _reported_floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _reported_floats(item)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum-rule"],
+        ["mode-observables"],
+        ["mode-observables", "--n", "1,0,0", "--grid", "64"],
+        ["field-sample", "--points=4", "--time=1"],
+        ["field-sample", "--points=4", "--time=-1"],
+        ["field-sample", "--points=4"],
+        ["field-sample", "--points=4", "--time=1e6"],
+        ["field-sample", "--points", "4", "--n-max", "2"],
+        ["field-sample", "--points", "4", "--n-max", "3"],
+        ["field-sample", "--points", "8"],
+        ["mode-observables", "--n", "0,0,1", "--grid", "16"],
+        ["mode-observables", "--gamma=-1"],
+        ["mode-observables", "--n=2,-1,1", "--gamma=-1", "--grid=8"],
+        ["mode-observables", "--n=3,3,3"],
+        ["mode-observables", "--grid=8"],
+        ["mode-observables", "--n=0,1,0", "--grid=8"],
+        ["mode-observables", "--n=9,0,-2", "--grid=40"],
+        ["totals"],
+        ["totals", "--n-max", "2"],
+        ["angular-momentum", "--n-cut", "3"],
+        ["sum-rule", "--dims=3", "--n-cut=2"],
+        ["angular-momentum", "--dims=3", "--n-cut=1"],
+        ["angular-momentum", "--dims=2", "--n-cut=12"],
+        ["sum-rule", "--n-cut=5"],
+        ["sz"],
+        ["zeeman", "--b-max", "1e-300"],
+        ["zeeman", "--b-max", "1e300"],
+    ],
+)
+def test_units_that_keep_every_reported_value_normal_run(capsys, argv):
+    # in natural units no reported value is converted, so a run at any
+    # size passes its checks and reports no float outside the normal range
+    code, body = run(capsys, argv)
+    assert code == 0
+    assert all(check["pass"] for check in body["checks"])
+    reported = list(_reported_floats(body))
+    assert reported
+    assert all(value == 0.0 or sys.float_info.min <= abs(value) < math.inf for value in reported), argv
 
 
 @pytest.mark.parametrize(
@@ -1513,6 +1596,13 @@ def test_scales_just_inside_the_range_run(capsys, argv):
         ["angular-momentum", "--dims", "3", "--n-cut", "20"],
         # mode-observables judges each error relative to |H|, |P| and |J|
         ["mode-observables", "--n", "7,-3,5", "--grid", "64"],
+        ["mode-observables", "--n", "9,0,-2", "--grid", "40"],
+        ["mode-observables", "--n", "0,4,5", "--gamma=-1"],
+        ["mode-observables", "--n", "2,-1,1", "--gamma=-1", "--grid", "8"],
+        ["mode-observables", "--n", "1,0,0", "--grid", "64"],
+        ["sz", "--points", "4096", "--winding=-1/2"],
+        ["angular-momentum", "--dims", "2", "--n-cut", "12"],
+        ["sum-rule", "--dims", "3", "--n-cut", "12"],
     ],
 )
 def test_tolerances_follow_the_scale_of_what_they_bound(capsys, argv):
@@ -1545,6 +1635,10 @@ def test_mode_observables_phase_independence_fails_on_a_nan(capsys, monkeypatch)
         ["mode-observables", "--tol", "observables=1e308"],
         # the bound is 1e308 times the gap 2
         ["zeeman", "--tol", "zeeman_gap=1e308"],
+        # |H| of this mode is pi |n|, about 29
+        ["mode-observables", "--n", "9,0,-2", "--tol", "observables=1e307"],
+        # just past the largest float, 1.8e308
+        ["zeeman", "--tol", "zeeman_gap=9e307"],
     ],
 )
 def test_infinite_tolerance_bounds_exit_two(capsys, argv):
@@ -1593,7 +1687,7 @@ def test_field_sample_nan_in_the_pair_fails_linearity(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(["field-sample", "--points=4", "--time=1e308", "--csv", CSV_IN_TMP], id="time"),
+        pytest.param(["field-sample", "--points=4", "--time=1e308", "--csv", CSV_IN_TMP], id="argv4"),
         pytest.param(
             ["field-sample", "--points=4", "--n-max=2", "--time=-1e308", "--csv", CSV_IN_TMP],
             id="negative_time",
